@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -54,13 +55,25 @@ def _load_config(path: str | None) -> dict:
 
 def _resolve(flag_value, env_name: str, config: dict, key: str, default, cast):
     if flag_value is not None:
-        return cast(flag_value)
-    env = os.environ.get(env_name)
-    if env is not None:
-        return cast(env)
-    if key in config:
-        return cast(config[key])
-    return default
+        value = flag_value
+    elif env_name in os.environ:
+        value = os.environ[env_name]
+    elif key in config:
+        value = config[key]
+    else:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise SymfusionError(f"invalid {key} {value!r}: {exc}") from exc
+
+
+def _resolve_tolerance(args, config: dict) -> float:
+    """The tolerance from flag, env or config; it must be finite and positive."""
+    tol = _resolve(args.tolerance, "SYMFUSION_TOLERANCE", config, "tolerance", DEFAULT_TOL, float)
+    if not (math.isfinite(tol) and tol > 0):
+        raise SymfusionError(f"tolerance must be finite and positive, got {tol}")
+    return tol
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -82,6 +95,8 @@ def _parse_transversal(spec: str | None, n: int, even: bool):
         return validate_transversal(ts, n, even=even)
     if spec.startswith("@"):
         entries = json.loads(Path(spec[1:]).read_text())
+        if not isinstance(entries, list) or not all(isinstance(t, str) for t in entries):
+            raise SymfusionError(f"{spec[1:]} must hold a JSON list of permutation strings")
         ts = [Permutation.parse(text, n=n) for text in entries]
         return validate_transversal(ts, n, even=even)
     raise SymfusionError(f"unknown transversal spec {spec!r}; use default|cycle|@file")
@@ -108,7 +123,7 @@ def _predicted_classification(kind: str, lam, mu, layers) -> str | None:
 
 
 def cmd_construct(args, config) -> int:
-    tol = _resolve(args.tolerance, "SYMFUSION_TOLERANCE", config, "tolerance", DEFAULT_TOL, float)
+    tol = _resolve_tolerance(args, config)
     max_dim = _resolve(args.max_dim, "SYMFUSION_MAX_DIM", config, "max_dim", cons.DEFAULT_MAX_DIM, int)
     kind = args.kind
     lam = mu = None
@@ -131,7 +146,10 @@ def cmd_construct(args, config) -> int:
                 layers = (lam,)
             else:
                 if args.layers is not None:
-                    idx = tuple(int(t) for t in args.layers.split(","))
+                    try:
+                        idx = tuple(int(t) for t in args.layers.split(","))
+                    except ValueError as exc:
+                        raise SymfusionError(f"cannot parse --layers {args.layers!r}") from exc
                     sel = cons.LayerSelection(mu, idx)
                 elif args.delta is not None:
                     sel = cons.LayerSelection.from_delta(mu, args.delta)
@@ -168,7 +186,7 @@ def _decode_generic_matrix(rows, field):
 
 
 def cmd_certify(args, config) -> int:
-    tol = _resolve(args.tolerance, "SYMFUSION_TOLERANCE", config, "tolerance", DEFAULT_TOL, float)
+    tol = _resolve_tolerance(args, config)
     try:
         e = eio.load_ensemble(args.infile, tol=CERTIFY_LOAD_GUARD)
     except (SymfusionError, OSError) as exc:

@@ -22,6 +22,7 @@ from .errors import (
     ConstraintViolationError,
     DivisibilityViolatedError,
     EmptySelectionError,
+    InconsistentFamilyError,
     NotInDownSetError,
     NotIsometryError,
     NotSymmetricError,
@@ -46,7 +47,6 @@ from .tableaux import (
     box_axial_distance,
     dimension,
     down_set,
-    hook_product,
     is_symmetric,
     partitions_of,
     removable_boxes,
@@ -88,10 +88,8 @@ class LayerSelection:
     def from_delta(cls, mu: Partition, delta: int) -> "LayerSelection":
         if delta not in (0, 1):
             raise ConstraintViolationError("delta must be 0 or 1")
-        count = len(up_set(mu))
         # 1-based position p goes to L_0 when p is even, L_1 when odd
-        parity = 0 if delta == 0 else 1
-        return cls(mu, tuple(i for i in range(count) if (i + 1) % 2 == parity))
+        return cls(mu, tuple(range(1 - delta, len(up_set(mu)), 2)))
 
     @classmethod
     def from_partitions(cls, mu: Partition, layers: Sequence[Partition]) -> "LayerSelection":
@@ -133,32 +131,55 @@ class LayerSelection:
 
 def canonical_subsets(mu: Partition) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
     """(L_0, L_1): covers of mu in even and odd 1-based positions respectively."""
-    covers = [lam for lam, _ in up_set(mu)]
-    L0 = tuple(lam for p, lam in enumerate(covers, start=1) if p % 2 == 0)
-    L1 = tuple(lam for p, lam in enumerate(covers, start=1) if p % 2 == 1)
-    return L0, L1
+    covers = tuple(lam for lam, _ in up_set(mu))
+    return covers[1::2], covers[0::2]
 
 
-def _dim_ratio(lam: Partition, mu: Partition) -> Fraction:
-    """Exact d_lam / (n d_mu) as the quotient of hook products.
+def _transition_measure(mu: Partition):
+    """(covers, weights, addable, removable) of mu's Kerov transition measure.
 
-    The factorials cancel: d_lam / (n d_mu) = hook_product(mu) / hook_product(lam).
+    ``covers`` is :func:`up_set`; ``addable`` and ``removable`` hold the
+    contents x_k of the added boxes and y_i of mu's removable boxes, in the
+    orders of :func:`up_set` and :func:`removable_boxes`.  The weight of cover
+    k is d_lam / (n d_mu) = prod_i (x_k - y_i) / prod_{j != k} (x_k - x_j)
+    (Kerov, Funct. Anal. Appl. 1993), exact and O(c^2) for c corners.
     """
-    return Fraction(hook_product(mu), hook_product(lam))
+    covers = up_set(mu)
+    xs = tuple(box.superdiagonal for _lam, box in covers)
+    ys = tuple(box.superdiagonal for box in removable_boxes(mu))
+    weights = []
+    for x in xs:
+        num = den = 1
+        for y in ys:
+            num *= x - y
+        for z in xs:
+            if z != x:  # addable contents are distinct, so this skips j = k
+                den *= x - z
+        weights.append(Fraction(num, den))
+    return covers, tuple(weights), xs, ys
+
+
+def _box_sums(weights, xs, ys, picks: Sequence[int]) -> tuple[Fraction, ...]:
+    """For each removable content y, the sum over covers k in picks of
+    w_k / (x_k - y), where x_k - y is the axial distance D(lam_k - mu, box)."""
+    sums = []
+    for y in ys:
+        # integer numerator and denominator, normalized once at the end
+        num, den = 0, 1
+        for k in picks:
+            d = weights[k].denominator * (xs[k] - y)
+            num = num * d + weights[k].numerator * den
+            den *= d
+        sums.append(Fraction(num, den))
+    return tuple(sums)
 
 
 def layer_sums(mu: Partition, layers: Sequence[Partition]) -> tuple[Fraction, ...]:
     """For each removable box of mu, the exact sum over lam in layers of
     d_lam / (n d_mu) / D(lam - mu, box)."""
-    covers = dict((lam, box) for lam, box in up_set(mu))
-    ratios = [(lam, _dim_ratio(lam, mu), covers[lam]) for lam in layers]
-    sums = []
-    for box in removable_boxes(mu):
-        total = Fraction(0)
-        for _lam, ratio, added in ratios:
-            total += ratio / box_axial_distance(added, box)
-        sums.append(total)
-    return tuple(sums)
+    covers, weights, xs, ys = _transition_measure(mu)
+    position = {lam: k for k, (lam, _box) in enumerate(covers)}
+    return _box_sums(weights, xs, ys, [position[lam] for lam in layers])
 
 
 def distance_condition(mu: Partition, layers: Sequence[Partition]) -> tuple[bool, tuple[Fraction, ...]]:
@@ -214,12 +235,16 @@ class ExactIsoclinicCertificate:
 
 def isoclinic_certificate(mu: Partition, delta: int) -> ExactIsoclinicCertificate:
     """Exact test of the sign-alternating layer-sum condition for L_delta."""
-    sel = LayerSelection.from_delta(mu, delta)
-    layers = sel.partitions
-    sums = layer_sums(mu, layers)
+    if delta not in (0, 1):
+        raise ConstraintViolationError("delta must be 0 or 1")
+    covers, weights, xs, ys = _transition_measure(mu)
+    picks = range(1 - delta, len(covers), 2)  # as in LayerSelection.from_delta
+    layers = tuple(covers[k][0] for k in picks)
+    sums = _box_sums(weights, xs, ys, picks)
     n = mu.n + 1
     d_mu = dimension(mu)
-    d_layers = sel.total_dimension
+    # d_lam = n d_mu w_lam exactly
+    d_layers = sum(n * d_mu * weights[k].numerator // weights[k].denominator for k in picks)
     predicted = Fraction(
         d_layers * (n * d_mu - d_layers), d_mu * d_mu * n * n * (n - 1)
     )
@@ -296,15 +321,12 @@ def three_part_family(a: int, f: int, h: int, b: int) -> tuple[Partition, ExactI
     g = h - b
     if e < 1:
         raise StepConstraintViolatedError("derived e must be positive")
-    # defining identities of the family
-    assert c == Fraction(2 * a * f, b + g) + f
-    assert e == Fraction((a + g) * f, b) - c
     mu = Partition((e + f + g,) * a + (e + f,) * b + (e,) * c)
     for delta in (0, 1):
         cert = isoclinic_certificate(mu, delta)
         if cert.holds:
             return mu, cert
-    raise AssertionError(f"family recipe produced a non-isoclinic partition {mu!r}")
+    raise InconsistentFamilyError(f"family recipe produced a non-isoclinic partition {mu!r}")
 
 
 def four_part_family(a: int, b: int, c: int) -> tuple[Partition, ExactIsoclinicCertificate]:
@@ -322,7 +344,7 @@ def four_part_family(a: int, b: int, c: int) -> tuple[Partition, ExactIsoclinicC
         cert = isoclinic_certificate(mu, delta)
         if cert.holds:
             return mu, cert
-    raise AssertionError(f"family recipe produced a non-isoclinic partition {mu!r}")
+    raise InconsistentFamilyError(f"family recipe produced a non-isoclinic partition {mu!r}")
 
 
 @dataclass(frozen=True)
@@ -404,7 +426,7 @@ def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
     else:
         raise ConstraintViolationError(f"unknown family kind {kind!r}")
     if r.denominator != 1 or d.denominator != 1:
-        raise AssertionError("family formulas must produce integers")
+        raise InconsistentFamilyError("family formulas must produce integers")
     d_i, r_i = int(d), int(r)
     alpha = Fraction(r_i * n - d_i, d_i * (n - 1))
     return d_i, r_i, n, alpha
@@ -599,7 +621,7 @@ def alternating_parameters(a: int, c: int, delta: int):
     else:
         d = Fraction(a * (a + 2 * c), (a + c) ** 2) * r * n
     if r.denominator != 1 or d.denominator != 1:
-        raise AssertionError("alternating family formulas must produce integers")
+        raise InconsistentFamilyError("alternating family formulas must produce integers")
     d_i, r_i = int(d), int(r)
     half = (a * (a + 2 * c - 1)) // 2
     field = "R" if half % 2 == 0 else "C"

@@ -39,6 +39,10 @@ class NotInDownSetError(SymfusionError, ValueError):
     """Shape is not obtained from the given shape by removing one box."""
 
 
+class ParseError(SymfusionError, ValueError):
+    """Text is not a well-formed partition or permutation."""
+
+
 # --- permutations and representations ----------------------------------------
 
 class SizeMismatchError(SymfusionError, ValueError):
@@ -127,6 +131,10 @@ class StepConstraintViolatedError(ConstraintViolationError):
 
 class DivisibilityViolatedError(ConstraintViolationError):
     """Four-part family divisibility constraint violated."""
+
+
+class InconsistentFamilyError(SymfusionError, RuntimeError):
+    """A family recipe or closed form disagrees with its exact certificate."""
 
 
 class ResourceLimitError(SymfusionError, RuntimeError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .errors import BadTransversalError, SizeMismatchError, TooSmallError
+from .errors import BadTransversalError, ParseError, SizeMismatchError, TooSmallError
 
 
 class Permutation:
@@ -135,7 +135,7 @@ class Permutation:
         if text.startswith("("):
             cycles = []
             for group in re.findall(r"\(([^()]*)\)", text):
-                pts = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
+                pts = _parse_ints(re.split(r"[,\s]+", group.strip()), text)
                 if pts:
                     cycles.append(pts)
             top = max((max(c) for c in cycles), default=0)
@@ -144,11 +144,18 @@ class Permutation:
             if n < top or n < 1:
                 raise SizeMismatchError(f"cycles mention points beyond n={n}")
             return cls.from_cycles(n, cycles)
-        imgs = [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
+        imgs = _parse_ints(re.split(r"[,\s]+", text), text)
         perm = cls(imgs)
         if n is not None and n != perm.degree:
             raise SizeMismatchError(f"one-line form has degree {perm.degree}, expected {n}")
         return perm
+
+
+def _parse_ints(tokens: Iterable[str], text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens if tok]
+    except ValueError as exc:
+        raise ParseError(f"cannot parse permutation {text!r}: {exc}") from exc
 
 
 def permutation_word(g: Permutation) -> list[int]:

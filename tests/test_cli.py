@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from symfusion import Partition, certify, load_ensemble, single_layer_ensemble
 from symfusion.cli import main
@@ -215,6 +216,68 @@ class TestSearchAndTable:
         assert code == 0
         rows = json.loads(stdout)
         assert all(r["certified"] is True for r in rows)
+
+
+class TestBadInput:
+    def test_non_integer_partition_is_user_error(self, capsys):
+        code, _, stderr = run(
+            capsys, "construct", "single-layer", "--lambda", "3,x", "--mu", "2,2",
+        )
+        assert code == 2
+        assert json.loads(stderr)["error"] == "ParseError"
+
+    def test_non_integer_transversal_is_user_error(self, tmp_path, capsys):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps(["()", "(1 x)", "(1 3)", "(1 4)", "(1 5)"]))
+        code, _, stderr = run(
+            capsys, "construct", "single-layer", "--lambda", "3,2", "--mu", "2,2",
+            "--transversal", f"@{spec}",
+        )
+        assert code == 2
+        assert json.loads(stderr)["error"] == "ParseError"
+
+    def test_transversal_file_of_non_strings_is_user_error(self, tmp_path, capsys):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps([1, 2, 3, 4, 5]))
+        code, _, stderr = run(
+            capsys, "construct", "single-layer", "--lambda", "3,2", "--mu", "2,2",
+            "--transversal", f"@{spec}",
+        )
+        assert code == 2
+        assert "permutation strings" in json.loads(stderr)["message"]
+
+    def test_non_integer_layers_is_user_error(self, capsys):
+        code, _, stderr = run(
+            capsys, "construct", "multi-layer", "--mu", "3,1,1", "--layers", "0,a",
+        )
+        assert code == 2
+        assert "error" in json.loads(stderr)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_flag_is_user_error(self, capsys, value):
+        code, stdout, stderr = run(
+            capsys, "construct", "single-layer", "--lambda", "3,2", "--mu", "2,2",
+            f"--tolerance={value}",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "tolerance" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    def test_bad_tolerance_env_is_user_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SYMFUSION_TOLERANCE", value)
+        code, _, stderr = run(
+            capsys, "construct", "single-layer", "--lambda", "3,2", "--mu", "2,2",
+        )
+        assert code == 2
+        assert "tolerance" in json.loads(stderr)["message"]
+
+    def test_bad_tolerance_in_certify_is_user_error(self, tmp_path, capsys):
+        path = tmp_path / "e.json"
+        save_ensemble(single_layer_ensemble(Partition((3, 2)), Partition((2, 2))), path)
+        code, _, stderr = run(capsys, "certify", "--in", str(path), "--tolerance", "nan")
+        assert code == 2
+        assert "tolerance" in json.loads(stderr)["message"]
 
 
 class TestOptionPrecedence:

@@ -1,5 +1,8 @@
+import ast
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,8 @@ from symfusion import (
     three_part_family,
     up_set,
 )
-from symfusion.constructions import alternating_shapes
+import symfusion
+from symfusion.constructions import _transition_measure, alternating_shapes
 from symfusion.errors import (
     ConstraintViolationError,
     DivisibilityViolatedError,
@@ -41,6 +45,7 @@ from symfusion.errors import (
     TrivialSubspaceError,
 )
 from symfusion.permutations import Permutation, transversal_an
+from symfusion.tableaux import box_axial_distance, boxes, hook_length, removable_boxes
 
 TOL = 1e-9
 
@@ -229,6 +234,82 @@ class TestCertificates:
                 assert set(winners) == expected, mu
 
 
+def _box_hook_product(lam):
+    return prod(hook_length(lam, box) for box in boxes(lam))
+
+
+def _reference_certificate(mu, delta):
+    """The hook-product certificate: each d_lam / (n d_mu) as a quotient of
+    box-by-box hook products, summed per removable box of mu."""
+    sel = LayerSelection.from_delta(mu, delta)
+    layers = sel.partitions
+    added = dict(up_set(mu))
+    sums = []
+    for box in removable_boxes(mu):
+        total = Fraction(0)
+        for lam in layers:
+            ratio = Fraction(_box_hook_product(mu), _box_hook_product(lam))
+            total += ratio / box_axial_distance(added[lam], box)
+        sums.append(total)
+    n = mu.n + 1
+    d_mu = factorial(mu.n) // _box_hook_product(mu)
+    d_layers = sum(factorial(n) // _box_hook_product(lam) for lam in layers)
+    predicted = Fraction(d_layers * (n * d_mu - d_layers), d_mu * d_mu * n * n * (n - 1))
+    beta = None
+    holds = True
+    for q, s in enumerate(sums, start=1):
+        signed = s if (q + delta) % 2 == 0 else -s
+        if signed < 0 or (beta is not None and signed != beta):
+            holds = False
+            break
+        beta = signed
+    if not holds:
+        beta = None
+    beta_squared = beta * beta if beta is not None else None
+    alpha = (
+        Fraction(n * n * d_mu * d_mu, d_layers * d_layers) * beta_squared
+        if beta_squared is not None
+        else None
+    )
+    return {
+        "mu": str(mu),
+        "delta": delta,
+        "layers": [str(l) for l in layers],
+        "s_values": [str(s) for s in sums],
+        "holds": holds,
+        "beta": str(beta) if beta is not None else None,
+        "beta_squared": str(beta_squared) if beta_squared is not None else None,
+        "beta_squared_predicted": str(predicted),
+        "d": d_layers,
+        "r": d_mu,
+        "n": n,
+        "alpha": str(alpha) if alpha is not None else None,
+    }
+
+
+class TestKerovTransitionMeasure:
+    def test_weights_are_hook_product_ratios_through_16(self):
+        for total in range(1, 17):
+            for mu in partitions_of(total):
+                covers, weights, _xs, _ys = _transition_measure(mu)
+                assert len(weights) == len(covers)
+                for (lam, _box), w in zip(covers, weights):
+                    assert w == Fraction(_box_hook_product(mu), _box_hook_product(lam)), (mu, lam)
+
+    def test_certificates_match_hook_product_oracle_through_14(self):
+        for total in range(1, 15):
+            for mu in partitions_of(total):
+                for delta in (0, 1):
+                    assert (
+                        isoclinic_certificate(mu, delta).to_json_dict()
+                        == _reference_certificate(mu, delta)
+                    ), (mu, delta)
+
+    def test_certificate_rejects_bad_delta(self):
+        with pytest.raises(ConstraintViolationError):
+            isoclinic_certificate(Partition((2, 2)), 2)
+
+
 class TestSearch:
     def test_small_hits(self):
         mus = {str(c.mu) for c in search_isoclinic(5)}
@@ -279,6 +360,14 @@ class TestFamilies:
     def test_four_part_divisibility(self):
         with pytest.raises(DivisibilityViolatedError):
             four_part_family(1, 3, 2)
+
+
+def test_library_code_has_no_assert():
+    # assert statements vanish under python -O; library checks must raise
+    for path in sorted(Path(symfusion.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert at lines {lines}"
 
 
 class TestMultiLayer:

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symfusion import Permutation, permutation_word, transversal_an, transversal_sn
-from symfusion.errors import BadTransversalError, SizeMismatchError, TooSmallError
+from symfusion.errors import (
+    BadTransversalError,
+    ParseError,
+    SizeMismatchError,
+    SymfusionError,
+    TooSmallError,
+)
 from symfusion.permutations import validate_transversal
 
 
@@ -25,6 +31,12 @@ class TestPermutation:
         assert Permutation.parse("()", n=4) == Permutation.identity(4)
         with pytest.raises(SizeMismatchError):
             Permutation.parse("(1 5)", n=3)
+
+    def test_parse_rejects_non_integer_token(self):
+        for text in ("(1 x)", "2,one,3", "(1 2)(3 4.0)"):
+            with pytest.raises(ParseError) as info:
+                Permutation.parse(text)
+            assert isinstance(info.value, SymfusionError)
 
     def test_cycle_string_round_trip(self):
         g = Permutation.parse("(1 6)(2 4 5)", n=6)

@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +30,10 @@ from symfusion.errors import (
     NotInUpSetError,
     NotNonincreasingError,
     NotStandardError,
+    ParseError,
+    SymfusionError,
 )
-from symfusion.tableaux import removable_boxes
+from symfusion.tableaux import boxes, hook_product, removable_boxes
 
 from conftest import brute_force_standard_count, partition_strategy
 
@@ -55,6 +57,12 @@ class TestPartition:
         lam = Partition.parse("4,2,2")
         assert lam == Partition((4, 2, 2))
         assert str(lam) == "4,2,2"
+
+    def test_parse_rejects_non_integer_token(self):
+        for text in ("3,x", "2.5,1", "a"):
+            with pytest.raises(ParseError) as info:
+                Partition.parse(text)
+            assert isinstance(info.value, SymfusionError)
 
     def test_transpose(self):
         assert transpose(Partition((4, 2, 2))) == Partition((3, 3, 1, 1))
@@ -85,6 +93,12 @@ class TestHooksAndDimension:
     def test_box_outside(self):
         with pytest.raises(BoxOutsideDiagramError):
             hook_length(Partition((2, 1)), Box(2, 2))
+
+    def test_hook_product_matches_box_hooks_through_12(self):
+        for n in range(1, 13):
+            for lam in partitions_of(n):
+                expected = prod(hook_length(lam, box) for box in boxes(lam))
+                assert hook_product(lam) == expected, lam
 
     def test_dimension_known_values(self):
         assert dimension(Partition((4, 2, 2))) == 56
