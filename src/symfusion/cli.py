@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import constructions as cons
 from . import ensemble_io as eio
 from .errors import ResourceLimitError, SymfusionError
@@ -131,10 +129,13 @@ def cmd_construct(args, config) -> int:
     try:
         if kind == "generic":
             spec = json.loads(Path(args.spec).read_text())
-            gens = {name: _decode_generic_matrix(m, spec.get("field")) for name, m in spec["generators"].items()}
-            iso = _decode_generic_matrix(spec["isometry"], spec.get("field"))
+            if not isinstance(spec, dict) or not isinstance(spec.get("generators"), dict):
+                raise SymfusionError(f"{args.spec} must hold a JSON object with a generators object")
+            field = spec.get("field")
+            gens = {name: eio._decode_matrix(m, field, f"generator {name!r}") for name, m in spec["generators"].items()}
+            iso = eio._decode_matrix(spec["isometry"], field, "isometry")
             e = cons.generic_orbit_ensemble(
-                gens, spec["transversal_words"], iso, field=spec.get("field"), tol=tol
+                gens, spec["transversal_words"], iso, field=field, tol=tol
             )
         else:
             mu = Partition.parse(args.mu)
@@ -177,12 +178,6 @@ def cmd_construct(args, config) -> int:
         )
         return _fail(err, EXIT_MISMATCH)
     return EXIT_OK
-
-
-def _decode_generic_matrix(rows, field):
-    if field == "C":
-        return np.array([[complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in row] for row in rows])
-    return np.array(rows, dtype=float)
 
 
 def cmd_certify(args, config) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -470,6 +470,23 @@ def _check_cap(d: int, max_dim: int) -> None:
         )
 
 
+def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[np.ndarray]:
+    """The orbit pi_L(t) Psi_L, t in ts, of the weighted layer stack.
+
+    Psi_L stacks sqrt(d_lam / d_L) Psi_{lam,mu} over sel's layers, and the
+    direct-sum representation pi_L acts on it layer by layer.  Blocks are
+    yielded one at a time, so a caller that compresses them never holds the
+    whole uncompressed orbit.
+    """
+    d_layers = sel.total_dimension
+    pieces = [
+        (lam, np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, sel.mu))
+        for lam in sel.partitions
+    ]
+    for t in ts:
+        yield np.vstack([rep_apply(lam, t, piece) for lam, piece in pieces])
+
+
 def single_layer_ensemble(
     lam: Partition,
     mu: Partition,
@@ -482,13 +499,10 @@ def single_layer_ensemble(
     Blocks are pi_lam(t_k) Psi_{lam,mu}, giving a real, totally symmetric
     ensemble of n = |lam| subspaces of dimension d_mu inside dimension d_lam.
     """
-    added = _single_layer_added_box(lam, mu)  # validates the pair
-    del added
+    _single_layer_added_box(lam, mu)  # validates the pair
     _check_cap(dimension(lam), max_dim)
-    n = lam.n
-    ts = _resolve_transversal(n, transversal, even=False)
-    Psi = branching_isometry(lam, mu)
-    blocks = [rep_apply(lam, t, Psi) for t in ts]
+    ts = _resolve_transversal(lam.n, transversal, even=False)
+    blocks = list(_layer_orbit(LayerSelection.from_partitions(mu, [lam]), ts))
     meta = {
         "construction": "single_layer",
         "lambda": str(lam),
@@ -496,27 +510,6 @@ def single_layer_ensemble(
         "transversal": [t.cycle_string() for t in ts],
     }
     return FusionEnsemble.from_blocks(blocks, field="R", tol=tol, meta=meta)
-
-
-def _weighted_stack(sel: LayerSelection) -> np.ndarray:
-    """The stacked isometry with blocks sqrt(d_lam / d_L) Psi_{lam,mu}."""
-    mu = sel.mu
-    d_layers = sel.total_dimension
-    pieces = []
-    for lam in sel.partitions:
-        pieces.append(np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, mu))
-    return np.vstack(pieces)
-
-
-def _apply_layer_rep(sel: LayerSelection, t: Permutation, M: np.ndarray) -> np.ndarray:
-    """Apply the direct-sum representation of t to a stacked matrix M."""
-    out = np.empty_like(M)
-    offset = 0
-    for lam in sel.partitions:
-        d = dimension(lam)
-        out[offset : offset + d] = rep_apply(lam, t, M[offset : offset + d])
-        offset += d
-    return out
 
 
 def multi_layer_ensemble(
@@ -534,8 +527,7 @@ def multi_layer_ensemble(
     _check_cap(sel.total_dimension, max_dim)
     n = sel.mu.n + 1
     ts = _resolve_transversal(n, transversal, even=False)
-    Psi = _weighted_stack(sel)
-    blocks = [_apply_layer_rep(sel, t, Psi) for t in ts]
+    blocks = list(_layer_orbit(sel, ts))
     meta = {
         "construction": "multi_layer",
         "mu": str(sel.mu),
@@ -583,11 +575,7 @@ def alternating_ensemble(
     layers = sel.partitions
     J_layers = altrep.layer_eigenbasis(mu, layers, eps)
     J_mu = altrep.eigenspace_injection(mu, eps)
-    Psi = _weighted_stack(sel)
-    blocks = []
-    for t in ts:
-        thin = _apply_layer_rep(sel, t, Psi)
-        blocks.append(J_layers.conj().T @ thin @ J_mu)
+    blocks = [J_layers.conj().T @ thin @ J_mu for thin in _layer_orbit(sel, ts)]
     meta = {
         "construction": "alternating",
         "mu": str(mu),
@@ -642,28 +630,31 @@ def decomposition_check(
 ) -> bool:
     """Verify the eigenbasis change block-diagonalizes every stacked isometry.
 
-    Builds the S_n multi-layer blocks with an even transversal, rotates them
-    by the two-eigenspace basis on both sides, and checks the result is
-    block-diagonal with the two alternating ensembles' blocks on the diagonal.
+    Builds the S_n multi-layer orbit once with an even transversal, compresses
+    it to the two alternating halves, rotates it by the two-eigenspace basis on
+    both sides, and checks the result is block-diagonal with the halves'
+    blocks on the diagonal.
     """
     _check_alternating_selection(sel)
     mu = sel.mu
     _check_cap(sel.total_dimension, max_dim)
-    n = mu.n + 1
-    ts = _resolve_transversal(n, transversal, even=True)
-    plus = alternating_ensemble(sel, "+", transversal=ts, tol=tol, max_dim=max_dim)
-    minus = alternating_ensemble(sel, "-", transversal=ts, tol=tol, max_dim=max_dim)
+    ts = _resolve_transversal(mu.n + 1, transversal, even=True)
     J_plus = altrep.layer_eigenbasis(mu, sel.partitions, "+")
     J_minus = altrep.layer_eigenbasis(mu, sel.partitions, "-")
+    I_plus = altrep.eigenspace_injection(mu, "+")
+    I_minus = altrep.eigenspace_injection(mu, "-")
     B_layers = np.hstack([J_plus, J_minus])
-    B_mu = np.hstack(
-        [altrep.eigenspace_injection(mu, "+"), altrep.eigenspace_injection(mu, "-")]
+    B_mu = np.hstack([I_plus, I_minus])
+    orbit = list(_layer_orbit(sel, ts))
+    field = altrep.field_for(mu)
+    plus, minus = (
+        FusionEnsemble.from_blocks([J.conj().T @ thin @ I for thin in orbit], field=field, tol=tol)
+        for J, I in ((J_plus, I_plus), (J_minus, I_minus))
     )
-    Psi = _weighted_stack(sel)
     half_rows = J_plus.shape[1]
     half_cols = B_mu.shape[1] // 2
-    for k, t in enumerate(ts):
-        rotated = B_layers.conj().T @ _apply_layer_rep(sel, t, Psi) @ B_mu
+    for k, thin in enumerate(orbit):
+        rotated = B_layers.conj().T @ thin @ B_mu
         top_left = rotated[:half_rows, :half_cols]
         bottom_right = rotated[half_rows:, half_cols:]
         off_a = rotated[:half_rows, half_cols:]

@@ -1,9 +1,9 @@
 """Ensemble file format: JSON with one d x r entry grid per subspace.
 
-Real entries are plain numbers; complex entries are [re, im] pairs.  The
-format round-trips float64 exactly (JSON floats are written with repr
-precision), so certification of a saved ensemble is bit-identical to the
-in-memory path.
+Real entries are plain numbers; complex entries are [re, im] pairs, and a
+plain number in a complex matrix is read as real.  The format round-trips
+float64 exactly (JSON floats are written with repr precision), so
+certification of a saved ensemble is bit-identical to the in-memory path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def _decode_matrix(rows: list, field: str, where: str) -> np.ndarray:
     try:
         if field == "C":
             return np.array(
-                [[complex(v[0], v[1]) for v in row] for row in rows], dtype=complex
+                [[complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in row] for row in rows],
+                dtype=complex,
             )
         return np.array(rows, dtype=float)
     except (TypeError, ValueError, IndexError) as exc:

@@ -54,7 +54,7 @@ class FusionEnsemble:
         tol: float = DEFAULT_TOL,
         meta: Mapping[str, object] | None = None,
     ) -> "FusionEnsemble":
-        """Validate block shapes and isometry (within ``tol``, max-entry norm)."""
+        """Validate block shapes, finiteness and isometry (within ``tol``, max-entry norm)."""
         if not blocks:
             raise DegenerateParametersError("an ensemble needs at least one block")
         mats = []
@@ -77,6 +77,8 @@ class FusionEnsemble:
         for j, b in enumerate(mats):
             if b.shape != (d, r):
                 raise DegenerateParametersError(f"block {j + 1} has shape {b.shape}, expected {(d, r)}")
+            if not np.isfinite(b).all():
+                raise NotIsometryError(f"block {j + 1} has a non-finite entry")
             resid = _max_abs(_ct(b) @ b - np.eye(r))
             if resid > tol:
                 raise NotIsometryError(f"block {j + 1} fails isometry: residual {resid:.3e} > {tol:.3e}")

@@ -101,15 +101,15 @@ def branching_isometry(lam: Partition, mu: Partition) -> np.ndarray:
     Requires mu in the down set of lam.  Its image is the pi_mu-isotypic
     component of the restriction of pi_lam to S_{n-1}: the span of basis
     vectors v_T with n in the removed box.  In the canonical order those rows
-    are contiguous, so the matrix is a vertical [0; I; 0] block.
+    are contiguous and follow the blocks of the earlier down-set members, so
+    the matrix is a vertical [0; I; 0] block at that offset.
     """
-    if mu not in [m for m, _ in down_set(lam)]:
-        raise NotInDownSetError(f"{mu!r} is not obtained from {lam!r} by removing a box")
-    from .tableaux import embed  # local import to keep module top uncluttered
-
-    index = tableau_index(lam)
-    cols = enumerate_standard_tableaux(mu)
-    Psi = np.zeros((dimension(lam), len(cols)))
-    for c, R in enumerate(cols):
-        Psi[index[embed(R, lam)], c] = 1.0
-    return Psi
+    offset = 0
+    for nu, _box in down_set(lam):
+        if nu == mu:
+            d_mu = dimension(mu)
+            Psi = np.zeros((dimension(lam), d_mu))
+            Psi[offset : offset + d_mu] = np.eye(d_mu)
+            return Psi
+        offset += dimension(nu)
+    raise NotInDownSetError(f"{mu!r} is not obtained from {lam!r} by removing a box")

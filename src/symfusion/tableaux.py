@@ -91,11 +91,6 @@ class Partition:
         return cls(parts)
 
 
-def make_partition(parts: Iterable[int]) -> Partition:
-    """Validate and build a :class:`Partition`."""
-    return Partition(parts)
-
-
 def contains(lam: Partition, box: Box | tuple[int, int]) -> bool:
     row, col = box
     return 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]

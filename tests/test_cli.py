@@ -279,6 +279,55 @@ class TestBadInput:
         assert code == 2
         assert "tolerance" in json.loads(stderr)["message"]
 
+    def test_non_finite_block_in_certify_is_user_error(self, tmp_path, capsys):
+        data = to_json_dict(single_layer_ensemble(Partition((3, 2)), Partition((2, 2))))
+        data["isometries"][1][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))  # json writes the NaN literal
+        code, stdout, stderr = run(capsys, "certify", "--in", str(path))
+        assert code == 2
+        assert stdout == ""
+        error = json.loads(stderr)
+        assert error["error"] == "EnsembleFormatError"
+        assert "non-finite" in error["message"]
+
+
+class TestGenericSpec:
+    BASE = {
+        "field": "R",
+        "generators": {"f": [[1.0, 0.0], [0.0, -1.0]]},
+        "transversal_words": [[], ["f"]],
+        "isometry": [[0.6], [0.8]],
+    }
+
+    def construct(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return run(capsys, "construct", "generic", "--spec", str(path))
+
+    def test_bare_numbers_in_complex_spec_are_real(self, tmp_path, capsys):
+        spec = dict(self.BASE, field="C", isometry=[[0.6], [[0.0, 0.8]]])
+        code, stdout, _ = self.construct(tmp_path, capsys, spec)
+        assert code == 0
+        assert "_C(2, 1, 2)" in stdout
+
+    def test_non_finite_isometry_is_user_error(self, tmp_path, capsys):
+        code, stdout, stderr = self.construct(tmp_path, capsys, dict(self.BASE, isometry=[[float("nan")], [1.0]]))
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "NotIsometryError"
+
+    def test_non_numeric_entry_is_user_error(self, tmp_path, capsys):
+        code, _, stderr = self.construct(tmp_path, capsys, dict(self.BASE, isometry=[[1], ["x"]]))
+        assert code == 2
+        assert json.loads(stderr)["error"] == "EnsembleFormatError"
+
+    @pytest.mark.parametrize("spec", [[1, 2], "spec", {"generators": [], "isometry": [[1.0]]}])
+    def test_spec_not_an_object_is_user_error(self, tmp_path, capsys, spec):
+        code, _, stderr = self.construct(tmp_path, capsys, spec)
+        assert code == 2
+        assert "JSON object" in json.loads(stderr)["message"]
+
 
 class TestOptionPrecedence:
     def test_env_sets_max_dim(self, capsys, monkeypatch):

@@ -45,7 +45,7 @@ from symfusion.errors import (
     TrivialSubspaceError,
 )
 from symfusion.permutations import Permutation, transversal_an
-from symfusion.tableaux import box_axial_distance, boxes, hook_length, removable_boxes
+from symfusion.tableaux import box_axial_distance, boxes, down_set, hook_length, removable_boxes
 
 TOL = 1e-9
 
@@ -372,13 +372,20 @@ def test_library_code_has_no_assert():
 
 class TestMultiLayer:
     def test_singleton_reduces_to_single_layer(self):
-        mu = Partition((2, 2))
-        sel = LayerSelection.from_partitions(mu, [Partition((3, 2))])
-        e_multi = multi_layer_ensemble(sel)
-        e_single = single_layer_ensemble(Partition((3, 2)), mu)
-        np.testing.assert_allclose(
-            fusion_gram(e_multi), fusion_gram(e_single), atol=TOL
-        )
+        # bit-identical blocks for every valid single-layer pair through |lam| = 8
+        pairs = 0
+        for n in range(2, 9):
+            for lam in partitions_of(n):
+                for mu, _box in down_set(lam):
+                    if dimension(mu) >= dimension(lam):
+                        continue  # a trivial subspace, rejected by single_layer_ensemble
+                    e_single = single_layer_ensemble(lam, mu)
+                    e_multi = multi_layer_ensemble(LayerSelection.from_partitions(mu, [lam]))
+                    assert all(
+                        np.array_equal(a, b) for a, b in zip(e_single.blocks, e_multi.blocks, strict=True)
+                    ), (lam, mu)
+                    pairs += 1
+        assert pairs == 100
 
     def test_full_cover_gives_orthogonal_subspaces(self):
         mu = Partition((2, 1))
@@ -503,6 +510,22 @@ class TestAlternating:
 
     def test_decomposition_check_complex_field(self):
         assert decomposition_check(LayerSelection.from_delta(Partition((4, 1, 1, 1)), 1))
+
+    @pytest.mark.parametrize("mu, delta", [((3, 1, 1), 0), ((3, 1, 1), 1), ((4, 1, 1, 1), 1)])
+    def test_decomposition_check_builds_one_orbit(self, monkeypatch, mu, delta):
+        # one rep_apply per transversal element and layer: the orbit is built once
+        calls = []
+        real_rep_apply = symfusion.constructions.rep_apply
+
+        def counting_rep_apply(lam, g, M):
+            calls.append(lam)
+            return real_rep_apply(lam, g, M)
+
+        monkeypatch.setattr(symfusion.constructions, "rep_apply", counting_rep_apply)
+        sel = LayerSelection.from_delta(Partition(mu), delta)
+        assert decomposition_check(sel)
+        n = sel.mu.n + 1
+        assert len(calls) == n * len(sel.partitions)
 
     def test_complex_epsilon_pair_agrees(self):
         sel = LayerSelection.from_delta(Partition((4, 1, 1, 1)), 1)

@@ -71,6 +71,19 @@ class TestEnsembleValidation:
         with pytest.raises(NotIsometryError):
             FusionEnsemble.from_blocks([np.ones((3, 2))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_block(self, bad):
+        blocks = [b.copy() for b in single_layer_ensemble(Partition((3, 2)), Partition((2, 2))).blocks]
+        blocks[1][0, 0] = bad
+        with pytest.raises(NotIsometryError, match="non-finite"):
+            FusionEnsemble.from_blocks(blocks)
+
+    def test_rejects_non_finite_complex_block(self):
+        b = np.eye(3, 2, dtype=complex)
+        b[2, 1] = complex(0.0, np.nan)
+        with pytest.raises(NotIsometryError, match="non-finite"):
+            FusionEnsemble.from_blocks([b], field="C")
+
     def test_field_inference(self):
         e = orthogonal_tiling(4, 2)
         assert e.field == "R"

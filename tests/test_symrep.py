@@ -176,6 +176,18 @@ class TestBranching:
         }
         assert support == expected
 
+    def test_matches_embedding_reference_through_9(self):
+        # v_R goes to v_{embed(R, lam)}: the definition, built from tableaux
+        for n in range(2, 10):
+            for lam in partitions_of(n):
+                index = tableau_index(lam)
+                for mu, _ in down_set(lam):
+                    cols = enumerate_standard_tableaux(mu)
+                    reference = np.zeros((dimension(lam), len(cols)))
+                    for c, R in enumerate(cols):
+                        reference[index[embed(R, lam)], c] = 1.0
+                    assert np.array_equal(branching_isometry(lam, mu), reference), (lam, mu)
+
     def test_not_in_down_set(self):
         with pytest.raises(NotInDownSetError):
             branching_isometry(Partition((3, 2)), Partition((3,)))

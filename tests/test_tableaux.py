@@ -17,7 +17,6 @@ from symfusion import (
     enumerate_standard_tableaux,
     hook_length,
     is_symmetric,
-    make_partition,
     partitions_of,
     row_superstandard,
     transpose,
@@ -42,16 +41,16 @@ FIG_T = StandardTableau([[1, 3, 5, 8], [2, 6], [4, 7]])  # shape (4,2,2)
 
 class TestPartition:
     def test_make_partition(self):
-        assert make_partition((4, 2, 2)).n == 8
-        assert make_partition((3, 2, 1)).n == 6
+        assert Partition((4, 2, 2)).n == 8
+        assert Partition((3, 2, 1)).n == 6
 
     def test_validation(self):
         with pytest.raises(NotNonincreasingError):
-            make_partition((2, 3))
+            Partition((2, 3))
         with pytest.raises(NonPositivePartError):
-            make_partition((3, 0))
+            Partition((3, 0))
         with pytest.raises(NonPositivePartError):
-            make_partition(())
+            Partition(())
 
     def test_parse_round_trip(self):
         lam = Partition.parse("4,2,2")
