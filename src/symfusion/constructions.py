@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import altrep
 from .errors import (
+    BadTransversalError,
     ConstraintViolationError,
     DivisibilityViolatedError,
     EmptySelectionError,
@@ -40,7 +41,7 @@ from .permutations import (
     transversal_sn,
     validate_transversal,
 )
-from .symrep import branching_isometry, rep_apply
+from .symrep import branching_isometry, rep_apply, rep_matrix, right_apply_generator
 from .tableaux import (
     Box,
     Partition,
@@ -470,21 +471,44 @@ def _check_cap(d: int, max_dim: int) -> None:
         )
 
 
-def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[np.ndarray]:
+def _layer_orbit(
+    sel: LayerSelection,
+    ts: Sequence[Permutation],
+    compress: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[np.ndarray]:
     """The orbit pi_L(t) Psi_L, t in ts, of the weighted layer stack.
 
     Psi_L stacks sqrt(d_lam / d_L) Psi_{lam,mu} over sel's layers, and the
-    direct-sum representation pi_L acts on it layer by layer.  Blocks are
-    yielded one at a time, so a caller that compresses them never holds the
-    whole uncompressed orbit.
+    direct-sum representation pi_L acts on it layer by layer.  Since
+    (k n) = s_k (k+1 n) s_k and Psi_L intertwines pi_mu with pi_L restricted
+    to S_{n-1}, the blocks C_k = pi_L((k n)) Psi_L follow from
+    C_{n-1} = pi_L(s_{n-1}) Psi_L and C_k = pi_L(s_k) C_{k+1} pi_mu(s_k): one
+    generator each.  A t with t(n) = k < n gives C_k pi_mu(h) for
+    h = (k n) t, which fixes n; the t fixing n acts on Psi_L directly.  ts
+    must satisfy t_k(n) = k.  Blocks come back in the order of ts, each
+    passed through ``compress`` as soon as it is built, so a compressing
+    caller never holds the whole uncompressed orbit.
     """
+    mu = sel.mu
+    n = mu.n + 1
+    layers = sel.partitions
     d_layers = sel.total_dimension
-    pieces = [
-        (lam, np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, sel.mu))
-        for lam in sel.partitions
-    ]
-    for t in ts:
-        yield np.vstack([rep_apply(lam, t, piece) for lam, piece in pieces])
+    psi = [np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, mu) for lam in layers]
+    finish = compress or (lambda block: block)
+    blocks: list = [None] * n
+    blocks[n - 1] = finish(np.vstack([rep_apply(lam, ts[n - 1], P) for lam, P in zip(layers, psi)]))
+    C = psi
+    for k in range(n - 1, 0, -1):
+        s_k = Permutation.adjacent(n, k)
+        C = [rep_apply(lam, s_k, M) for lam, M in zip(layers, C)]
+        if k < n - 1:
+            C = [right_apply_generator(mu, k, M) for M in C]
+        block = np.vstack(C)
+        h = Permutation.transposition(n, k, n) * ts[k - 1]
+        if not h.is_identity:
+            block = block @ rep_matrix(mu, Permutation(h.images[:-1]))
+        blocks[k - 1] = finish(block)
+    return blocks
 
 
 def single_layer_ensemble(
@@ -502,7 +526,7 @@ def single_layer_ensemble(
     _single_layer_added_box(lam, mu)  # validates the pair
     _check_cap(dimension(lam), max_dim)
     ts = _resolve_transversal(lam.n, transversal, even=False)
-    blocks = list(_layer_orbit(LayerSelection.from_partitions(mu, [lam]), ts))
+    blocks = _layer_orbit(LayerSelection.from_partitions(mu, [lam]), ts)
     meta = {
         "construction": "single_layer",
         "lambda": str(lam),
@@ -527,7 +551,7 @@ def multi_layer_ensemble(
     _check_cap(sel.total_dimension, max_dim)
     n = sel.mu.n + 1
     ts = _resolve_transversal(n, transversal, even=False)
-    blocks = list(_layer_orbit(sel, ts))
+    blocks = _layer_orbit(sel, ts)
     meta = {
         "construction": "multi_layer",
         "mu": str(sel.mu),
@@ -575,7 +599,7 @@ def alternating_ensemble(
     layers = sel.partitions
     J_layers = altrep.layer_eigenbasis(mu, layers, eps)
     J_mu = altrep.eigenspace_injection(mu, eps)
-    blocks = [J_layers.conj().T @ thin @ J_mu for thin in _layer_orbit(sel, ts)]
+    blocks = _layer_orbit(sel, ts, lambda thin: J_layers.conj().T @ thin @ J_mu)
     meta = {
         "construction": "alternating",
         "mu": str(mu),
@@ -645,7 +669,7 @@ def decomposition_check(
     I_minus = altrep.eigenspace_injection(mu, "-")
     B_layers = np.hstack([J_plus, J_minus])
     B_mu = np.hstack([I_plus, I_minus])
-    orbit = list(_layer_orbit(sel, ts))
+    orbit = _layer_orbit(sel, ts)
     field = altrep.field_for(mu)
     plus, minus = (
         FusionEnsemble.from_blocks([J.conj().T @ thin @ I for thin in orbit], field=field, tol=tol)
@@ -705,12 +729,17 @@ def generic_orbit_ensemble(
         raise NotIsometryError("isometry must be d x r")
     if np.max(np.abs(W.conj().T @ W - np.eye(W.shape[1]))) > max(tol, 1e-8):
         raise NotIsometryError("isometry columns are not orthonormal")
+    if not isinstance(transversal_words, (list, tuple)) or not all(
+        isinstance(word, (list, tuple)) and all(isinstance(name, str) for name in word)
+        for word in transversal_words
+    ):
+        raise BadTransversalError("transversal_words must be a list of lists of generator names")
     blocks = []
     for word in transversal_words:
         M = np.eye(d)
         for name in word:
             if name not in mats:
-                raise KeyError(f"word references unknown generator {name!r}")
+                raise BadTransversalError(f"word references unknown generator {name!r}")
             M = M @ mats[name]
         blocks.append(M @ W)
     meta = {"construction": "generic_orbit", "words": [list(w) for w in transversal_words]}

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateParametersError,
+    EnsembleFormatError,
     FullDimensionError,
     IndexOutOfRangeError,
     NotIsometryError,
@@ -54,9 +55,12 @@ class FusionEnsemble:
         tol: float = DEFAULT_TOL,
         meta: Mapping[str, object] | None = None,
     ) -> "FusionEnsemble":
-        """Validate block shapes, finiteness and isometry (within ``tol``, max-entry norm)."""
+        """Validate the field tag (None, "R" or "C"), block shapes, finiteness and
+        isometry (within ``tol``, max-entry norm)."""
         if not blocks:
             raise DegenerateParametersError("an ensemble needs at least one block")
+        if field not in (None, "R", "C"):
+            raise EnsembleFormatError(f"field must be 'R' or 'C', got {field!r}")
         mats = []
         arrays = [np.asarray(b) for b in blocks]
         complex_entries = any(

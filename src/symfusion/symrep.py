@@ -9,6 +9,14 @@ where the second term vanishes exactly when s_k T is not standard.  Every
 generator therefore has at most two nonzeros per column, which we exploit:
 products are evaluated by sparse column updates, never by dense
 matrix-matrix multiplication with the generators.
+
+The tables behind those updates come from the array picture of Tab(lam)
+(Okounkov-Vershik, Selecta Math. 1996): D is a difference of two columns of
+:func:`tableaux.tableau_contents`, and s_k T is a row-index word of
+:func:`tableaux.tableau_words` with two entries swapped, located by one
+lexicographic sort.  No tableau object is built.  The same table read on
+columns gives the right action M pi(s_k), which the orbit builder in
+:mod:`constructions` uses for its conjugation recursion.
 """
 
 from __future__ import annotations
@@ -19,15 +27,7 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, NotInDownSetError, SizeMismatchError
 from .permutations import Permutation, permutation_word
-from .tableaux import (
-    Partition,
-    apply_adjacent_transposition,
-    axial_distance,
-    dimension,
-    down_set,
-    enumerate_standard_tableaux,
-    tableau_index,
-)
+from .tableaux import Partition, dimension, down_set, tableau_contents, tableau_words
 
 DEFAULT_TOL = 1e-9
 
@@ -38,22 +38,22 @@ def _generator_action(lam: Partition, k: int) -> tuple[np.ndarray, np.ndarray, n
 
     Column T has 1/D_T(k+1,k) on the diagonal and, when s_k T is standard,
     sqrt(1 - 1/D^2) in row s_k T; partner[t] = t marks the missing second entry.
+    D is a difference of two content columns, and s_k T swaps two word
+    entries; the swapped words of the tableaux with |D| >= 2 are those same
+    words again, so one lexicographic sort of them finds every partner.
     """
     if not 1 <= k <= lam.n - 1:
         raise IndexOutOfRangeError(f"k = {k} outside 1..{lam.n - 1}")
-    tabs = enumerate_standard_tableaux(lam)
-    index = tableau_index(lam)
-    d = len(tabs)
-    diag = np.empty(d)
-    off = np.zeros(d)
-    partner = np.arange(d)
-    for t, T in enumerate(tabs):
-        dist = axial_distance(T, k + 1, k)
-        diag[t] = 1.0 / dist
-        S = apply_adjacent_transposition(T, k)
-        if S is not None:
-            partner[t] = index[S]
-            off[t] = np.sqrt(1.0 - 1.0 / dist**2)
+    contents = tableau_contents(lam)
+    dist = (contents[:, k] - contents[:, k - 1]).astype(float)
+    diag = 1.0 / dist
+    off = np.sqrt(1.0 - 1.0 / (dist * dist))  # 0 exactly where |D| = 1
+    movable = np.flatnonzero(np.abs(dist) >= 2)
+    swapped = tableau_words(lam)[movable]
+    swapped[:, [k - 1, k]] = swapped[:, [k, k - 1]]
+    # canonical order is lexicographic in the reversed word; lexsort's last key is primary
+    partner = np.arange(len(diag))
+    partner[movable[np.lexsort(swapped.T)]] = movable
     for arr in (diag, off, partner):
         arr.setflags(write=False)
     return diag, off, partner
@@ -74,6 +74,17 @@ def apply_generator(lam: Partition, k: int, M: np.ndarray) -> np.ndarray:
     """Left-multiply M by pi_lam(s_k) in O(d * cols) using the sparse structure."""
     diag, off, partner = _generator_action(lam, k)
     return diag[:, None] * M + off[:, None] * M[partner]
+
+
+def right_apply_generator(lam: Partition, k: int, M: np.ndarray) -> np.ndarray:
+    """Right-multiply M by pi_lam(s_k), reading the same sparse table on columns.
+
+    pi_lam(s_k) is symmetric, so column t of the product is
+    diag[t] M[:, t] + off[t] M[:, partner[t]].
+    """
+    diag, off, partner = _generator_action(lam, k)
+    # np.take gathers columns faster than M[:, partner]
+    return M * diag + np.take(M, partner, axis=1) * off
 
 
 def apply_word(lam: Partition, word: list[int], M: np.ndarray) -> np.ndarray:

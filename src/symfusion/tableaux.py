@@ -3,8 +3,12 @@
 Boxes are indexed like matrix entries, 1-based, rows top to bottom and columns
 left to right.  All values here are immutable and hashable, so they can be
 shared freely across threads and used as cache keys by the representation
-layer.  Dimensions are exact Python integers (they overflow fixed-width types
-quickly: ``dimension(Partition((7, 7, 4, 3, 3)))`` is 11,660,320,672).
+layer.  The representation layer reads Tab(lam) as read-only arrays: one
+row-index word per tableau (:func:`tableau_words`) and its contents
+(:func:`tableau_contents`); :class:`StandardTableau` objects are built from
+those words only on request.  Dimensions are exact Python integers (they
+overflow fixed-width types quickly: ``dimension(Partition((7, 7, 4, 3, 3)))``
+is 11,660,320,672).
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from itertools import combinations
 from math import factorial, prod
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import (
     BoxOutsideDiagramError,
@@ -345,20 +351,52 @@ def canonical_key(T: StandardTableau) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
-    """All standard tableaux of shape ``lam``, in canonical order.
+def tableau_words(lam: Partition) -> np.ndarray:
+    """Read-only (d, n) array: row t lists the 0-based rows of entries 1..n in
+    the t-th standard tableau of ``lam``, in canonical order.
 
     The canonical order sorts by (row of n, row of n-1, ..., row of 1)
-    ascending-lexicographically.  Tableaux sharing the box of n are therefore
-    contiguous, in the same order as :func:`down_set`, which makes every
-    branching isometry a contiguous 0/1 column selector.
+    ascending-lexicographically.  :func:`down_set` lists the removable boxes
+    by ascending row, so stacking ``[tableau_words(mu) | row of the box]``
+    over it is already that order: tableaux sharing the box of n are
+    contiguous, which makes every branching isometry a contiguous 0/1 column
+    selector.
     """
     if lam.n == 1:
-        return (StandardTableau(((1,),)),)
-    out: list[StandardTableau] = []
-    for mu, _box in down_set(lam):
-        out.extend(embed(R, lam) for R in enumerate_standard_tableaux(mu))
-    out.sort(key=canonical_key)
+        words = np.zeros((1, 1), dtype=np.int16)
+    else:
+        blocks = [(tableau_words(mu), box.row - 1) for mu, box in down_set(lam)]
+        words = np.vstack([
+            np.column_stack([sub, np.full(len(sub), row, dtype=np.int16)]) for sub, row in blocks
+        ])
+    words.setflags(write=False)
+    return words
+
+
+@lru_cache(maxsize=None)
+def tableau_contents(lam: Partition) -> np.ndarray:
+    """Read-only (d, n) array of contents col - row, aligned with :func:`tableau_words`.
+
+    The column of an entry is the count of entries up to it in its row, so it
+    is a cumulative sum of the one-hot row indicators.
+    """
+    words = tableau_words(lam)
+    counts = np.cumsum(words[:, :, None] == np.arange(len(lam), dtype=np.int16), axis=1, dtype=np.int16)
+    cols = np.take_along_axis(counts, words[:, :, None].astype(np.intp), axis=2)[:, :, 0]
+    contents = cols - 1 - words
+    contents.setflags(write=False)
+    return contents
+
+
+@lru_cache(maxsize=None)
+def enumerate_standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
+    """All standard tableaux of shape ``lam``, in the order of :func:`tableau_words`."""
+    out = []
+    for word in tableau_words(lam).tolist():
+        grid: list[list[int]] = [[] for _ in lam.parts]
+        for entry, row in enumerate(word, start=1):
+            grid[row].append(entry)
+        out.append(StandardTableau(grid))
     return tuple(out)
 
 

@@ -328,6 +328,34 @@ class TestGenericSpec:
         assert code == 2
         assert "JSON object" in json.loads(stderr)["message"]
 
+    @pytest.mark.parametrize("words", [5, "f", [5], ["f"], [[], [1]], [[], [["f"]]], {"a": ["f"]}])
+    def test_malformed_transversal_words_is_user_error(self, tmp_path, capsys, words):
+        code, stdout, stderr = self.construct(tmp_path, capsys, dict(self.BASE, transversal_words=words))
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "BadTransversalError"
+
+    def test_unknown_generator_is_user_error(self, tmp_path, capsys):
+        code, _, stderr = self.construct(tmp_path, capsys, dict(self.BASE, transversal_words=[[], ["g"]]))
+        assert code == 2
+        error = json.loads(stderr)
+        assert error["error"] == "BadTransversalError"
+        assert "'g'" in error["message"]
+
+    @pytest.mark.parametrize("field", ["X", "", "r", 1, ["R"]])
+    def test_unknown_field_is_user_error(self, tmp_path, capsys, field):
+        code, stdout, stderr = self.construct(tmp_path, capsys, dict(self.BASE, field=field))
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "EnsembleFormatError"
+
+    def test_absent_or_null_field_is_inferred(self, tmp_path, capsys):
+        spec = {key: value for key, value in self.BASE.items() if key != "field"}
+        for data in (spec, dict(spec, field=None)):
+            code, stdout, _ = self.construct(tmp_path, capsys, data)
+            assert code == 0
+            assert "_R(2, 1, 2)" in stdout
+
 
 class TestOptionPrecedence:
     def test_env_sets_max_dim(self, capsys, monkeypatch):

@@ -35,16 +35,20 @@ from symfusion import (
     up_set,
 )
 import symfusion
+from symfusion import altrep, symrep
 from symfusion.constructions import _transition_measure, alternating_shapes
 from symfusion.errors import (
+    BadTransversalError,
     ConstraintViolationError,
     DivisibilityViolatedError,
+    EnsembleFormatError,
     NotTransposeClosedError,
     ResourceLimitError,
     StepConstraintViolatedError,
     TrivialSubspaceError,
 )
-from symfusion.permutations import Permutation, transversal_an
+from symfusion.permutations import Permutation, transversal_an, transversal_sn
+from symfusion.symrep import branching_isometry, rep_apply
 from symfusion.tableaux import box_axial_distance, boxes, down_set, hook_length, removable_boxes
 
 TOL = 1e-9
@@ -579,6 +583,130 @@ class TestAlternating:
             assert automorphism_witness(e, U, g)
 
 
+def _transversal(kind, n, even):
+    """None (the default), the powers of (1 2 ... n), or a seeded random one;
+    an odd element t is replaced by t (1 2) when even ones are required."""
+    if kind == "default":
+        return None
+    if kind == "cycle":
+        step = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+        ts, power = [], Permutation.identity(n)
+        for _ in range(n):
+            power = power * step
+            ts.append(power)
+    else:
+        rng = np.random.default_rng(n)
+        ts = []
+        for k in range(1, n + 1):
+            images = [int(x) for x in rng.permutation(n) + 1]
+            j = images.index(k)
+            images[j], images[-1] = images[-1], images[j]
+            ts.append(Permutation(images))
+    if even:
+        swap = Permutation.transposition(n, 1, 2)
+        ts = [t if t.is_even else t * swap for t in ts]
+    return ts
+
+
+def _full_word_orbit(sel, ts):
+    """pi_L(t) Psi_L for each t, each layer through the whole word of t."""
+    d_layers = sel.total_dimension
+    pieces = [
+        (lam, np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, sel.mu))
+        for lam in sel.partitions
+    ]
+    return [np.vstack([rep_apply(lam, t, P) for lam, P in pieces]) for t in ts]
+
+
+TRANSVERSAL_KINDS = ("default", "cycle", "random")
+ORBIT_CASES = [
+    ("single", (3, 2), (2, 2), None),
+    ("single", (3, 3, 1), (3, 3), None),
+    ("single", (4, 2, 1, 1), (4, 1, 1, 1), None),
+    ("single", (2, 2, 2, 1, 1), (2, 2, 2, 1), None),
+    ("multi", None, (3, 1), 0),
+    ("multi", None, (4, 2, 1), 1),
+    ("multi", None, (5, 1, 1), (0, 2)),
+    ("multi", None, (3, 2, 1, 1), 0),
+    ("alternating", None, (2, 1), 0),
+    ("alternating", None, (3, 1, 1), 0),
+    ("alternating", None, (3, 1, 1), 1),
+    ("alternating", None, (4, 1, 1, 1), 1),
+]
+
+
+def _orbit_case(kind, lam, mu, layers, tkind):
+    """(selection, transversal or None, builder) for one case; the builder
+    returns the ensemble's blocks."""
+    mu = Partition(mu)
+    if kind == "single":
+        sel = LayerSelection.from_partitions(mu, [Partition(lam)])
+    elif isinstance(layers, tuple):
+        sel = LayerSelection(mu, layers)
+    else:
+        sel = LayerSelection.from_delta(mu, layers)
+    ts = _transversal(tkind, mu.n + 1, even=kind == "alternating")
+    if kind == "single":
+        return sel, ts, lambda: single_layer_ensemble(Partition(lam), mu, transversal=ts).blocks
+    if kind == "multi":
+        return sel, ts, lambda: multi_layer_ensemble(sel, transversal=ts).blocks
+    return sel, ts, lambda: alternating_ensemble(sel, "+", transversal=ts).blocks
+
+
+class TestLayerOrbit:
+    @pytest.mark.parametrize("tkind", TRANSVERSAL_KINDS)
+    @pytest.mark.parametrize("kind, lam, mu, layers", ORBIT_CASES)
+    def test_conjugation_recursion_matches_full_words(self, kind, lam, mu, layers, tkind):
+        sel, ts, build = _orbit_case(kind, lam, mu, layers, tkind)
+        n = sel.mu.n + 1
+        if ts is None:
+            ts = transversal_an(n) if kind == "alternating" else transversal_sn(n)
+        reference = _full_word_orbit(sel, ts)
+        if kind == "alternating":
+            J_layers = altrep.layer_eigenbasis(sel.mu, sel.partitions, "+")
+            J_mu = altrep.eigenspace_injection(sel.mu, "+")
+            reference = [J_layers.conj().T @ thin @ J_mu for thin in reference]
+        built = build()
+        assert len(built) == len(reference) == n
+        for mine, theirs in zip(built, reference):
+            assert np.max(np.abs(mine - theirs)) <= 1e-12
+
+    @pytest.mark.parametrize("tkind", TRANSVERSAL_KINDS)
+    @pytest.mark.parametrize("kind, lam, mu, layers", [ORBIT_CASES[i] for i in (2, 5, 6, 11)])
+    def test_generators_act_only_inside_rep_apply(self, monkeypatch, kind, lam, mu, layers, tkind):
+        # the benchmark tracer's invariants: n |L| rep_apply calls from the
+        # orbit builder, and every apply_generator nested in some rep_apply
+        calls = []
+        depth = [0]
+        outside = []
+        real_rep_apply = symrep.rep_apply
+        real_apply_generator = symrep.apply_generator
+
+        def tracked_rep_apply(lam_, g, M):
+            depth[0] += 1
+            try:
+                return real_rep_apply(lam_, g, M)
+            finally:
+                depth[0] -= 1
+
+        def counted_rep_apply(lam_, g, M):
+            calls.append(lam_)
+            return tracked_rep_apply(lam_, g, M)
+
+        def checked_apply_generator(lam_, k, M):
+            if not depth[0]:
+                outside.append((lam_, k))
+            return real_apply_generator(lam_, k, M)
+
+        monkeypatch.setattr(symrep, "rep_apply", tracked_rep_apply)
+        monkeypatch.setattr(symrep, "apply_generator", checked_apply_generator)
+        monkeypatch.setattr(symfusion.constructions, "rep_apply", counted_rep_apply)
+        sel, _ts, build = _orbit_case(kind, lam, mu, layers, tkind)
+        build()
+        assert len(calls) == (sel.mu.n + 1) * len(sel.partitions)
+        assert outside == []
+
+
 class TestAlternatingParameters:
     def test_table_rows(self):
         assert alternating_parameters(1, 2, 0) == ("R", 8, 3, 6, Fraction(1, 4))
@@ -672,6 +800,19 @@ class TestGenericOrbit:
             generic_orbit_ensemble({"g": np.ones((2, 2))}, [[]], np.eye(2))
         with pytest.raises(NotIsometryError):
             generic_orbit_ensemble({"g": np.eye(2)}, [[]], np.ones((2, 2)))
+
+    @pytest.mark.parametrize("words", [5, None, "g", ["g"], [[], 3], [["g", 2]]])
+    def test_rejects_malformed_words(self, words):
+        with pytest.raises(BadTransversalError):
+            generic_orbit_ensemble({"g": np.eye(2)}, words, np.eye(2)[:, :1])
+
+    def test_unknown_generator_is_a_package_error(self):
+        with pytest.raises(BadTransversalError, match="'h'"):
+            generic_orbit_ensemble({"g": np.eye(2)}, [["g"], ["h"]], np.eye(2)[:, :1])
+
+    def test_rejects_unknown_field(self):
+        with pytest.raises(EnsembleFormatError):
+            generic_orbit_ensemble({"g": np.eye(2)}, [[], ["g"]], np.eye(2)[:, :1], field="X")
 
 
 class TestTables:

@@ -22,6 +22,7 @@ from symfusion import (
 )
 from symfusion.errors import (
     DegenerateParametersError,
+    EnsembleFormatError,
     FullDimensionError,
     IndexOutOfRangeError,
     NotIsometryError,
@@ -83,6 +84,16 @@ class TestEnsembleValidation:
         b[2, 1] = complex(0.0, np.nan)
         with pytest.raises(NotIsometryError, match="non-finite"):
             FusionEnsemble.from_blocks([b], field="C")
+
+    @pytest.mark.parametrize("field", ["X", "", "r", "c", 1, ("R",)])
+    def test_rejects_unknown_field(self, field):
+        # the rule and the error class of the ensemble file loader
+        with pytest.raises(EnsembleFormatError, match="field must be 'R' or 'C'"):
+            FusionEnsemble.from_blocks([np.eye(2)], field=field)
+
+    @pytest.mark.parametrize("field, expected", [(None, "R"), ("R", "R"), ("C", "C")])
+    def test_accepts_known_field(self, field, expected):
+        assert FusionEnsemble.from_blocks([np.eye(2)], field=field).field == expected
 
     def test_field_inference(self):
         e = orthogonal_tiling(4, 2)

@@ -5,6 +5,7 @@ from symfusion import (
     Partition,
     Permutation,
     adjacent_transposition_matrix,
+    apply_adjacent_transposition,
     axial_distance,
     branching_isometry,
     dimension,
@@ -15,6 +16,7 @@ from symfusion import (
     rep_matrix,
 )
 from symfusion.errors import IndexOutOfRangeError, NotInDownSetError, SizeMismatchError
+from symfusion.symrep import _generator_action, apply_generator, right_apply_generator
 from symfusion.tableaux import tableau_index
 
 TOL = 1e-9
@@ -106,6 +108,45 @@ class TestGeneratorMatrices:
                         np.testing.assert_allclose(
                             gens[k] @ gens[j], gens[j] @ gens[k], atol=TOL
                         )
+
+
+def object_generator_action(lam, k):
+    """(diag, off, partner) of pi_lam(s_k), built tableau by tableau from objects."""
+    tabs = enumerate_standard_tableaux(lam)
+    index = tableau_index(lam)
+    d = len(tabs)
+    diag = np.empty(d)
+    off = np.zeros(d)
+    partner = np.arange(d)
+    for t, T in enumerate(tabs):
+        dist = axial_distance(T, k + 1, k)
+        diag[t] = 1.0 / dist
+        S = apply_adjacent_transposition(T, k)
+        if S is not None:
+            partner[t] = index[S]
+            off[t] = np.sqrt(1.0 - 1.0 / dist**2)
+    return diag, off, partner
+
+
+class TestGeneratorTables:
+    def test_bit_identical_to_object_reference_through_10(self):
+        for n in range(2, 11):
+            for lam in partitions_of(n):
+                for k in range(1, n):
+                    tables = _generator_action(lam, k)
+                    reference = object_generator_action(lam, k)
+                    for mine, theirs in zip(tables, reference):
+                        assert mine.dtype == theirs.dtype, (lam, k)
+                        assert np.array_equal(mine, theirs), (lam, k)
+
+    def test_right_action_is_the_transposed_left_action(self):
+        rng = np.random.default_rng(5)
+        for lam in partitions_of(6):
+            for k in range(1, 6):
+                M = rng.standard_normal((4, dimension(lam)))
+                expected = M @ adjacent_transposition_matrix(lam, k)
+                np.testing.assert_allclose(right_apply_generator(lam, k, M), expected, atol=1e-14)
+                np.testing.assert_allclose(apply_generator(lam, k, M.T), expected.T, atol=1e-14)
 
 
 class TestRepMatrix:

@@ -32,7 +32,14 @@ from symfusion.errors import (
     ParseError,
     SymfusionError,
 )
-from symfusion.tableaux import boxes, hook_product, removable_boxes
+from symfusion.tableaux import (
+    boxes,
+    canonical_key,
+    hook_product,
+    removable_boxes,
+    tableau_contents,
+    tableau_words,
+)
 
 from conftest import brute_force_standard_count, partition_strategy
 
@@ -301,6 +308,42 @@ class TestPartitionsOf:
             ps = list(partitions_of(n))
             assert len(ps) == len(set(ps))
             assert all(p.n == n for p in ps)
+
+
+class TestWordArrays:
+    def test_order_is_the_canonical_key_sort_through_10(self):
+        for n in range(1, 11):
+            for lam in partitions_of(n):
+                tabs = enumerate_standard_tableaux(lam)
+                assert list(tabs) == sorted(tabs, key=canonical_key), lam
+
+    def test_words_and_contents_describe_the_tableaux_through_10(self):
+        for n in range(1, 11):
+            for lam in partitions_of(n):
+                tabs = enumerate_standard_tableaux(lam)
+                words, contents = tableau_words(lam), tableau_contents(lam)
+                assert words.shape == contents.shape == (dimension(lam), n)
+                rows = [[T.box_of(e).row - 1 for e in range(1, n + 1)] for T in tabs]
+                assert words.tolist() == rows, lam
+                assert contents.tolist() == [list(content(T)) for T in tabs], lam
+
+    def test_matches_embedding_enumeration_through_9(self):
+        # the definition: embed every tableau of every down-set member, then sort
+        def reference(lam):
+            if lam.n == 1:
+                return [StandardTableau([[1]])]
+            out = [embed(R, lam) for mu, _ in down_set(lam) for R in reference(mu)]
+            return sorted(out, key=canonical_key)
+
+        for n in range(1, 10):
+            for lam in partitions_of(n):
+                assert list(enumerate_standard_tableaux(lam)) == reference(lam), lam
+
+    def test_arrays_are_read_only(self):
+        lam = Partition((3, 2, 1))
+        for arr in (tableau_words(lam), tableau_contents(lam)):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
 
 
 @settings(max_examples=60)
