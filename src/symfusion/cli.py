@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import ensemble_io as eio
-from .errors import ResourceLimitError, SymfusionError
+from .errors import EnsembleFormatError, ResourceLimitError, SymfusionError
 from .fusion import DEFAULT_TOL, FusionEnsemble, certify
 from .permutations import Permutation, validate_transversal
 from .tableaux import Partition
@@ -131,6 +131,9 @@ def cmd_construct(args, config) -> int:
             spec = json.loads(Path(args.spec).read_text())
             if not isinstance(spec, dict) or not isinstance(spec.get("generators"), dict):
                 raise SymfusionError(f"{args.spec} must hold a JSON object with a generators object")
+            missing = [key for key in ("isometry", "transversal_words") if key not in spec]
+            if missing:
+                raise EnsembleFormatError(f"{args.spec} lacks {', '.join(missing)}")
             field = spec.get("field")
             gens = {name: eio._decode_matrix(m, field, f"generator {name!r}") for name, m in spec["generators"].items()}
             iso = eio._decode_matrix(spec["isometry"], field, "isometry")

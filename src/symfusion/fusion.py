@@ -126,34 +126,31 @@ def cross_gram(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
     return _ct(e._block(i)) @ e._block(j)
 
 
-def _singular_values(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
-    return np.linalg.svd(cross_gram(e, i, j), compute_uv=False)
+def _cosines(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
+    """Singular values of the cross-Gram of subspaces i != j: the principal-angle
+    cosines, nonincreasing, clamped to [0, 1] to absorb roundoff.  Every pairwise
+    quantity derives from them, so a pair costs one cross-Gram and one SVD."""
+    if i == j:
+        raise IndexOutOfRangeError("angles and distances require two distinct subspaces")
+    return np.clip(np.linalg.svd(cross_gram(e, i, j), compute_uv=False), 0.0, 1.0)
+
+
+def _distances(r: int, s: np.ndarray) -> tuple[float, float]:
+    return float(np.sqrt(max(0.0, 1.0 - float(s[0]) ** 2))), float(np.sqrt(max(0.0, r - float(np.sum(s**2)))))
 
 
 def principal_angles(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
-    """The r principal angles between subspaces i and j, nondecreasing, in [0, pi/2].
-
-    Computed as arccos of the cross-Gram singular values, clamped to [0, 1]
-    to absorb roundoff.
-    """
-    if i == j:
-        raise IndexOutOfRangeError("principal angles require two distinct subspaces")
-    s = np.clip(_singular_values(e, i, j), 0.0, 1.0)
-    return np.arccos(s)
+    """The r principal angles between subspaces i and j, nondecreasing, in [0, pi/2]."""
+    return np.arccos(_cosines(e, i, j))
 
 
 def pairwise_distances(e: FusionEnsemble, i: int, j: int) -> tuple[float, float]:
     """(spectral, chordal) distance between subspaces i and j.
 
-    spectral = min_k sin(theta_k) = sqrt(1 - ||G||_op^2);
-    chordal  = sqrt(r - ||G||_F^2), with G the cross-Gram.
+    spectral = min_k sin(theta_k) = sqrt(1 - s_1^2);
+    chordal  = sqrt(r - sum_k s_k^2), with s the cross-Gram singular values.
     """
-    if i == j:
-        raise IndexOutOfRangeError("distances require two distinct subspaces")
-    s = np.clip(_singular_values(e, i, j), 0.0, 1.0)
-    spectral = float(np.sqrt(max(0.0, 1.0 - float(s[0]) ** 2)))
-    chordal = float(np.sqrt(max(0.0, e.r - float(np.sum(s**2)))))
-    return spectral, chordal
+    return _distances(e.r, _cosines(e, i, j))
 
 
 def welch_bounds(d: int, r: int, n: int) -> tuple[float, float]:
@@ -171,22 +168,45 @@ def welch_alpha(d: int, r: int, n: int) -> float:
     return (r * n - d) / (d * (n - 1))
 
 
-def isoclinism_check(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> float | None:
-    """Common isoclinism parameter if every pair's G*G is alpha I within ``tol``."""
-    alphas = []
+def _pair_pass(e: FusionEnsemble, tol: float) -> dict:
+    """The report's pairwise fields from one cross-Gram and one SVD per pair i < j.
+
+    A pair with cosines s has parameter alpha = sum_k s_k^2 / r and residual
+    max_k |s_k^2 - alpha|, the spectral norm of G*G - alpha I.  The ensemble is
+    equi-isoclinic when every residual and the spread of the pair parameters are
+    within ``tol``; it has a common chordal distance when the chordal spread is.
+    """
+    angles, spectrals, chordals, alphas, resids = [], [], [], [], []
     for i in range(1, e.n + 1):
         for j in range(i + 1, e.n + 1):
-            G = cross_gram(e, i, j)
-            M = _ct(G) @ G
-            alpha = float(np.real(np.trace(M))) / e.r
-            if _max_abs(M - alpha * np.eye(e.r)) > tol:
-                return None
-            alphas.append(alpha)
+            s = _cosines(e, i, j)
+            angles.append((i, j, tuple(float(a) for a in np.arccos(s))))
+            sp, ch = _distances(e.r, s)
+            spectrals.append(sp)
+            chordals.append(ch)
+            alphas.append(float(np.sum(s**2)) / e.r)
+            resids.append(float(np.max(np.abs(s**2 - alphas[-1]))))
     if not alphas:
-        return None
-    if max(alphas) - min(alphas) > tol:
-        return None
-    return float(np.mean(alphas))
+        return {"principal_angles": (), **dict.fromkeys(
+            ("spectral_min", "chordal_min", "common_chordal", "chordal_spread",
+             "isoclinism_alpha", "isoclinism_residual", "alpha_spread"), None)}
+    resid, a_spread, c_spread = max(resids), max(alphas) - min(alphas), max(chordals) - min(chordals)
+    return {
+        "principal_angles": tuple(angles),
+        "spectral_min": min(spectrals),
+        "chordal_min": min(chordals),
+        "common_chordal": float(np.mean(chordals)) if c_spread <= tol else None,
+        "chordal_spread": c_spread,
+        "isoclinism_alpha": float(np.mean(alphas)) if max(resid, a_spread) <= tol else None,
+        "isoclinism_residual": resid,
+        "alpha_spread": a_spread,
+    }
+
+
+def isoclinism_check(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> float | None:
+    """Common isoclinism parameter if every pair's G*G is alpha I within ``tol``
+    in the spectral norm and the pair parameters agree within ``tol``."""
+    return _pair_pass(e, tol)["isoclinism_alpha"]
 
 
 @dataclass(frozen=True)
@@ -204,7 +224,10 @@ class CertificationReport:
     spectral_min: float | None
     chordal_min: float | None
     common_chordal: float | None
+    chordal_spread: float | None
     isoclinism_alpha: float | None
+    isoclinism_residual: float | None
+    alpha_spread: float | None
     welch_spectral: float | None
     welch_chordal: float | None
     welch_alpha: float | None
@@ -228,7 +251,10 @@ class CertificationReport:
             "spectral_min": self.spectral_min,
             "chordal_min": self.chordal_min,
             "common_chordal": self.common_chordal,
+            "chordal_spread": self.chordal_spread,
             "isoclinism_alpha": self.isoclinism_alpha,
+            "isoclinism_residual": self.isoclinism_residual,
+            "alpha_spread": self.alpha_spread,
             "welch_spectral": self.welch_spectral,
             "welch_chordal": self.welch_chordal,
             "welch_alpha": self.welch_alpha,
@@ -265,41 +291,23 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
     """Full report: tightness, per-pair angles, distances, Welch comparison.
 
     Classification is EITFF when the ensemble is tight and every cross-Gram
-    is a scaled unitary with a common parameter, ECTFF when tight with a
-    common chordal distance, TFF when merely tight.  Equality in the
-    Lemmens-Seidel bound is reported for information only; it is never used
-    to infer the classification.
+    is a scaled unitary with a common parameter (spectral residuals within
+    ``tol``), ECTFF when tight with a common chordal distance, TFF when merely
+    tight.  Equality in the Lemmens-Seidel bound is reported for information
+    only; it is never used to infer the classification.
     """
     resid = tightness_residual(e)
     tight = resid <= tol * max(1.0, e.r * e.n / e.d)
-    pair_angles = []
-    spectrals = []
-    chordals = []
-    for i in range(1, e.n + 1):
-        for j in range(i + 1, e.n + 1):
-            angles = principal_angles(e, i, j)
-            pair_angles.append((i, j, tuple(float(a) for a in angles)))
-            sp, ch = pairwise_distances(e, i, j)
-            spectrals.append(sp)
-            chordals.append(ch)
-    if e.n >= 2:
-        w_spectral, w_chordal = welch_bounds(e.d, e.r, e.n)
-        w_alpha = welch_alpha(e.d, e.r, e.n)
-        spectral_min = min(spectrals)
-        chordal_min = min(chordals)
-        common_chordal = (
-            float(np.mean(chordals)) if max(chordals) - min(chordals) <= tol else None
-        )
-        alpha = isoclinism_check(e, tol)
-    else:
-        w_spectral = w_chordal = w_alpha = None
-        spectral_min = chordal_min = common_chordal = alpha = None
+    pairs = _pair_pass(e, tol)
+    alpha = pairs["isoclinism_alpha"]
+    w_spectral, w_chordal = welch_bounds(e.d, e.r, e.n) if e.n >= 2 else (None, None)
+    w_alpha = welch_alpha(e.d, e.r, e.n) if e.n >= 2 else None
 
     if not tight:
         classification = "NONE"
     elif alpha is not None:
         classification = "EITFF"
-    elif common_chordal is not None:
+    elif pairs["common_chordal"] is not None:
         classification = "ECTFF"
     else:
         classification = "TFF"
@@ -318,17 +326,13 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
         tolerance=tol,
         tightness_residual=resid,
         is_tight=tight,
-        principal_angles=tuple(pair_angles),
-        spectral_min=spectral_min,
-        chordal_min=chordal_min,
-        common_chordal=common_chordal,
-        isoclinism_alpha=alpha,
         welch_spectral=w_spectral,
         welch_chordal=w_chordal,
         welch_alpha=w_alpha,
         lemmens_seidel_bound=ls_bound,
         lemmens_seidel_equality=ls_equality,
         classification=classification,
+        **pairs,
     )
 
 

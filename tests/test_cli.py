@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from symfusion import Partition, certify, load_ensemble, single_layer_ensemble
+from symfusion import Partition, certify, errors, load_ensemble, single_layer_ensemble
 from symfusion.cli import main
 from symfusion.ensemble_io import save_ensemble, to_json_dict
 
@@ -327,6 +327,17 @@ class TestGenericSpec:
         code, _, stderr = self.construct(tmp_path, capsys, spec)
         assert code == 2
         assert "JSON object" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize("key", ["isometry", "transversal_words"])
+    def test_missing_key_is_user_error(self, tmp_path, capsys, key):
+        spec = {k: v for k, v in self.BASE.items() if k != key}
+        code, stdout, stderr = self.construct(tmp_path, capsys, spec)
+        assert code == 2
+        assert stdout == ""
+        error = json.loads(stderr)
+        assert error["error"] == "EnsembleFormatError"
+        assert issubclass(getattr(errors, error["error"]), errors.SymfusionError)
+        assert key in error["message"]
 
     @pytest.mark.parametrize("words", [5, "f", [5], ["f"], [[], [1]], [[], [["f"]]], {"a": ["f"]}])
     def test_malformed_transversal_words_is_user_error(self, tmp_path, capsys, words):

@@ -20,6 +20,12 @@ from symfusion import (
     welch_alpha,
     welch_bounds,
 )
+from symfusion.constructions import (
+    LayerSelection,
+    alternating_ensemble,
+    alternating_shapes,
+    multi_layer_ensemble,
+)
 from symfusion.errors import (
     DegenerateParametersError,
     EnsembleFormatError,
@@ -260,6 +266,173 @@ class TestCertify:
         rep = certify(eitff_16_6_6)
         assert rep.classification == "EITFF"
         assert rep.isoclinism_alpha == pytest.approx(rep.welch_alpha, abs=1e-9)
+
+
+def three_pass_certify(e: FusionEnsemble, tol: float = TOL) -> dict:
+    """The earlier certifier as an oracle: per pair, separate cross-Grams and SVDs
+    for the angles and the distances, and a max-entry test of G*G - alpha I."""
+
+    def singular_values(i, j):
+        return np.linalg.svd(cross_gram(e, i, j), compute_uv=False)
+
+    def isoclinism(i, j):
+        G = cross_gram(e, i, j)
+        M = G.conj().T @ G
+        alpha = float(np.real(np.trace(M))) / e.r
+        return alpha, float(np.max(np.abs(M - alpha * np.eye(e.r))))
+
+    pair_angles, spectrals, chordals, alphas = [], [], [], []
+    isoclinic = True
+    for i in range(1, e.n + 1):
+        for j in range(i + 1, e.n + 1):
+            angles = np.arccos(np.clip(singular_values(i, j), 0.0, 1.0))
+            pair_angles.append((i, j, tuple(float(a) for a in angles)))
+            s = np.clip(singular_values(i, j), 0.0, 1.0)
+            spectrals.append(float(np.sqrt(max(0.0, 1.0 - float(s[0]) ** 2))))
+            chordals.append(float(np.sqrt(max(0.0, e.r - float(np.sum(s**2))))))
+            alpha, resid = isoclinism(i, j)
+            isoclinic = isoclinic and resid <= tol
+            alphas.append(alpha)
+    alpha = None
+    if alphas and isoclinic and max(alphas) - min(alphas) <= tol:
+        alpha = float(np.mean(alphas))
+    common = None
+    if chordals and max(chordals) - min(chordals) <= tol:
+        common = float(np.mean(chordals))
+    if tightness_residual(e) > tol * max(1.0, e.r * e.n / e.d):
+        classification = "NONE"
+    else:
+        classification = "EITFF" if alpha is not None else "ECTFF" if common is not None else "TFF"
+    return {
+        "principal_angles": tuple(pair_angles),
+        "spectral_min": min(spectrals) if spectrals else None,
+        "chordal_min": min(chordals) if chordals else None,
+        "common_chordal": common,
+        "isoclinism_alpha": alpha,
+        "classification": classification,
+    }
+
+
+def two_tilings(d: int, r: int, seed: int) -> FusionEnsemble:
+    # a coordinate tiling and a randomly rotated one: tight, unequal chordal distances
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return FusionEnsemble.from_blocks([M[:, k : k + r] for M in (np.eye(d), Q) for k in range(0, d, r)])
+
+
+def spectral_only_defect_pair(r: int, alpha: float, eps: float) -> FusionEnsemble:
+    """Two r-subspaces of F^2r whose cross-Gram G has G*G = alpha I + eps J (J all ones).
+
+    G*G minus its trace-normalized identity is eps (J - I): every entry is at
+    most eps, but its spectral norm is (r - 1) eps.
+    """
+    def psd_sqrt(M):
+        w, V = np.linalg.eigh(M)
+        return (V * np.sqrt(w)) @ V.T
+
+    M = alpha * np.eye(r) + eps * np.ones((r, r))
+    b1 = np.vstack([np.eye(r), np.zeros((r, r))])
+    b2 = np.vstack([psd_sqrt(M), psd_sqrt(np.eye(r) - M)])
+    return FusionEnsemble.from_blocks([b1, b2])
+
+
+# name -> (classification, builder); every class the certifier can return
+EQUIVALENCE_CASES = {
+    "random_none": ("NONE", lambda: FusionEnsemble.from_blocks(random_orthonormal_blocks(10, 2, 3, 42))),
+    "random_complex_none": ("NONE", lambda: FusionEnsemble.from_blocks(random_orthonormal_blocks(6, 3, 4, 7, True))),
+    "two_tilings_tff": ("TFF", lambda: two_tilings(6, 2, 3)),
+    "multi_layer_ectff": ("ECTFF", lambda: multi_layer_ensemble(LayerSelection(Partition((3, 1)), (0, 2)))),
+    "real_eitff": ("EITFF", lambda: single_layer_ensemble(Partition((3, 2, 1)), Partition((3, 1, 1)))),
+    "complex_eitff": (
+        "EITFF",
+        lambda: alternating_ensemble(LayerSelection.from_delta(alternating_shapes(1, 3), 1), "+"),
+    ),
+    "orthogonal_tiling": ("EITFF", lambda: orthogonal_tiling(6, 2)),
+    "single_subspace": ("TFF", lambda: FusionEnsemble.from_blocks([np.eye(3)])),
+}
+
+
+def build(case: str) -> FusionEnsemble:
+    return EQUIVALENCE_CASES[case][1]()
+
+
+class TestOnePassCertifier:
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_matches_three_pass_oracle(self, case):
+        e = build(case)
+        rep, old = certify(e), three_pass_certify(e)
+        assert rep.classification == old["classification"] == EQUIVALENCE_CASES[case][0]
+        assert rep.principal_angles == old["principal_angles"]
+        assert rep.spectral_min == old["spectral_min"]
+        assert rep.chordal_min == old["chordal_min"]
+        assert rep.common_chordal == old["common_chordal"]
+        if old["isoclinism_alpha"] is None:
+            assert rep.isoclinism_alpha is None
+        else:
+            assert abs(rep.isoclinism_alpha - old["isoclinism_alpha"]) <= 1e-12
+        for i, j, angles in old["principal_angles"]:
+            assert np.array_equal(principal_angles(e, i, j), np.array(angles))
+
+    @pytest.mark.parametrize("case", ["random_none", "multi_layer_ectff", "complex_eitff"])
+    def test_public_views_match_the_report(self, case):
+        e = build(case)
+        rep = certify(e)
+        dists = [pairwise_distances(e, i, j) for i, j, _ in rep.principal_angles]
+        assert min(sp for sp, _ in dists) == rep.spectral_min
+        assert min(ch for _, ch in dists) == rep.chordal_min
+        assert isoclinism_check(e) == rep.isoclinism_alpha
+
+    def test_spectral_rule_is_stricter_than_max_entry(self):
+        tol = 1e-6
+        e = spectral_only_defect_pair(r=4, alpha=0.3, eps=0.6 * tol)
+        old = three_pass_certify(e, tol)
+        assert old["isoclinism_alpha"] == pytest.approx(0.3 + 0.6 * tol, abs=1e-12)
+        rep = certify(e, tol)
+        assert isoclinism_check(e, tol) is None and rep.isoclinism_alpha is None
+        assert rep.isoclinism_residual == pytest.approx(3 * 0.6 * tol, rel=1e-6)
+        assert rep.isoclinism_residual > tol
+
+    @pytest.mark.parametrize("case", ["random_none", "real_eitff", "complex_eitff", "single_subspace"])
+    def test_one_cross_gram_and_one_svd_per_pair(self, monkeypatch, case):
+        import symfusion.fusion as fusion
+
+        e = build(case)
+        counts = {"cross_gram": 0, "svd": 0}
+        real_cross_gram, real_svd = fusion.cross_gram, np.linalg.svd
+
+        def counted_cross_gram(*args, **kwargs):
+            counts["cross_gram"] += 1
+            return real_cross_gram(*args, **kwargs)
+
+        def counted_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "cross_gram", counted_cross_gram)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        certify(e)
+        pairs = e.n * (e.n - 1) // 2
+        assert counts == {"cross_gram": pairs, "svd": pairs}
+
+
+class TestReportResiduals:
+    def test_eitff_residuals_within_tolerance(self, eitff_16_6_6):
+        rep = certify(eitff_16_6_6)
+        for value in (rep.isoclinism_residual, rep.alpha_spread, rep.chordal_spread):
+            assert 0.0 <= value <= rep.tolerance
+
+    def test_failed_tests_report_their_margin(self):
+        rep = certify(build("multi_layer_ectff"))
+        assert rep.classification == "ECTFF"
+        assert rep.chordal_spread <= rep.tolerance < rep.isoclinism_residual
+        rep = certify(build("random_none"))
+        assert rep.isoclinism_residual > rep.tolerance
+        assert rep.alpha_spread > rep.tolerance and rep.chordal_spread > rep.tolerance
+
+    def test_residuals_in_json_and_none_for_one_subspace(self, eitff_5_2_5):
+        data = certify(eitff_5_2_5).to_json_dict()
+        assert {"isoclinism_residual", "alpha_spread", "chordal_spread"} <= set(data)
+        rep = certify(FusionEnsemble.from_blocks([np.eye(3)]))
+        assert rep.isoclinism_residual is rep.alpha_spread is rep.chordal_spread is None
 
 
 class TestFusionGram:
