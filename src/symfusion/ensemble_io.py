@@ -1,15 +1,18 @@
 """Ensemble file format: JSON with one d x r entry grid per subspace.
 
 Real entries are plain numbers; complex entries are [re, im] pairs, and a
-plain number in a complex matrix is read as real.  The format round-trips
-float64 exactly (JSON floats are written with repr precision), so
+plain number in a complex matrix is read as real.  Files are written as
+compact one-line JSON by the C encoder.  The format round-trips float64
+exactly (JSON floats are written with repr precision, -0.0 included), so
 certification of a saved ensemble is bit-identical to the in-memory path.
+Files written indented by earlier versions load to the same blocks.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -20,21 +23,24 @@ from .fusion import DEFAULT_TOL, FusionEnsemble
 
 
 def _encode_matrix(M: np.ndarray, field: str) -> list:
-    if field == "C":
-        return [[[float(v.real), float(v.imag)] for v in row] for row in M]
-    return [[float(v) for v in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist() if field == "C" else M.tolist()
 
 
 def _decode_matrix(rows: list, field: str, where: str) -> np.ndarray:
+    """Every entry must be a JSON number, or in a complex grid an [re, im] pair."""
     try:
         if field == "C":
-            return np.array(
-                [[complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in row] for row in rows],
-                dtype=complex,
-            )
-        return np.array(rows, dtype=float)
-    except (TypeError, ValueError, IndexError) as exc:
+            rows = [[v if type(v) is list else [v, 0.0] for v in row] for row in rows]
+            cells = list(chain.from_iterable(rows))
+            if set(map(len, cells)) - {2}:
+                raise ValueError("complex entries must be [re, im] pairs")
+        kinds = set(map(type, chain.from_iterable(cells if field == "C" else rows))) - {int, float}
+        if kinds:
+            raise ValueError(f"entries must be numbers, found {sorted(k.__name__ for k in kinds)}")
+        M = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise EnsembleFormatError(f"bad matrix data in {where}: {exc}") from exc
+    return M.view(complex)[..., 0] if field == "C" and M.ndim == 3 else M
 
 
 def to_json_dict(e: FusionEnsemble) -> dict:
@@ -50,39 +56,39 @@ def to_json_dict(e: FusionEnsemble) -> dict:
 
 def from_json_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FusionEnsemble:
     try:
-        field = data["field"]
-        d, r, n = int(data["d"]), int(data["r"]), int(data["n"])
-        raw = data["isometries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        field, d, r, n, raw = (data[key] for key in ("field", "d", "r", "n", "isometries"))
+        meta = data.get("metadata", {})
+    except (KeyError, TypeError) as exc:
         raise EnsembleFormatError(f"missing or malformed ensemble fields: {exc}") from exc
     if field not in ("R", "C"):
         raise EnsembleFormatError(f"field must be 'R' or 'C', got {field!r}")
-    if len(raw) != n:
-        raise EnsembleFormatError(f"expected {n} isometries, found {len(raw)}")
+    if not all(type(v) is int for v in (d, r, n)):
+        raise EnsembleFormatError(f"d, r and n must be integers, got {(d, r, n)}")
+    if not isinstance(raw, list) or len(raw) != n:
+        found = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise EnsembleFormatError(f"expected a list of {n} isometries, found {found}")
+    if not isinstance(meta, dict):
+        raise EnsembleFormatError(f"metadata must be a JSON object, got {meta!r}")
     blocks = []
     for j, rows in enumerate(raw, start=1):
         M = _decode_matrix(rows, field, f"isometry {j}")
         if M.shape != (d, r):
-            raise EnsembleFormatError(
-                f"isometry {j} has shape {M.shape}, expected {(d, r)}"
-            )
+            raise EnsembleFormatError(f"isometry {j} has shape {M.shape}, expected {(d, r)}")
         blocks.append(M)
     try:
-        return FusionEnsemble.from_blocks(
-            blocks, field=field, tol=tol, meta=data.get("metadata", {})
-        )
+        return FusionEnsemble.from_blocks(blocks, field=field, tol=tol, meta=meta)
     except ValueError as exc:
         raise EnsembleFormatError(str(exc)) from exc
 
 
 def save_ensemble(e: FusionEnsemble, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(e), indent=1))
+    Path(path).write_text(json.dumps(to_json_dict(e)))
 
 
 def load_ensemble(path: str | Path, tol: float = DEFAULT_TOL) -> FusionEnsemble:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, runaway nesting
         raise EnsembleFormatError(f"not valid JSON: {exc}") from exc
     return from_json_dict(data, tol=tol)
 

@@ -113,8 +113,10 @@ def fusion_frame_operator(e: FusionEnsemble) -> np.ndarray:
 
 
 def tightness_residual(e: FusionEnsemble) -> float:
-    """Max-entry distance of the frame operator from (rn/d) I."""
-    return _max_abs(fusion_frame_operator(e) - (e.r * e.n / e.d) * np.eye(e.d))
+    """Max-entry distance of the frame operator from (rn/d) I, subtracted in place."""
+    S = fusion_frame_operator(e)
+    S.flat[:: e.d + 1] -= e.r * e.n / e.d
+    return _max_abs(S)
 
 
 def is_tight(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> bool:
@@ -345,24 +347,23 @@ def fusion_gram(e: FusionEnsemble) -> np.ndarray:
 def naimark_complement(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> FusionEnsemble:
     """A TFF(rn - d, r, n) whose fusion Gram is rn/(rn-d) (I - (d/rn) Phi* Phi).
 
-    Requires a tight ensemble with d < rn.  The complement Gram is factored
-    by eigendecomposition, keeping the rn - d largest eigenpairs; blocks are
-    then re-orthonormalized (polar projection), which bounds the drift.
+    Requires a tight ensemble with d < rn.  Tightness makes the columns of
+    Phi* orthogonal with equal norms, so a complete QR of Phi* (rn x d) gives
+    an orthonormal basis Q_perp of their complement, and the complement's
+    synthesis matrix is sqrt(rn/(rn-d)) Q_perp*; no rn x rn Gram is formed.
+    Each block is then re-orthonormalized (polar projection), which absorbs
+    the drift of an input that is tight only within ``tol``.
     """
     rn = e.r * e.n
     if e.d >= rn:
         raise FullDimensionError("d = rn leaves nothing to complement")
     if not is_tight(e, tol):
         raise NotTightError(f"ensemble is not tight within {tol:.1e}")
-    G = fusion_gram(e)
-    comp = (rn / (rn - e.d)) * (np.eye(rn) - (e.d / rn) * G)
-    w, V = np.linalg.eigh(comp)
-    order = np.argsort(w)[::-1][: rn - e.d]
-    Phi = np.sqrt(np.clip(w[order], 0.0, None))[:, None] * _ct(V[:, order])
+    Q, _ = np.linalg.qr(_ct(e.synthesis()), mode="complete")
+    Psi = np.sqrt(rn / (rn - e.d)) * _ct(Q[:, e.d :])
     blocks = []
     for j in range(e.n):
-        block = Phi[:, j * e.r : (j + 1) * e.r]
-        u, _s, vh = np.linalg.svd(block, full_matrices=False)
+        u, _s, vh = np.linalg.svd(Psi[:, j * e.r : (j + 1) * e.r], full_matrices=False)
         blocks.append(u @ vh)
     meta = {"construction": "naimark_complement", "of": dict(e.meta)}
     return FusionEnsemble.from_blocks(blocks, field=e.field, tol=tol, meta=meta)

@@ -179,10 +179,6 @@ def permutation_word(g: Permutation) -> list[int]:
     return swaps
 
 
-def sn_adjacent_generators(n: int) -> list[Permutation]:
-    return [Permutation.adjacent(n, k) for k in range(1, n)]
-
-
 def an_pair_generators(n: int) -> list[Permutation]:
     """The products s_1 s_k, 2 <= k <= n-1, which generate A_n."""
     s1 = Permutation.adjacent(n, 1)

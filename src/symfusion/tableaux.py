@@ -119,10 +119,6 @@ def is_symmetric(lam: Partition) -> bool:
     return transpose(lam) == lam
 
 
-def distinct_part_count(lam: Partition) -> int:
-    return len(set(lam.parts))
-
-
 def diagonal_count(lam: Partition) -> int:
     """Number of boxes on the main diagonal, max{i : lam_i >= i}."""
     return sum(1 for i, p in enumerate(lam, start=1) if p >= i)

@@ -292,6 +292,74 @@ class TestBadInput:
         assert "non-finite" in error["message"]
 
 
+def complex_file_data() -> dict:
+    from symfusion.constructions import LayerSelection, alternating_ensemble, alternating_shapes
+
+    return to_json_dict(alternating_ensemble(LayerSelection.from_delta(alternating_shapes(1, 3), 1), "+"))
+
+
+class TestMalformedEnsembleFile:
+    """Each malformed file makes certify exit 2 with an EnsembleFormatError, never a traceback."""
+
+    def certify_data(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, stdout, stderr = run(capsys, "certify", "--in", str(path))
+        assert code == 2
+        assert stdout == ""
+        error = json.loads(stderr)
+        assert error["error"] == "EnsembleFormatError"
+        return error["message"]
+
+    @staticmethod
+    def real_data() -> dict:
+        return to_json_dict(single_layer_ensemble(Partition((3, 2)), Partition((2, 2))))
+
+    def test_isometries_not_a_list(self, tmp_path, capsys):
+        message = self.certify_data(tmp_path, capsys, dict(self.real_data(), isometries=5))
+        assert "isometries" in message
+
+    def test_metadata_not_an_object(self, tmp_path, capsys):
+        message = self.certify_data(tmp_path, capsys, dict(self.real_data(), metadata=5))
+        assert "metadata" in message
+
+    def test_complex_entry_with_three_components(self, tmp_path, capsys):
+        data = complex_file_data()
+        re, im = data["isometries"][0][0][0]
+        data["isometries"][0][0][0] = [re, im, 99]
+        assert "[re, im] pairs" in self.certify_data(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("value", ["1.0", True, False, None])
+    def test_non_number_entry_in_real_grid(self, tmp_path, capsys, value):
+        data = self.real_data()
+        data["isometries"][0][0][0] = value
+        assert "entries must be numbers" in self.certify_data(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("value", ["1.0", True, ["1.0", 0.0], [0.0, True]])
+    def test_non_number_entry_in_complex_grid(self, tmp_path, capsys, value):
+        data = complex_file_data()
+        data["isometries"][0][0][0] = value
+        assert "entries must be numbers" in self.certify_data(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("key, value", [("d", 2.7), ("d", 5.0), ("r", "2"), ("n", True)])
+    def test_non_integer_size(self, tmp_path, capsys, key, value):
+        message = self.certify_data(tmp_path, capsys, dict(self.real_data(), **{key: value}))
+        assert "must be integers" in message
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        data = self.real_data()
+        data["isometries"][0][0][0] = 10**400
+        self.certify_data(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100000], ids=["bad_utf8", "runaway_nesting"])
+    def test_unreadable_json(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code, _, stderr = run(capsys, "certify", "--in", str(path))
+        assert code == 2
+        assert json.loads(stderr)["error"] == "EnsembleFormatError"
+
+
 class TestGenericSpec:
     BASE = {
         "field": "R",

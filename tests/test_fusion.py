@@ -35,7 +35,7 @@ from symfusion.errors import (
     NotTightError,
     NotUnitaryError,
 )
-from symfusion.fusion import random_orthonormal_blocks
+from symfusion.fusion import is_tight, random_orthonormal_blocks
 
 TOL = 1e-9
 
@@ -414,6 +414,22 @@ class TestOnePassCertifier:
         assert counts == {"cross_gram": pairs, "svd": pairs}
 
 
+def eye_difference_residual(e: FusionEnsemble) -> float:
+    """The residual as first written: a d x d eye and a d x d difference."""
+    return float(np.max(np.abs(fusion_frame_operator(e) - (e.r * e.n / e.d) * np.eye(e.d))))
+
+
+class TestInPlaceTightness:
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_equals_the_eye_difference_formula(self, case):
+        e = build(case)
+        assert tightness_residual(e) == eye_difference_residual(e)
+
+    def test_equals_the_eye_difference_formula_on_iii_1_1_4(self):
+        e = single_layer_ensemble(Partition((5, 2, 1, 1, 1)), Partition((5, 1, 1, 1, 1)))
+        assert tightness_residual(e) == eye_difference_residual(e)
+
+
 class TestReportResiduals:
     def test_eitff_residuals_within_tolerance(self, eitff_16_6_6):
         rep = certify(eitff_16_6_6)
@@ -454,6 +470,37 @@ class TestFusionGram:
         np.testing.assert_allclose(np.sort(w_gram)[-6:], np.sort(w_op), atol=1e-9)
 
 
+def random_transversal(n: int, seed: int) -> list[Permutation]:
+    """Seeded coset representatives t_1..t_n of S_{n-1} in S_n, t_k(n) = k."""
+    rng = np.random.default_rng(seed)
+    ts = []
+    for k in range(1, n + 1):
+        images = [x for x in map(int, rng.permutation(n) + 1) if x != k] + [k]
+        ts.append(Permutation(images))
+    return ts
+
+
+def rotated_first_block(e: FusionEnsemble, angle: float) -> FusionEnsemble:
+    """e with its first subspace turned by ``angle`` in the plane of coordinates 1, 2:
+    still isometric, tight only up to a residual of order ``angle``."""
+    R = np.eye(e.d)
+    R[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return FusionEnsemble.from_blocks([R @ e.blocks[0], *e.blocks[1:]], field=e.field)
+
+
+COMPLEMENT_CASES = {
+    "real_5_2_5": lambda: single_layer_ensemble(Partition((3, 2)), Partition((2, 2))),
+    "real_16_6_6": lambda: single_layer_ensemble(Partition((3, 2, 1)), Partition((3, 1, 1))),
+    "real_iii_1_1_3": lambda: single_layer_ensemble(Partition((4, 2, 1, 1)), Partition((4, 1, 1, 1))),
+    "complex_alternating_4_1_1_1_delta_1": lambda: alternating_ensemble(
+        LayerSelection.from_delta(Partition((4, 1, 1, 1)), 1), "+"
+    ),
+    "multi_5_1_1_1_1_delta_1_random_transversal": lambda: multi_layer_ensemble(
+        LayerSelection.from_delta(Partition((5, 1, 1, 1, 1)), 1), transversal=random_transversal(10, 2024)
+    ),
+}
+
+
 class TestNaimark:
     def test_5_2_5_self_complementary(self, eitff_5_2_5):
         comp = naimark_complement(eitff_5_2_5)
@@ -490,6 +537,37 @@ class TestNaimark:
         b[0, 0] = b[1, 1] = 1.0
         with pytest.raises(NotTightError):
             naimark_complement(FusionEnsemble.from_blocks([b, b, b]))
+
+    def test_no_rn_gram_and_no_eigh(self, monkeypatch, eitff_16_6_6):
+        import symfusion.fusion as fusion
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("naimark_complement must not form the rn x rn Gram or call eigh")
+
+        monkeypatch.setattr(fusion, "fusion_gram", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        comp = naimark_complement(eitff_16_6_6)
+        assert (comp.d, comp.r, comp.n) == (20, 6, 6)
+
+    @pytest.mark.parametrize("case", list(COMPLEMENT_CASES))
+    def test_complement_is_orthogonal_and_both_tight(self, case):
+        e = COMPLEMENT_CASES[case]()
+        comp = naimark_complement(e)
+        assert (comp.field, comp.d, comp.r, comp.n) == (e.field, e.r * e.n - e.d, e.r, e.n)
+        # sum_j Phi_j Psi_j* = Phi Psi*: the synthesis rows of the pair are orthogonal
+        assert np.max(np.abs(e.synthesis() @ comp.synthesis().conj().T)) <= TOL
+        assert is_tight(e) and is_tight(comp)
+        rep = certify(comp)
+        assert rep.classification == "EITFF"
+        assert abs(rep.isoclinism_alpha - welch_alpha(comp.d, comp.r, comp.n)) <= TOL
+
+    def test_input_tight_only_within_tolerance(self, eitff_16_6_6):
+        e = rotated_first_block(eitff_16_6_6, 1e-6)
+        e = rotated_first_block(eitff_16_6_6, 1e-6 * (TOL / 2) / tightness_residual(e))
+        assert TOL / 4 < tightness_residual(e) < TOL
+        comp = naimark_complement(e)
+        assert (comp.d, comp.r, comp.n) == (20, 6, 6)
+        assert tightness_residual(comp) < 2 * TOL
 
 
 class TestAutomorphismWitness:
