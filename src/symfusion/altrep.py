@@ -7,6 +7,12 @@ irreducible A_n representations.  The same recipe, run over all shapes that
 cover a symmetric mu, yields a block-permuting associator whose eigenspaces
 split multi-layer constructions in half.
 
+On the word arrays of :mod:`tableaux` the associator is three arrays over
+Tab(lam): the index T, the partner T' (an entry's row in T' is its column in
+T) and the phase i^m sgn(g_T) (an inversion parity of reading words).  Every
+eigenbasis builder scatters from them; tableau objects are built only where
+a function returns one.
+
 Reference tableaux: the base point is the row superstandard tableau of the
 "small" symmetric shape (even number of distinct parts); shapes covering it
 use its embedding.  The scalars i^m are real exactly when m is even, which is
@@ -16,13 +22,14 @@ what the field selection rule encodes.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import (
+    ConstraintViolationError,
     DegenerateShapeError,
     IndexOutOfRangeError,
-    NotInDownSetError,
     NotSymmetricError,
     OddDistinctPartsError,
     OddPermutationError,
@@ -31,24 +38,22 @@ from .errors import (
     TooSmallError,
 )
 from .permutations import Permutation, permutation_word
-from .symrep import adjacent_transposition_matrix
+from .symrep import _generator_action, adjacent_transposition_matrix
 from .tableaux import (
     Box,
     Partition,
     StandardTableau,
-    apply_adjacent_transposition,
-    axial_distance,
+    added_row,
     diagonal_count,
     dimension,
-    down_set,
-    embed,
+    down_offset,
     enumerate_standard_tableaux,
     is_symmetric,
     remove_box,
-    row_superstandard,
-    tableau_index,
+    tableau_contents,
+    tableau_from_word,
+    tableau_words,
     transpose,
-    transpose_tableau,
     up_set,
 )
 
@@ -57,10 +62,10 @@ _EPS = {"+": 1, "-": -1, 1: 1, -1: -1}
 
 
 def _eps_sign(eps) -> int:
-    try:
+    """+1 or -1 for exactly '+', '-', 1 or -1 (not True, 1.0 or np.int64(1))."""
+    if type(eps) in (str, int) and eps in _EPS:
         return _EPS[eps]
-    except KeyError:
-        raise ValueError(f"epsilon must be '+' or '-', got {eps!r}") from None
+    raise ConstraintViolationError(f"epsilon must be '+', '-', 1 or -1, got {eps!r}")
 
 
 def half_offdiagonal_count(kappa: Partition) -> int:
@@ -80,6 +85,21 @@ def i_power(m: int):
     return (1, 1j, -1, -1j)[m % 4]
 
 
+def _reference_word(lam: Partition, mu: Partition | None) -> np.ndarray:
+    """Row word of the reference tableau of lam (of the family over mu if given):
+    the row superstandard word of the base shape, then the row of the box lam
+    adds to it.  Without mu the base is lam itself or, for an odd number of
+    distinct parts, lam minus its diagonal corner."""
+    if mu is None:
+        if not is_symmetric(lam):
+            raise NotSymmetricError(f"{lam!r} is not symmetric")
+        if len(set(lam.parts)) % 2 == 0:
+            return np.repeat(np.arange(len(lam)), lam.parts)
+        p = diagonal_count(lam)
+        mu = remove_box(lam, Box(p, p))
+    return np.append(np.repeat(np.arange(len(mu)), mu.parts), added_row(mu, lam))
+
+
 def reference_tableau(kappa: Partition) -> StandardTableau:
     """The distinguished tableau of a symmetric shape.
 
@@ -87,18 +107,12 @@ def reference_tableau(kappa: Partition) -> StandardTableau:
     superstandard filling; shapes with an odd count ("big") embed the row
     superstandard filling of the shape with the diagonal corner removed.
     """
-    if not is_symmetric(kappa):
-        raise NotSymmetricError(f"{kappa!r} is not symmetric")
-    if len(set(kappa.parts)) % 2 == 0:
-        return row_superstandard(kappa)
-    p = diagonal_count(kappa)
-    small = remove_box(kappa, Box(p, p))
-    return embed(row_superstandard(small), kappa)
+    return tableau_from_word(_reference_word(kappa, None).tolist())
 
 
 def family_reference_tableau(mu: Partition, lam: Partition) -> StandardTableau:
     """Reference tableau of lam in the family over symmetric mu: embed T_mu."""
-    return embed(row_superstandard(mu), lam)
+    return tableau_from_word(_reference_word(lam, mu).tolist())
 
 
 def reference_permutation(T: StandardTableau, reference: StandardTableau) -> Permutation:
@@ -118,26 +132,42 @@ def reference_permutation_sign(T: StandardTableau, reference: StandardTableau) -
 
 @lru_cache(maxsize=256)
 def _sign_vector(lam: Partition, mu: Partition | None) -> np.ndarray:
-    """sgn(g_T) over Tab(lam) in canonical order, with the family reference if mu given."""
-    ref = family_reference_tableau(mu, lam) if mu is not None else reference_tableau(lam)
-    signs = np.array(
-        [reference_permutation_sign(T, ref) for T in enumerate_standard_tableaux(lam)],
-        dtype=np.int64,
-    )
+    """sgn(g_T) over Tab(lam) in canonical order, with the family reference if mu given.
+
+    On reading words (entries in box order: a stable argsort of the row word)
+    g_T = w_T w_R^-1 for the reference R, so its sign is that of inv(w_T) + inv(w_R).
+    """
+    words = np.vstack([tableau_words(lam), _reference_word(lam, mu)])
+    reading = np.argsort(words, axis=1, kind="stable")
+    inversions = np.zeros(len(words), dtype=np.int64)
+    for i in range(lam.n - 1):
+        inversions += np.count_nonzero(reading[:, i, None] > reading[:, i + 1 :], axis=1)
+    signs = 1 - 2 * ((inversions[:-1] + inversions[-1]) % 2)
     signs.setflags(write=False)
     return signs
 
 
 @lru_cache(maxsize=256)
 def _transpose_index(lam: Partition) -> np.ndarray:
-    """index of T' in Tab(lam') for each T in Tab(lam), both in canonical order."""
-    other = tableau_index(transpose(lam))
-    out = np.array(
-        [other[transpose_tableau(T)] for T in enumerate_standard_tableaux(lam)],
-        dtype=np.int64,
-    )
+    """index of T' in Tab(lam') for each T in Tab(lam), both in canonical order.
+
+    The word of T' is the column word (content + row) of T; lexsort, last key
+    primary, ranks those words in the canonical order of Tab(lam').
+    """
+    columns = tableau_contents(lam) + tableau_words(lam)
+    out = np.empty(len(columns), dtype=np.int64)
+    out[np.lexsort(columns.T)] = np.arange(len(columns))
     out.setflags(write=False)
     return out
+
+
+def _stars(nu: Partition) -> np.ndarray:
+    """Canonical indices of tab_star(nu): the words with entry 2 in row 0."""
+    if not is_symmetric(nu):
+        raise NotSymmetricError(f"{nu!r} is not symmetric")
+    if nu.n < 2:
+        raise DegenerateShapeError("tab_star needs at least two boxes")
+    return np.flatnonzero(tableau_words(nu)[:, 1] == 0)
 
 
 def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:
@@ -146,15 +176,19 @@ def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:
     Contains exactly one tableau from each transpose pair, so its size is
     dimension(nu) / 2.
     """
-    if not is_symmetric(nu):
-        raise NotSymmetricError(f"{nu!r} is not symmetric")
-    if nu.n < 2:
-        raise DegenerateShapeError("tab_star needs at least two boxes")
-    return tuple(T for T in enumerate_standard_tableaux(nu) if T.box_of(2) == Box(1, 2))
+    stars = _stars(nu)
+    tableaux = enumerate_standard_tableaux(nu)
+    return tuple(tableaux[i] for i in stars)
 
 
-def _star_index(nu: Partition) -> dict[StandardTableau, int]:
-    return {T: i for i, T in enumerate(tab_star(nu))}
+def _w_basis(rows: int, index: np.ndarray, partner: np.ndarray, phase: np.ndarray, m: int) -> np.ndarray:
+    """Column c is (e_index[c] + phase[c] e_partner[c]) / sqrt(2); complex when m is odd."""
+    J = np.zeros((rows, len(index)), dtype=complex if m % 2 else float)
+    cols = np.arange(len(index))
+    inv = 1.0 / np.sqrt(2.0)
+    J[index, cols] += inv
+    J[partner, cols] += phase * inv
+    return J
 
 
 def associator_unitary(nu: Partition) -> np.ndarray:
@@ -177,19 +211,9 @@ def eigenspace_injection(nu: Partition, eps) -> np.ndarray:
     """
     sign = _eps_sign(eps)
     m = half_offdiagonal_count(nu)
-    factor = sign * i_power(m)
-    signs = _sign_vector(nu, None)
-    tr = _transpose_index(nu)
-    index = tableau_index(nu)
-    stars = tab_star(nu)
-    d = dimension(nu)
-    J = np.zeros((d, len(stars)), dtype=complex if m % 2 else float)
-    inv = 1.0 / np.sqrt(2.0)
-    for c, T in enumerate(stars):
-        t = index[T]
-        J[t, c] = inv
-        J[tr[t], c] += factor * signs[t] * inv
-    return J
+    phase = sign * i_power(m) * _sign_vector(nu, None)
+    stars = _stars(nu)
+    return _w_basis(dimension(nu), stars, _transpose_index(nu)[stars], phase[stars], m)
 
 
 def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
@@ -207,24 +231,19 @@ def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
         raise IndexOutOfRangeError(f"k = {k} outside 2..{nu.n - 1}")
     sign = _eps_sign(eps)
     m = half_offdiagonal_count(nu)
-    stars = tab_star(nu)
-    star_idx = _star_index(nu)
+    stars = _stars(nu)
     if k >= 3:
-        full = adjacent_transposition_matrix(nu, k)
-        sel = [tableau_index(nu)[T] for T in stars]
-        M = full[np.ix_(sel, sel)]
+        M = adjacent_transposition_matrix(nu, k)[np.ix_(stars, stars)]
         return M if m % 2 == 0 else M.astype(complex)
-    signs = _sign_vector(nu, None)
-    index = tableau_index(nu)
-    factor = sign * i_power(m)
-    ds = len(stars)
-    M = np.zeros((ds, ds), dtype=complex if m % 2 else float)
-    for c, T in enumerate(stars):
-        dist = axial_distance(T, 3, 2)
-        M[c, c] = 1.0 / dist
-        S = apply_adjacent_transposition(transpose_tableau(T), 2)
-        if S is not None:
-            M[star_idx[S], c] = factor * signs[index[T]] * np.sqrt(1.0 - 1.0 / dist**2)
+    diag, off, partner = _generator_action(nu, 2)
+    phase = sign * i_power(m) * _sign_vector(nu, None)
+    # s_2 T' is standard exactly when |D_T(3,2)| >= 2, i.e. off > 0, and lies in tab_star
+    moves = off[stars] > 0
+    targets = np.searchsorted(stars, partner[_transpose_index(nu)[stars[moves]]])
+    cols = np.arange(len(stars))
+    M = np.zeros((len(stars), len(stars)), dtype=complex if m % 2 else float)
+    M[cols, cols] = diag[stars]
+    M[targets, cols[moves]] = (phase[stars] * off[stars])[moves]
     return M
 
 
@@ -240,7 +259,7 @@ def an_rep_matrix(nu: Partition, eps, g: Permutation) -> np.ndarray:
     if len(word) % 2:
         raise OddPermutationError("an_rep_matrix requires an even permutation")
     m = half_offdiagonal_count(nu)
-    ds = len(tab_star(nu))
+    ds = len(_stars(nu))
     out = np.eye(ds, dtype=complex if m % 2 else float)
     for a, b in zip(word[0::2], word[1::2]):
         if a == b:
@@ -271,18 +290,12 @@ def pair_associator_unitary(mu: Partition) -> np.ndarray:
     m = half_offdiagonal_count(mu)
     factor = i_power(m)
     layers = [lam for lam, _ in up_set(mu)]
-    offsets = {}
-    total = 0
+    starts = list(accumulate(map(dimension, layers), initial=0))
+    offsets = dict(zip(layers, starts))
+    U = np.zeros((starts[-1], starts[-1]), dtype=complex if m % 2 else float)
     for lam in layers:
-        offsets[lam] = total
-        total += dimension(lam)
-    U = np.zeros((total, total), dtype=complex if m % 2 else float)
-    for lam in layers:
-        signs = _sign_vector(lam, mu)
-        tr = _transpose_index(lam)
         src = offsets[lam] + np.arange(dimension(lam))
-        dst = offsets[transpose(lam)] + tr
-        U[dst, src] = factor * signs
+        U[offsets[transpose(lam)] + _transpose_index(lam), src] = factor * _sign_vector(lam, mu)
     return U
 
 
@@ -296,23 +309,12 @@ def pair_branching_isometry(lam: Partition, mu: Partition, eps) -> np.ndarray:
     _check_family_mu(mu)
     if lam == transpose(lam):
         raise SymmetricLambdaError("pair branching needs a non-symmetric shape")
-    if mu not in [m_ for m_, _ in down_set(lam)]:
-        raise NotInDownSetError(f"{mu!r} is not obtained from {lam!r} by removing a box")
+    offset = down_offset(lam, mu)  # R^lam is row offset + (index of R in Tab(mu))
     sign = _eps_sign(eps)
     m = half_offdiagonal_count(mu)
-    factor = sign * i_power(m)
-    index = tableau_index(lam)
-    mu_signs = _sign_vector(mu, None)
-    mu_index = tableau_index(mu)
-    stars = tab_star(mu)
-    Psi = np.zeros((dimension(lam), len(stars)), dtype=complex if m % 2 else float)
-    inv = 1.0 / np.sqrt(2.0)
-    for c, R in enumerate(stars):
-        Psi[index[embed(R, lam)], c] = inv
-        Psi[index[embed(transpose_tableau(R), lam)], c] += (
-            factor * mu_signs[mu_index[R]] * inv
-        )
-    return Psi
+    phase = sign * i_power(m) * _sign_vector(mu, None)
+    stars = _stars(mu)
+    return _w_basis(dimension(lam), offset + stars, offset + _transpose_index(mu)[stars], phase[stars], m)
 
 
 def symmetric_branching_isometry(nu: Partition, mu: Partition, eps) -> np.ndarray:
@@ -325,14 +327,12 @@ def symmetric_branching_isometry(nu: Partition, mu: Partition, eps) -> np.ndarra
     if not is_symmetric(nu):
         raise NotSymmetricError(f"{nu!r} is not symmetric")
     _check_family_mu(mu)
-    if mu not in [m_ for m_, _ in down_set(nu)]:
-        raise NotInDownSetError(f"{mu!r} is not obtained from {nu!r} by removing a box")
+    offset = down_offset(nu, mu)
     m = half_offdiagonal_count(mu)
-    star_idx = _star_index(nu)
-    stars = tab_star(mu)
-    Psi = np.zeros((len(star_idx), len(stars)), dtype=complex if m % 2 else float)
-    for c, R in enumerate(stars):
-        Psi[star_idx[embed(R, nu)], c] = 1.0
+    nu_stars = _stars(nu)
+    mu_stars = _stars(mu)
+    Psi = np.zeros((len(nu_stars), len(mu_stars)), dtype=complex if m % 2 else float)
+    Psi[np.searchsorted(nu_stars, offset + mu_stars), np.arange(len(mu_stars))] = 1.0
     return Psi
 
 
@@ -349,35 +349,21 @@ def layer_eigenbasis(mu: Partition, layers: tuple[Partition, ...], eps) -> np.nd
     sign = _eps_sign(eps)
     m = half_offdiagonal_count(mu)
     factor = sign * i_power(m)
-    offsets = {}
-    total = 0
-    for lam in layers:
-        offsets[lam] = total
-        total += dimension(lam)
-    inv = 1.0 / np.sqrt(2.0)
-    columns = []  # (row of v_T, row of v_{T'}, coefficient of v_{T'})
+    starts = list(accumulate(map(dimension, layers), initial=0))
+    offsets = dict(zip(layers, starts))
+    empty = np.zeros(0, dtype=np.int64)
+    columns = [(empty, empty, empty)]  # (rows of v_T, rows of v_{T'}, phases)
     for lam in layers:
         lam_t = transpose(lam)
         if lam_t not in offsets:
             raise ShapeMismatchError("layers must be closed under transpose")
         if lam == lam_t:
-            signs = _sign_vector(lam, mu)
-            tr = _transpose_index(lam)
-            index = tableau_index(lam)
-            for T in tab_star(lam):
-                t = index[T]
-                columns.append(
-                    (offsets[lam] + t, offsets[lam] + tr[t], factor * signs[t])
-                )
+            t = _stars(lam)
         elif offsets[lam] < offsets[lam_t]:  # first member of the pair
-            signs = _sign_vector(lam, mu)
-            tr = _transpose_index(lam)
-            for t in range(dimension(lam)):
-                columns.append(
-                    (offsets[lam] + t, offsets[lam_t] + tr[t], factor * signs[t])
-                )
-    J = np.zeros((total, len(columns)), dtype=complex if m % 2 else float)
-    for c, (ra, rb, coeff) in enumerate(columns):
-        J[ra, c] += inv
-        J[rb, c] += coeff * inv
-    return J
+            t = np.arange(dimension(lam))
+        else:
+            continue
+        phase = factor * _sign_vector(lam, mu)
+        columns.append((offsets[lam] + t, offsets[lam_t] + _transpose_index(lam)[t], phase[t]))
+    index, partner, phase = (np.concatenate(part) for part in zip(*columns))
+    return _w_basis(starts[-1], index, partner, phase, m)

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import constructions as cons
 from . import ensemble_io as eio
@@ -46,9 +45,16 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = eio.read_json(path)
+    except (OSError, SymfusionError) as exc:
         raise SymfusionError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise SymfusionError(f"config file {path} must hold a JSON object, got {type(config).__name__}")
+    return config
+
+
+# JSON types a config value may have, by the type of its flag; bool is excluded
+_CONFIG_TYPES = {float: (int, float), int: (int,)}
 
 
 def _resolve(flag_value, env_name: str, config: dict, key: str, default, cast):
@@ -58,11 +64,13 @@ def _resolve(flag_value, env_name: str, config: dict, key: str, default, cast):
         value = os.environ[env_name]
     elif key in config:
         value = config[key]
+        if type(value) not in _CONFIG_TYPES[cast]:
+            raise SymfusionError(f"invalid {key} {value!r} in config: not a JSON {cast.__name__}")
     else:
         return default
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SymfusionError(f"invalid {key} {value!r}: {exc}") from exc
 
 
@@ -92,7 +100,7 @@ def _parse_transversal(spec: str | None, n: int, even: bool):
             ts.append(power)
         return validate_transversal(ts, n, even=even)
     if spec.startswith("@"):
-        entries = json.loads(Path(spec[1:]).read_text())
+        entries = eio.read_json(spec[1:])
         if not isinstance(entries, list) or not all(isinstance(t, str) for t in entries):
             raise SymfusionError(f"{spec[1:]} must hold a JSON list of permutation strings")
         ts = [Permutation.parse(text, n=n) for text in entries]
@@ -128,7 +136,7 @@ def cmd_construct(args, config) -> int:
     layers = None
     try:
         if kind == "generic":
-            spec = json.loads(Path(args.spec).read_text())
+            spec = eio.read_json(args.spec)
             if not isinstance(spec, dict) or not isinstance(spec.get("generators"), dict):
                 raise SymfusionError(f"{args.spec} must hold a JSON object with a generators object")
             missing = [key for key in ("isometry", "transversal_words") if key not in spec]
@@ -169,7 +177,7 @@ def cmd_construct(args, config) -> int:
                     e = cons.alternating_ensemble(sel, args.epsilon, transversal=ts, tol=tol, max_dim=max_dim)
     except ResourceLimitError as exc:
         return _fail(exc, EXIT_RESOURCE)
-    except (SymfusionError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (SymfusionError, OSError, KeyError) as exc:
         return _fail(exc, EXIT_USER)
 
     report = certify(e, tol)

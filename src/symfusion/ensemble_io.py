@@ -85,12 +85,16 @@ def save_ensemble(e: FusionEnsemble, path: str | Path) -> None:
     Path(path).write_text(json.dumps(to_json_dict(e)))
 
 
-def load_ensemble(path: str | Path, tol: float = DEFAULT_TOL) -> FusionEnsemble:
+def read_json(path: str | Path):
+    """The parsed content of a JSON file; OSError if it cannot be read."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, runaway nesting
-        raise EnsembleFormatError(f"not valid JSON: {exc}") from exc
-    return from_json_dict(data, tol=tol)
+        raise EnsembleFormatError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_ensemble(path: str | Path, tol: float = DEFAULT_TOL) -> FusionEnsemble:
+    return from_json_dict(read_json(path), tol=tol)
 
 
 def save_synthesis_csv(e: FusionEnsemble, path: str | Path) -> None:

@@ -25,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotInDownSetError, SizeMismatchError
+from .errors import IndexOutOfRangeError, SizeMismatchError
 from .permutations import Permutation, permutation_word
-from .tableaux import Partition, dimension, down_set, tableau_contents, tableau_words
+from .tableaux import Partition, dimension, down_offset, tableau_contents, tableau_words
 
 DEFAULT_TOL = 1e-9
 
@@ -111,16 +111,11 @@ def branching_isometry(lam: Partition, mu: Partition) -> np.ndarray:
 
     Requires mu in the down set of lam.  Its image is the pi_mu-isotypic
     component of the restriction of pi_lam to S_{n-1}: the span of basis
-    vectors v_T with n in the removed box.  In the canonical order those rows
-    are contiguous and follow the blocks of the earlier down-set members, so
-    the matrix is a vertical [0; I; 0] block at that offset.
+    vectors v_T with n in the removed box, contiguous rows at
+    :func:`tableaux.down_offset`, so the matrix is a vertical [0; I; 0] block.
     """
-    offset = 0
-    for nu, _box in down_set(lam):
-        if nu == mu:
-            d_mu = dimension(mu)
-            Psi = np.zeros((dimension(lam), d_mu))
-            Psi[offset : offset + d_mu] = np.eye(d_mu)
-            return Psi
-        offset += dimension(nu)
-    raise NotInDownSetError(f"{mu!r} is not obtained from {lam!r} by removing a box")
+    offset = down_offset(lam, mu)
+    d_mu = dimension(mu)
+    Psi = np.zeros((dimension(lam), d_mu))
+    Psi[offset : offset + d_mu] = np.eye(d_mu)
+    return Psi

@@ -25,6 +25,7 @@ from .errors import (
     BoxOutsideDiagramError,
     EntryOutOfRangeError,
     NonPositivePartError,
+    NotInDownSetError,
     NotInUpSetError,
     NotNonincreasingError,
     NotStandardError,
@@ -313,16 +314,7 @@ def apply_adjacent_transposition(T: StandardTableau, k: int) -> StandardTableau 
 
 def embed(R: StandardTableau, lam: Partition) -> StandardTableau:
     """Add the box lam - shape(R) to ``R`` and fill it with n = |lam|."""
-    candidates = [box for target, box in up_set(R.shape) if target == lam]
-    if not candidates:
-        raise NotInUpSetError(f"{lam!r} is not shape(R) plus one box")
-    box = candidates[0]
-    grid = [list(row) for row in R.rows]
-    if box.row == len(grid) + 1:
-        grid.append([lam.n])
-    else:
-        grid[box.row - 1].append(lam.n)
-    return StandardTableau(grid)
+    return tableau_from_word([box.row - 1 for box in R._box_of] + [added_row(R.shape, lam)])
 
 
 def transpose_tableau(T: StandardTableau) -> StandardTableau:
@@ -333,12 +325,7 @@ def transpose_tableau(T: StandardTableau) -> StandardTableau:
 
 def row_superstandard(lam: Partition) -> StandardTableau:
     """The tableau whose rows list 1, 2, 3, ... left to right, top to bottom."""
-    grid = []
-    nxt = 1
-    for part in lam:
-        grid.append(list(range(nxt, nxt + part)))
-        nxt += part
-    return StandardTableau(grid)
+    return tableau_from_word([row for row, part in enumerate(lam) for _ in range(part)])
 
 
 def canonical_key(T: StandardTableau) -> tuple[int, ...]:
@@ -384,16 +371,34 @@ def tableau_contents(lam: Partition) -> np.ndarray:
     return contents
 
 
+def added_row(mu: Partition, lam: Partition) -> int:
+    """0-based row of the box lam - mu, for lam in the up set of ``mu``."""
+    rows = [box.row - 1 for target, box in up_set(mu) if target == lam]
+    if not rows:
+        raise NotInUpSetError(f"{lam!r} is not {mu!r} plus one box")
+    return rows[0]
+
+
+def down_offset(lam: Partition, mu: Partition) -> int:
+    """Index in Tab(lam) of the first embedding of Tab(mu); they are contiguous, in order."""
+    children = [nu for nu, _box in down_set(lam)]
+    if mu not in children:
+        raise NotInDownSetError(f"{mu!r} is not obtained from {lam!r} by removing a box")
+    return sum(map(dimension, children[: children.index(mu)]))
+
+
+def tableau_from_word(word: list[int]) -> StandardTableau:
+    """The tableau whose entry e sits in the 0-based row ``word[e - 1]``."""
+    grid: list[list[int]] = [[] for _ in range(max(word) + 1)]
+    for entry, row in enumerate(word, start=1):
+        grid[row].append(entry)
+    return StandardTableau(grid)
+
+
 @lru_cache(maxsize=None)
 def enumerate_standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
     """All standard tableaux of shape ``lam``, in the order of :func:`tableau_words`."""
-    out = []
-    for word in tableau_words(lam).tolist():
-        grid: list[list[int]] = [[] for _ in lam.parts]
-        for entry, row in enumerate(word, start=1):
-            grid[row].append(entry)
-        out.append(StandardTableau(grid))
-    return tuple(out)
+    return tuple(map(tableau_from_word, tableau_words(lam).tolist()))
 
 
 @lru_cache(maxsize=None)

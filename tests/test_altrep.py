@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from symfusion import (
+    Box,
     Partition,
     Permutation,
+    StandardTableau,
     an_generator_matrix,
     an_rep_matrix,
     associator_unitary,
     dimension,
     eigenspace_injection,
+    embed,
     enumerate_standard_tableaux,
     field_for,
     pair_associator_unitary,
@@ -17,12 +20,15 @@ from symfusion import (
     reference_permutation_sign,
     reference_tableau,
     rep_matrix,
+    row_superstandard,
     symmetric_branching_isometry,
     tab_star,
     transpose,
     transpose_tableau,
     up_set,
 )
+from symfusion import altrep
+from symfusion import constructions as cons
 from symfusion.altrep import (
     family_reference_tableau,
     half_offdiagonal_count,
@@ -30,6 +36,7 @@ from symfusion.altrep import (
     layer_eigenbasis,
 )
 from symfusion.errors import (
+    ConstraintViolationError,
     NotSymmetricError,
     OddDistinctPartsError,
     OddPermutationError,
@@ -411,3 +418,172 @@ class TestLayerEigenbasis:
         U = pair_associator_unitary(mu)
         np.testing.assert_allclose(U.astype(Jp.dtype) @ Jp, Jp, atol=TOL)
         np.testing.assert_allclose(U.astype(Jm.dtype) @ Jm, -Jm, atol=TOL)
+
+
+class TestEpsilon:
+    @pytest.mark.parametrize("eps", ["x", "", "plus", [1], True, False, 1.0, -1.0, 0, 2, None])
+    def test_rejected(self, eps):
+        sel = cons.LayerSelection.from_delta(Partition((3, 1, 1)), 0)
+        with pytest.raises(ConstraintViolationError):
+            cons.alternating_ensemble(sel, eps)
+        with pytest.raises(ValueError):  # existing ValueError handlers still catch it
+            eigenspace_injection(Partition((3, 2, 1)), eps)
+
+    @pytest.mark.parametrize("word, number", [("+", 1), ("-", -1)])
+    def test_signs_and_words_agree(self, word, number):
+        nu = Partition((3, 2, 1))
+        assert np.array_equal(eigenspace_injection(nu, word), eigenspace_injection(nu, number))
+        mu = Partition((3, 1, 1))
+        layers = tuple(lam for lam, _ in up_set(mu))
+        assert np.array_equal(layer_eigenbasis(mu, layers, word), layer_eigenbasis(mu, layers, number))
+
+
+# --- the array layer against the tableau objects it replaced -------------------
+
+
+def family_mus(max_n: int):
+    """Symmetric mu with an even number of distinct parts, |mu| <= max_n."""
+    return [
+        mu for n in range(1, max_n + 1) for mu in symmetric_partitions(n)
+        if len(set(mu.parts)) % 2 == 0
+    ]
+
+
+def oracle_reference(lam: Partition, mu: Partition | None):
+    """The reference tableau built from tableau objects: row_superstandard and embed."""
+    if mu is not None:
+        return embed(row_superstandard(mu), lam)
+    if len(set(lam.parts)) % 2 == 0:
+        return row_superstandard(lam)
+    p = sum(1 for i, part in enumerate(lam, start=1) if part >= i)
+    small = Partition(part - (i == p) for i, part in enumerate(lam, start=1) if part - (i == p))
+    return embed(row_superstandard(small), lam)
+
+
+def oracle_signs(lam: Partition, mu: Partition | None) -> np.ndarray:
+    ref = oracle_reference(lam, mu)
+    return np.array([reference_permutation_sign(T, ref) for T in enumerate_standard_tableaux(lam)])
+
+
+def oracle_transpose_index(lam: Partition) -> np.ndarray:
+    other = tableau_index(transpose(lam))
+    return np.array([other[transpose_tableau(T)] for T in enumerate_standard_tableaux(lam)])
+
+
+def oracle_tab_star(nu: Partition) -> list:
+    return [T for T in enumerate_standard_tableaux(nu) if T.box_of(2) == Box(1, 2)]
+
+
+def oracle_stars(nu: Partition) -> np.ndarray:
+    index = tableau_index(nu)
+    return np.array([index[T] for T in oracle_tab_star(nu)], dtype=np.intp)
+
+
+ARRAY_SHAPES = [
+    (nu, None) for n in range(2, 11) for nu in symmetric_partitions(n)
+] + [(lam, mu) for mu in family_mus(9) for lam, _ in up_set(mu)]
+
+
+class TestArrayLayer:
+    @pytest.mark.parametrize("lam, mu", ARRAY_SHAPES, ids=str)
+    def test_matches_tableau_objects(self, lam, mu):
+        assert np.array_equal(altrep._sign_vector(lam, mu), oracle_signs(lam, mu))
+        assert np.array_equal(altrep._transpose_index(lam), oracle_transpose_index(lam))
+        ref = reference_tableau(lam) if mu is None else family_reference_tableau(mu, lam)
+        assert ref == oracle_reference(lam, mu)
+        if is_symmetric(lam):
+            assert np.array_equal(altrep._stars(lam), oracle_stars(lam))
+            assert list(tab_star(lam)) == oracle_tab_star(lam)
+
+    def test_builders_construct_no_tableau(self, monkeypatch):
+        for cache in (enumerate_standard_tableaux, tableau_index, altrep._sign_vector, altrep._transpose_index):
+            cache.cache_clear()
+        built = []
+        init = StandardTableau.__init__
+
+        def counting_init(self, rows):
+            built.append(1)
+            init(self, rows)
+
+        monkeypatch.setattr(StandardTableau, "__init__", counting_init)
+        nu, mu, lam = Partition((3, 2, 1)), Partition((3, 1, 1)), Partition((4, 1, 1))
+        sel = cons.LayerSelection.from_delta(mu, 1)
+        cons.alternating_ensemble(sel, "+")
+        assert cons.decomposition_check(sel)
+        for eps in ("+", "-"):
+            associator_unitary(nu)
+            eigenspace_injection(nu, eps)
+            for k in range(2, nu.n):
+                an_generator_matrix(nu, eps, k)
+            pair_associator_unitary(mu)
+            pair_branching_isometry(lam, mu, eps)
+            symmetric_branching_isometry(nu, mu, eps)
+            layer_eigenbasis(mu, tuple(l for l, _ in up_set(mu)), eps)
+        assert built == []
+        tab_star(nu)  # the guard is live: the user surface does build tableaux
+        assert built
+
+
+def object_eigenspace_injection(nu: Partition, eps: int) -> np.ndarray:
+    """eigenspace_injection as a loop over tableau objects."""
+    m = half_offdiagonal_count(nu)
+    signs, index = oracle_signs(nu, None), tableau_index(nu)
+    J = np.zeros((dimension(nu), dimension(nu) // 2), dtype=complex if m % 2 else float)
+    for c, T in enumerate(oracle_tab_star(nu)):
+        J[index[T], c] = 1 / np.sqrt(2.0)
+        J[index[transpose_tableau(T)], c] += eps * i_power(m) * signs[index[T]] * (1 / np.sqrt(2.0))
+    return J
+
+
+def object_layer_eigenbasis(mu: Partition, layers, eps: int) -> np.ndarray:
+    """layer_eigenbasis as a loop over tableau objects."""
+    m = half_offdiagonal_count(mu)
+    offsets = dict(zip(layers, np.cumsum([0] + [dimension(lam) for lam in layers]).tolist()))
+    columns = []
+    for lam in layers:
+        lam_t = transpose(lam)
+        index, index_t, signs = tableau_index(lam), tableau_index(lam_t), oracle_signs(lam, mu)
+        if lam == lam_t:
+            tabs = oracle_tab_star(lam)
+        elif offsets[lam] < offsets[lam_t]:
+            tabs = enumerate_standard_tableaux(lam)
+        else:
+            continue
+        for T in tabs:
+            coeff = eps * i_power(m) * signs[index[T]]
+            columns.append((offsets[lam] + index[T], offsets[lam_t] + index_t[transpose_tableau(T)], coeff))
+    total = sum(dimension(lam) for lam in layers)
+    J = np.zeros((total, len(columns)), dtype=complex if m % 2 else float)
+    for c, (ra, rb, coeff) in enumerate(columns):
+        J[ra, c] += 1 / np.sqrt(2.0)
+        J[rb, c] += coeff * (1 / np.sqrt(2.0))
+    return J
+
+
+def random_even_transversal(n: int, seed: int) -> list[Permutation]:
+    rng = np.random.default_rng(seed)
+    ts = []
+    for k in range(1, n + 1):
+        images = [x for x in map(int, rng.permutation(n) + 1) if x != k] + [k]
+        if not Permutation(images).is_even:
+            images[0], images[1] = images[1], images[0]
+        ts.append(Permutation(images))
+    return ts
+
+
+class TestAlternatingBlocks:
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize("mu", [(3, 1, 1), (4, 1, 1, 1), (5, 1, 1, 1, 1), (3, 3, 2)])
+    def test_blocks_equal_dense_object_oracle(self, mu, delta, eps, seed):
+        mu = Partition(mu)
+        sel = cons.LayerSelection.from_delta(mu, delta)
+        ts = None if seed is None else random_even_transversal(mu.n + 1, seed)
+        blocks = cons.alternating_ensemble(sel, eps, transversal=ts).blocks
+        J_layers = object_layer_eigenbasis(mu, sel.partitions, eps)
+        J_mu = object_eigenspace_injection(mu, eps)
+        orbit = cons._layer_orbit(sel, ts or cons.transversal_an(mu.n + 1))
+        assert len(blocks) == len(orbit) == mu.n + 1
+        for block, thin in zip(blocks, orbit):
+            assert np.array_equal(block, J_layers.conj().T @ thin @ J_mu)

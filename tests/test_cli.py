@@ -360,6 +360,37 @@ class TestMalformedEnsembleFile:
         assert json.loads(stderr)["error"] == "EnsembleFormatError"
 
 
+UNREADABLE = {"bad_utf8": b"\xff\xfe{", "runaway_nesting": b"[" * 100000}
+SINGLE_LAYER = ("construct", "single-layer", "--lambda", "3,2", "--mu", "2,2")
+
+
+class TestUnreadableInputFile:
+    """Every JSON input file maps unreadable content to exit 2 with a JSON error."""
+
+    def input_file(self, tmp_path, kind):
+        path = tmp_path / "in.json"
+        path.write_bytes(UNREADABLE[kind])
+        return str(path)
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_config(self, tmp_path, capsys, kind):
+        code, stdout, stderr = run(capsys, "--config", self.input_file(tmp_path, kind), *SINGLE_LAYER)
+        assert (code, stdout) == (2, "")
+        assert "cannot read config file" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_generic_spec(self, tmp_path, capsys, kind):
+        code, _, stderr = run(capsys, "construct", "generic", "--spec", self.input_file(tmp_path, kind))
+        assert code == 2
+        assert json.loads(stderr)["error"] == "EnsembleFormatError"
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_transversal_file(self, tmp_path, capsys, kind):
+        code, _, stderr = run(capsys, *SINGLE_LAYER, "--transversal", "@" + self.input_file(tmp_path, kind))
+        assert code == 2
+        assert json.loads(stderr)["error"] == "EnsembleFormatError"
+
+
 class TestGenericSpec:
     BASE = {
         "field": "R",
@@ -470,6 +501,35 @@ class TestOptionPrecedence:
             "construct", "single-layer", "--lambda", "3,2", "--mu", "2,2",
         )
         assert code == 0
+
+
+    @pytest.mark.parametrize("raw", ["5", "[]", '"max_dim"', "null"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(raw)
+        code, stdout, stderr = run(capsys, "--config", str(cfg), *SINGLE_LAYER)
+        assert (code, stdout) == (2, "")
+        assert "must hold a JSON object" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize(
+        "raw",
+        ['{"tolerance": true}', '{"tolerance": "1e-9"}', '{"tolerance": 1' + "0" * 400 + "}",
+         '{"max_dim": 2.7}', '{"max_dim": true}', '{"max_dim": 1e400}', '{"max_dim": "500"}'],
+        ids=["tol_bool", "tol_string", "tol_overflow", "dim_float", "dim_bool", "dim_overflow", "dim_string"],
+    )
+    def test_config_value_keeps_the_flag_type(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(raw)
+        code, stdout, stderr = run(capsys, "--config", str(cfg), *SINGLE_LAYER)
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr)["error"] == "SymfusionError"
+
+    def test_config_integer_tolerance_is_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tolerance": 1}')
+        code, stdout, _ = run(capsys, "--config", str(cfg), *SINGLE_LAYER, "--json")
+        assert code == 0
+        assert json.loads(stdout[stdout.index("{"):])["tolerance"] == 1.0
 
 
 def test_determinism(capsys):
