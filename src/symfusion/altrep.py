@@ -253,6 +253,7 @@ def an_rep_matrix(nu: Partition, eps, g: Permutation) -> np.ndarray:
     The adjacent word of g is paired into factors s_a s_b = (s_1 s_a)^-1 (s_1 s_b),
     each evaluated through :func:`an_generator_matrix`.
     """
+    _eps_sign(eps)
     if g.degree != nu.n:
         raise ShapeMismatchError(f"permutation degree {g.degree} != |nu| = {nu.n}")
     word = permutation_word(g)
@@ -324,6 +325,7 @@ def symmetric_branching_isometry(nu: Partition, mu: Partition, eps) -> np.ndarra
     symmetric predecessor (nu minus the diagonal corner).  Embedding preserves
     membership in tab_star, so the matrix is a 0/1 column selector.
     """
+    _eps_sign(eps)
     if not is_symmetric(nu):
         raise NotSymmetricError(f"{nu!r} is not symmetric")
     _check_family_mu(mu)

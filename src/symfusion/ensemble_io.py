@@ -82,7 +82,14 @@ def from_json_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FusionEnsemble:
 
 
 def save_ensemble(e: FusionEnsemble, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(e)))
+    """Write the bytes of ``json.dumps(to_json_dict(e))``, encoding one block at a time."""
+    head = json.dumps({"field": e.field, "d": e.d, "r": e.r, "n": e.n})[:-1]
+    tail = json.dumps(dict(e.meta))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + ', "isometries": [')
+        for j, b in enumerate(e.blocks):
+            fh.write((", " if j else "") + json.dumps(_encode_matrix(b, e.field)))
+        fh.write('], "metadata": ' + tail + "}")
 
 
 def read_json(path: str | Path):

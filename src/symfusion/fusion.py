@@ -38,13 +38,18 @@ def _max_abs(A: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FusionEnsemble:
-    """n isometry blocks of shape d x r over a common field tag 'R' or 'C'."""
+    """n isometry blocks of shape d x r over a common field tag 'R' or 'C'.
+
+    The blocks are stored once, side by side, in one read-only C-ordered
+    d x rn synthesis array; ``blocks`` holds read-only column views of it.
+    """
 
     field: str
     d: int
     r: int
     n: int
     blocks: tuple[np.ndarray, ...]
+    _P: np.ndarray = dc_field(repr=False, compare=False)
     meta: Mapping[str, object] = dc_field(default_factory=dict)
 
     @classmethod
@@ -56,42 +61,46 @@ class FusionEnsemble:
         meta: Mapping[str, object] | None = None,
     ) -> "FusionEnsemble":
         """Validate the field tag (None, "R" or "C"), block shapes, finiteness and
-        isometry (within ``tol``, max-entry norm)."""
+        isometry (within ``tol``, max-entry norm), copying each block into its
+        column slice of the synthesis array; later changes to ``blocks`` do not
+        reach the ensemble."""
         if not blocks:
             raise DegenerateParametersError("an ensemble needs at least one block")
         if field not in (None, "R", "C"):
             raise EnsembleFormatError(f"field must be 'R' or 'C', got {field!r}")
-        mats = []
         arrays = [np.asarray(b) for b in blocks]
-        complex_entries = any(
-            np.iscomplexobj(b) and np.abs(np.imag(b)).max() > 0 for b in arrays
-        )
+        complex_entries = any(np.iscomplexobj(b) and np.imag(b).any() for b in arrays)
         if field is None:
             field = "C" if complex_entries else "R"
         if field == "R" and complex_entries:
             raise NotIsometryError("field 'R' but blocks have complex entries")
-        dtype = np.complex128 if field == "C" else np.float64
-        for b in arrays:
-            if dtype is np.float64 and np.iscomplexobj(b):
-                b = b.real
-            mats.append(np.array(b, dtype=dtype))
-        d, r = mats[0].shape
+        if arrays[0].ndim != 2:
+            raise DegenerateParametersError(f"block 1 has shape {arrays[0].shape}, expected a d x r matrix")
+        d, r = arrays[0].shape
         if not 1 <= r <= d:
             raise DegenerateParametersError(f"need 1 <= r <= d, got r={r}, d={d}")
-        for j, b in enumerate(mats):
+        P = np.empty((d, r * len(arrays)), dtype=np.complex128 if field == "C" else np.float64)
+        for j, b in enumerate(arrays):
             if b.shape != (d, r):
                 raise DegenerateParametersError(f"block {j + 1} has shape {b.shape}, expected {(d, r)}")
-            if not np.isfinite(b).all():
+            view = P[:, j * r : (j + 1) * r]
+            view[...] = b.real if field == "R" and np.iscomplexobj(b) else b
+            if not np.isfinite(view).all():
                 raise NotIsometryError(f"block {j + 1} has a non-finite entry")
-            resid = _max_abs(_ct(b) @ b - np.eye(r))
+            resid = _max_abs(_ct(view) @ view - np.eye(r))
             if resid > tol:
                 raise NotIsometryError(f"block {j + 1} fails isometry: residual {resid:.3e} > {tol:.3e}")
-            b.setflags(write=False)
-        return cls(field=field, d=d, r=r, n=len(mats), blocks=tuple(mats), meta=dict(meta or {}))
+        P.setflags(write=False)  # views taken from here on are read-only too
+        n = len(arrays)
+        views = tuple(P[:, j * r : (j + 1) * r] for j in range(n))
+        return cls(field=field, d=d, r=r, n=n, blocks=views, _P=P, meta=dict(meta or {}))
 
     def synthesis(self) -> np.ndarray:
-        """The d x rn fusion synthesis matrix [Phi_1 ... Phi_n]."""
-        return np.hstack(self.blocks)
+        """The d x rn fusion synthesis matrix [Phi_1 ... Phi_n].
+
+        This is the ensemble's own read-only storage, not a copy: every block
+        is a column view of it."""
+        return self._P
 
     def projection(self, j: int) -> np.ndarray:
         """Orthogonal projection Phi_j Phi_j* onto the j-th subspace (1-based)."""
@@ -105,18 +114,19 @@ class FusionEnsemble:
 
 
 def fusion_frame_operator(e: FusionEnsemble) -> np.ndarray:
-    """Sum of the subspace projections; d x d, self-adjoint PSD, trace rn."""
-    S = np.zeros((e.d, e.d), dtype=e.blocks[0].dtype)
-    for b in e.blocks:
-        S += b @ _ct(b)
-    return S
+    """Sum of the subspace projections; d x d, self-adjoint PSD, trace rn.
+
+    One product P P* of the synthesis array P, a single syrk for real P."""
+    P = e.synthesis()
+    return P @ _ct(P)
 
 
 def tightness_residual(e: FusionEnsemble) -> float:
-    """Max-entry distance of the frame operator from (rn/d) I, subtracted in place."""
+    """Max-entry distance of the frame operator from (rn/d) I, subtracted in place;
+    for a real operator the max is taken without an abs copy."""
     S = fusion_frame_operator(e)
     S.flat[:: e.d + 1] -= e.r * e.n / e.d
-    return _max_abs(S)
+    return _max_abs(S) if np.iscomplexobj(S) else float(max(S.max(), -S.min()))
 
 
 def is_tight(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> bool:

@@ -429,6 +429,23 @@ class TestEpsilon:
         with pytest.raises(ValueError):  # existing ValueError handlers still catch it
             eigenspace_injection(Partition((3, 2, 1)), eps)
 
+    @pytest.mark.parametrize("eps", ["x", "", True, 1.0, 0, None])
+    def test_rejected_where_the_matrix_does_not_depend_on_it(self, eps):
+        # the symmetric branching selector never reads eps, and the identity
+        # element of an_rep_matrix needs no generator matrix
+        nu = Partition((3, 2, 1))
+        with pytest.raises(ConstraintViolationError):
+            symmetric_branching_isometry(nu, Partition((3, 1, 1)), eps)
+        with pytest.raises(ConstraintViolationError):
+            an_rep_matrix(nu, eps, Permutation.identity(6))
+
+    @pytest.mark.parametrize("eps", ["+", "-", 1, -1])
+    def test_accepted_where_the_matrix_does_not_depend_on_it(self, eps):
+        nu = Partition((3, 2, 1))
+        Psi = symmetric_branching_isometry(nu, Partition((3, 1, 1)), eps)
+        assert np.array_equal(Psi, symmetric_branching_isometry(nu, Partition((3, 1, 1)), "+"))
+        np.testing.assert_array_equal(an_rep_matrix(nu, eps, Permutation.identity(6)), np.eye(len(Psi)))
+
     @pytest.mark.parametrize("word, number", [("+", 1), ("-", -1)])
     def test_signs_and_words_agree(self, word, number):
         nu = Partition((3, 2, 1))

@@ -51,14 +51,35 @@ def test_save_load_is_bit_identical(tmp_path, case):
     assert_identical(e, load_ensemble(path))
 
 
-@pytest.mark.parametrize("case", ["real_eitff", "complex_eitff"])
+def with_metadata() -> FusionEnsemble:
+    blocks = random_orthonormal_blocks(5, 2, 1, 3)
+    return FusionEnsemble.from_blocks(blocks, meta={"note": "caf\u00e9", "nested": {"a": [1, 2.5, None]}})
+
+
+@pytest.mark.parametrize("case", [*CASES, "metadata"])
 def test_file_is_compact_one_line_json(tmp_path, case):
-    e = CASES[case]()
+    e = with_metadata() if case == "metadata" else CASES[case]()
     path = tmp_path / "e.json"
     save_ensemble(e, path)
     text = path.read_text()
     assert "\n" not in text
     assert text == json.dumps(to_json_dict(e))
+
+
+def test_save_encodes_one_block_at_a_time(tmp_path):
+    import tracemalloc
+
+    e = FusionEnsemble.from_blocks(random_orthonormal_blocks(200, 10, 10, 1))
+    peaks = []
+    for write in (lambda: json.dumps(to_json_dict(e)), lambda: save_ensemble(e, tmp_path / "e.json")):
+        tracemalloc.start()
+        try:
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    whole, streamed = peaks
+    assert streamed <= 0.3 * whole
 
 
 @pytest.mark.parametrize("case", list(CASES))

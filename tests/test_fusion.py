@@ -91,6 +91,18 @@ class TestEnsembleValidation:
         with pytest.raises(NotIsometryError, match="non-finite"):
             FusionEnsemble.from_blocks([b], field="C")
 
+    @pytest.mark.parametrize("block", [np.ones(3), np.ones(()), np.ones((3, 2, 1)), np.zeros((3, 0), dtype=complex)])
+    def test_rejects_a_first_block_that_is_not_a_matrix(self, block):
+        with pytest.raises(DegenerateParametersError):
+            FusionEnsemble.from_blocks([block])
+
+    def test_nan_imaginary_part_makes_the_block_complex(self):
+        # field inference must not drop a non-finite imaginary part
+        b = np.eye(3, 2, dtype=complex)
+        b[2, 1] = complex(0.0, np.nan)
+        with pytest.raises(NotIsometryError, match="non-finite"):
+            FusionEnsemble.from_blocks([b])
+
     @pytest.mark.parametrize("field", ["X", "", "r", "c", 1, ("R",)])
     def test_rejects_unknown_field(self, field):
         # the rule and the error class of the ensemble file loader
@@ -428,6 +440,66 @@ class TestInPlaceTightness:
     def test_equals_the_eye_difference_formula_on_iii_1_1_4(self):
         e = single_layer_ensemble(Partition((5, 2, 1, 1, 1)), Partition((5, 1, 1, 1, 1)))
         assert tightness_residual(e) == eye_difference_residual(e)
+
+
+STACKED_CASES = {
+    **{case: builder for case, (_, builder) in EQUIVALENCE_CASES.items()},
+    "real_iii_1_1_4": lambda: single_layer_ensemble(Partition((5, 2, 1, 1, 1)), Partition((5, 1, 1, 1, 1))),
+}
+
+
+class TestStackedSynthesis:
+    @pytest.mark.parametrize("case", list(STACKED_CASES))
+    def test_blocks_are_views_of_one_synthesis_array(self, case):
+        e = STACKED_CASES[case]()
+        P = e.synthesis()
+        assert e.synthesis() is P
+        assert P.shape == (e.d, e.r * e.n) and P.flags.c_contiguous
+        assert all(np.shares_memory(b, P) for b in e.blocks)
+        assert np.array_equal(P, np.hstack(e.blocks))
+
+    @pytest.mark.parametrize("case", list(STACKED_CASES))
+    def test_storage_is_read_only(self, case):
+        e = STACKED_CASES[case]()
+        for target in (e.synthesis(), e.blocks[0], e.blocks[-1]):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            e.blocks[0].setflags(write=True)
+
+    @pytest.mark.parametrize("case", list(STACKED_CASES))
+    def test_caller_arrays_are_copied(self, case):
+        e = STACKED_CASES[case]()
+        inputs = [np.array(b) for b in e.blocks]
+        f = FusionEnsemble.from_blocks(inputs, field=e.field)
+        assert np.array_equal(f.synthesis(), e.synthesis())
+        for b in inputs:
+            b[...] = 7.0
+        assert np.array_equal(f.synthesis(), e.synthesis())
+        assert all(np.array_equal(x, y) for x, y in zip(f.blocks, e.blocks, strict=True))
+
+    @pytest.mark.parametrize("case", list(STACKED_CASES))
+    def test_frame_operator_equals_the_per_block_sum(self, case):
+        e = STACKED_CASES[case]()
+        S = np.zeros((e.d, e.d), dtype=e.synthesis().dtype)
+        for b in e.blocks:
+            S += b @ b.conj().T
+        assert np.max(np.abs(fusion_frame_operator(e) - S)) <= 1e-13
+
+    def test_tightness_allocates_about_one_frame_operator(self):
+        import tracemalloc
+
+        e = STACKED_CASES["real_iii_1_1_4"]()
+        tightness_residual(e)  # warm up any lazy numpy state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tightness_residual(e)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        operator = e.d * e.d * 8
+        assert operator <= peak <= 1.25 * operator
 
 
 class TestReportResiduals:
