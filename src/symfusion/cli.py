@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import replace
 
 from . import constructions as cons
 from . import ensemble_io as eio
 from .errors import EnsembleFormatError, ResourceLimitError, SymfusionError
-from .fusion import DEFAULT_TOL, FusionEnsemble, certify
+from .fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, certify
 from .permutations import Permutation, validate_transversal
 from .tableaux import Partition
 
@@ -76,10 +76,7 @@ def _resolve(flag_value, env_name: str, config: dict, key: str, default, cast):
 
 def _resolve_tolerance(args, config: dict) -> float:
     """The tolerance from flag, env or config; it must be finite and positive."""
-    tol = _resolve(args.tolerance, "SYMFUSION_TOLERANCE", config, "tolerance", DEFAULT_TOL, float)
-    if not (math.isfinite(tol) and tol > 0):
-        raise SymfusionError(f"tolerance must be finite and positive, got {tol}")
-    return tol
+    return _check_tolerance(_resolve(args.tolerance, "SYMFUSION_TOLERANCE", config, "tolerance", DEFAULT_TOL, float))
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -118,22 +115,11 @@ def _emit_ensemble(e: FusionEnsemble, report, args) -> None:
         print(report.to_json())
 
 
-def _predicted_classification(kind: str, lam, mu, layers) -> str | None:
-    if kind == "single-layer":
-        family = cons.classify_single_layer(lam, mu)
-        return "EITFF" if family.is_equiisoclinic else "ECTFF"
-    if kind in ("multi-layer", "alternating"):
-        holds, _sums = cons.distance_condition(mu, layers)
-        return "EITFF" if holds else "ECTFF"
-    return None
-
-
 def cmd_construct(args, config) -> int:
     tol = _resolve_tolerance(args, config)
     max_dim = _resolve(args.max_dim, "SYMFUSION_MAX_DIM", config, "max_dim", cons.DEFAULT_MAX_DIM, int)
     kind = args.kind
-    lam = mu = None
-    layers = None
+    mu = layers = None
     try:
         if kind == "generic":
             spec = eio.read_json(args.spec)
@@ -182,32 +168,23 @@ def cmd_construct(args, config) -> int:
 
     report = certify(e, tol)
     _emit_ensemble(e, report, args)
-    predicted = _predicted_classification(kind, lam, mu, layers)
-    if predicted is not None and report.classification != predicted:
-        err = SymfusionError(
-            f"certified {report.classification}, theory predicts {predicted}"
-        )
-        return _fail(err, EXIT_MISMATCH)
+    if layers is None:  # a generic orbit has no prediction
+        return EXIT_OK
+    # the distance condition on mu's layer sums predicts every named kind
+    predicted = "EITFF" if cons.distance_condition(mu, layers)[0] else "ECTFF"
+    if report.classification != predicted:
+        return _fail(SymfusionError(f"certified {report.classification}, theory predicts {predicted}"), EXIT_MISMATCH)
     return EXIT_OK
 
 
 def cmd_certify(args, config) -> int:
     tol = _resolve_tolerance(args, config)
-    try:
-        e = eio.load_ensemble(args.infile, tol=CERTIFY_LOAD_GUARD)
-    except (SymfusionError, OSError) as exc:
-        return _fail(exc, EXIT_USER)
-    report = certify(e, tol)
-    print(report.to_json())
+    print(certify(eio.load_ensemble(args.infile, tol=CERTIFY_LOAD_GUARD), tol).to_json())
     return EXIT_OK
 
 
 def cmd_search(args, config) -> int:
-    try:
-        certs = cons.search_isoclinic(args.max_n)
-    except SymfusionError as exc:
-        return _fail(exc, EXIT_USER)
-    for cert in certs:
+    for cert in cons.search_isoclinic(args.max_n):
         print(json.dumps(cert.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -232,8 +209,8 @@ def cmd_table(args, config) -> int:
 
 
 def _certify_row(row: cons.TableRow, cap: int) -> cons.TableRow:
-    from dataclasses import replace
-
+    """The row with ``certified`` set: None when not attempted, because d exceeds
+    ``cap`` or the construction cap refuses the build before any matrix exists."""
     if row.d > cap:
         return replace(row, certified=None)
     try:
@@ -251,6 +228,8 @@ def _certify_row(row: cons.TableRow, cap: int) -> cons.TableRow:
             and abs(report.isoclinism_alpha - float(row.alpha)) <= 1e-9
         )
         return replace(row, certified=ok)
+    except ResourceLimitError:
+        return replace(row, certified=None)
     except SymfusionError:
         return replace(row, certified=False)
 
@@ -329,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_USER)
     try:
         return args.func(args, config)
-    except SymfusionError as exc:  # anything a subcommand did not map itself
+    except (SymfusionError, OSError) as exc:  # anything a subcommand did not map itself
         return _fail(exc, EXIT_USER)
 
 

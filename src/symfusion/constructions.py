@@ -34,7 +34,7 @@ from .errors import (
     StepConstraintViolatedError,
     TrivialSubspaceError,
 )
-from .fusion import DEFAULT_TOL, FusionEnsemble
+from .fusion import DEFAULT_TOL, FusionEnsemble, _fields_json
 from .permutations import (
     Permutation,
     transversal_an,
@@ -106,11 +106,6 @@ class LayerSelection:
     def partitions(self) -> tuple[Partition, ...]:
         covers = up_set(self.mu)
         return tuple(covers[i][0] for i in self.indices)
-
-    @property
-    def added_boxes(self) -> tuple[Box, ...]:
-        covers = up_set(self.mu)
-        return tuple(covers[i][1] for i in self.indices)
 
     @property
     def delta(self) -> int | None:
@@ -218,20 +213,7 @@ class ExactIsoclinicCertificate:
         return (self.d_layers, self.d_mu, self.n) if self.holds else None
 
     def to_json_dict(self) -> dict:
-        return {
-            "mu": str(self.mu),
-            "delta": self.delta,
-            "layers": [str(l) for l in self.layers],
-            "s_values": [str(s) for s in self.s_values],
-            "holds": self.holds,
-            "beta": str(self.beta) if self.beta is not None else None,
-            "beta_squared": str(self.beta_squared) if self.beta_squared is not None else None,
-            "beta_squared_predicted": str(self.beta_squared_predicted),
-            "d": self.d_layers,
-            "r": self.d_mu,
-            "n": self.n,
-            "alpha": str(self.alpha) if self.alpha is not None else None,
-        }
+        return _fields_json(self, d_layers="d", d_mu="r")
 
 
 def isoclinic_certificate(mu: Partition, delta: int) -> ExactIsoclinicCertificate:
@@ -249,25 +231,13 @@ def isoclinic_certificate(mu: Partition, delta: int) -> ExactIsoclinicCertificat
     predicted = Fraction(
         d_layers * (n * d_mu - d_layers), d_mu * d_mu * n * n * (n - 1)
     )
-    beta: Fraction | None = None
-    holds = True
-    for q, s in enumerate(sums, start=1):
-        signed = s if (q + delta) % 2 == 0 else -s
-        if signed < 0:
-            holds = False
-            break
-        if beta is None:
-            beta = signed
-        elif signed != beta:
-            holds = False
-            break
-    if not holds or beta is None:
-        beta = None
-    alpha = None
-    beta_squared = None
-    if holds and beta is not None:
-        beta_squared = beta * beta
-        alpha = Fraction(n * n * d_mu * d_mu, d_layers * d_layers) * beta_squared
+    # holds when every (-1)^(q + delta) s_q is one beta >= 0, which is then |s_1|
+    beta = abs(sums[0])
+    expected = (beta, -beta)
+    holds = all(s == expected[(q + delta) % 2] for q, s in enumerate(sums, start=1))
+    beta = beta if holds else None
+    beta_squared = beta * beta if holds else None
+    alpha = Fraction(n * n * d_mu * d_mu, d_layers * d_layers) * beta_squared if holds else None
     return ExactIsoclinicCertificate(
         mu=mu,
         delta=delta,
@@ -322,12 +292,7 @@ def three_part_family(a: int, f: int, h: int, b: int) -> tuple[Partition, ExactI
     g = h - b
     if e < 1:
         raise StepConstraintViolatedError("derived e must be positive")
-    mu = Partition((e + f + g,) * a + (e + f,) * b + (e,) * c)
-    for delta in (0, 1):
-        cert = isoclinic_certificate(mu, delta)
-        if cert.holds:
-            return mu, cert
-    raise InconsistentFamilyError(f"family recipe produced a non-isoclinic partition {mu!r}")
+    return _first_holding(Partition((e + f + g,) * a + (e + f,) * b + (e,) * c))
 
 
 def four_part_family(a: int, b: int, c: int) -> tuple[Partition, ExactIsoclinicCertificate]:
@@ -340,7 +305,12 @@ def four_part_family(a: int, b: int, c: int) -> tuple[Partition, ExactIsoclinicC
     if (b * b) % c != 0:
         raise DivisibilityViolatedError("c must divide b^2")
     e = (b * b) // c + b
-    mu = Partition((a + b + c + e,) * a + (a + b + c,) * b + (a + b,) * c + (a,) * e)
+    return _first_holding(Partition((a + b + c + e,) * a + (a + b + c,) * b + (a + b,) * c + (a,) * e))
+
+
+def _first_holding(mu: Partition) -> tuple[Partition, ExactIsoclinicCertificate]:
+    """mu with the certificate of its first parity that holds; a family recipe
+    whose mu has none is inconsistent."""
     for delta in (0, 1):
         cert = isoclinic_certificate(mu, delta)
         if cert.holds:
@@ -511,6 +481,22 @@ def _layer_orbit(
     return blocks
 
 
+def _orbit_ensemble(
+    sel: LayerSelection,
+    transversal: Sequence[Permutation] | None,
+    meta: dict,
+    field: str,
+    tol: float,
+    even: bool = False,
+    compress: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> FusionEnsemble:
+    """The tail every orbit builder shares: resolve the transversal, record it
+    last in ``meta``, build the layer orbit and validate its blocks."""
+    ts = _resolve_transversal(sel.mu.n + 1, transversal, even)
+    meta["transversal"] = [t.cycle_string() for t in ts]
+    return FusionEnsemble.from_blocks(_layer_orbit(sel, ts, compress), field=field, tol=tol, meta=meta)
+
+
 def single_layer_ensemble(
     lam: Partition,
     mu: Partition,
@@ -525,15 +511,8 @@ def single_layer_ensemble(
     """
     _single_layer_added_box(lam, mu)  # validates the pair
     _check_cap(dimension(lam), max_dim)
-    ts = _resolve_transversal(lam.n, transversal, even=False)
-    blocks = _layer_orbit(LayerSelection.from_partitions(mu, [lam]), ts)
-    meta = {
-        "construction": "single_layer",
-        "lambda": str(lam),
-        "mu": str(mu),
-        "transversal": [t.cycle_string() for t in ts],
-    }
-    return FusionEnsemble.from_blocks(blocks, field="R", tol=tol, meta=meta)
+    meta = {"construction": "single_layer", "lambda": str(lam), "mu": str(mu)}
+    return _orbit_ensemble(LayerSelection.from_partitions(mu, [lam]), transversal, meta, "R", tol)
 
 
 def multi_layer_ensemble(
@@ -549,17 +528,9 @@ def multi_layer_ensemble(
     distance condition.
     """
     _check_cap(sel.total_dimension, max_dim)
-    n = sel.mu.n + 1
-    ts = _resolve_transversal(n, transversal, even=False)
-    blocks = _layer_orbit(sel, ts)
-    meta = {
-        "construction": "multi_layer",
-        "mu": str(sel.mu),
-        "layers": [str(l) for l in sel.partitions],
-        "delta": sel.delta,
-        "transversal": [t.cycle_string() for t in ts],
-    }
-    return FusionEnsemble.from_blocks(blocks, field="R", tol=tol, meta=meta)
+    meta = {"construction": "multi_layer", "mu": str(sel.mu), "layers": [str(l) for l in sel.partitions],
+            "delta": sel.delta}
+    return _orbit_ensemble(sel, transversal, meta, "R", tol)
 
 
 def _check_alternating_selection(sel: LayerSelection) -> None:
@@ -593,22 +564,12 @@ def alternating_ensemble(
     _check_alternating_selection(sel)
     mu = sel.mu
     _check_cap(sel.total_dimension // 2, max_dim)
-    n = mu.n + 1
-    ts = _resolve_transversal(n, transversal, even=True)
-    field = altrep.field_for(mu)
-    layers = sel.partitions
-    J_layers = altrep.layer_eigenbasis(mu, layers, eps)
+    J_layers = altrep.layer_eigenbasis(mu, sel.partitions, eps)
     J_mu = altrep.eigenspace_injection(mu, eps)
-    blocks = _layer_orbit(sel, ts, lambda thin: J_layers.conj().T @ thin @ J_mu)
-    meta = {
-        "construction": "alternating",
-        "mu": str(mu),
-        "layers": [str(l) for l in layers],
-        "delta": sel.delta,
-        "epsilon": "+" if altrep._eps_sign(eps) == 1 else "-",
-        "transversal": [t.cycle_string() for t in ts],
-    }
-    return FusionEnsemble.from_blocks(blocks, field=field, tol=tol, meta=meta)
+    meta = {"construction": "alternating", "mu": str(mu), "layers": [str(l) for l in sel.partitions],
+            "delta": sel.delta, "epsilon": "+" if altrep._eps_sign(eps) == 1 else "-"}
+    return _orbit_ensemble(sel, transversal, meta, altrep.field_for(mu), tol, even=True,
+                           compress=lambda thin: J_layers.conj().T @ thin @ J_mu)
 
 
 def alternating_parameters(a: int, c: int, delta: int):
@@ -622,12 +583,8 @@ def alternating_parameters(a: int, c: int, delta: int):
         raise ConstraintViolationError("need a >= 1 and c >= 2")
     if delta not in (0, 1):
         raise ConstraintViolationError("delta must be 0 or 1")
-    n = a * a + 2 * a * c + 1
-    r = Fraction(factorial(a * a + 2 * a * c), 2)
-    for k in range(c):
-        r *= Fraction(factorial(k), factorial(a + k)) ** 2
-    for ell in range(a):
-        r *= Fraction(factorial(2 * c + ell), factorial(2 * c + a + ell))
+    _d, r_inner, n, _alpha = single_layer_parameters("III", a, a, c)
+    r = Fraction(r_inner, 2)
     if delta == 0:
         d = Fraction(c * c, (a + c) ** 2) * r * n
     else:
@@ -654,43 +611,25 @@ def decomposition_check(
 ) -> bool:
     """Verify the eigenbasis change block-diagonalizes every stacked isometry.
 
-    Builds the S_n multi-layer orbit once with an even transversal, compresses
-    it to the two alternating halves, rotates it by the two-eigenspace basis on
-    both sides, and checks the result is block-diagonal with the halves'
-    blocks on the diagonal.
+    Builds the S_n multi-layer orbit once with an even transversal and rotates
+    each block by the two-eigenspace bases B_L = [J_+ J_-] and B_mu on both
+    sides.  The check passes when every rotated block is block-diagonal within
+    ``tol``; its diagonal blocks are the two alternating halves' blocks, which
+    must each form a valid ensemble.
     """
     _check_alternating_selection(sel)
     mu = sel.mu
     _check_cap(sel.total_dimension, max_dim)
     ts = _resolve_transversal(mu.n + 1, transversal, even=True)
-    J_plus = altrep.layer_eigenbasis(mu, sel.partitions, "+")
-    J_minus = altrep.layer_eigenbasis(mu, sel.partitions, "-")
-    I_plus = altrep.eigenspace_injection(mu, "+")
-    I_minus = altrep.eigenspace_injection(mu, "-")
-    B_layers = np.hstack([J_plus, J_minus])
-    B_mu = np.hstack([I_plus, I_minus])
-    orbit = _layer_orbit(sel, ts)
+    B_layers = np.hstack([altrep.layer_eigenbasis(mu, sel.partitions, eps) for eps in "+-"])
+    B_mu = np.hstack([altrep.eigenspace_injection(mu, eps) for eps in "+-"])
+    rows, cols = B_layers.shape[1] // 2, B_mu.shape[1] // 2
+    rotated = _layer_orbit(sel, ts, lambda thin: B_layers.conj().T @ thin @ B_mu)
+    if any(max(np.max(np.abs(R[:rows, cols:])), np.max(np.abs(R[rows:, :cols]))) > tol for R in rotated):
+        return False
     field = altrep.field_for(mu)
-    plus, minus = (
-        FusionEnsemble.from_blocks([J.conj().T @ thin @ I for thin in orbit], field=field, tol=tol)
-        for J, I in ((J_plus, I_plus), (J_minus, I_minus))
-    )
-    half_rows = J_plus.shape[1]
-    half_cols = B_mu.shape[1] // 2
-    for k, thin in enumerate(orbit):
-        rotated = B_layers.conj().T @ thin @ B_mu
-        top_left = rotated[:half_rows, :half_cols]
-        bottom_right = rotated[half_rows:, half_cols:]
-        off_a = rotated[:half_rows, half_cols:]
-        off_b = rotated[half_rows:, :half_cols]
-        ok = (
-            np.max(np.abs(off_a)) <= tol
-            and np.max(np.abs(off_b)) <= tol
-            and np.max(np.abs(top_left - plus.blocks[k])) <= tol
-            and np.max(np.abs(bottom_right - minus.blocks[k])) <= tol
-        )
-        if not ok:
-            return False
+    for half in (np.s_[:rows, :cols], np.s_[rows:, cols:]):
+        FusionEnsemble.from_blocks([R[half] for R in rotated], field=field, tol=tol)
     return True
 
 
@@ -767,19 +706,16 @@ class TableRow:
     certified: bool | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "d": self.d,
-            "r": self.r,
-            "n": self.n,
-            "alpha": str(self.alpha),
-            "family": self.family,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "delta": self.delta,
-            "certified": self.certified,
-        }
+        return _fields_json(self)
+
+
+def _walk(start: int, rows_at: Callable[[int], list]) -> list:
+    """rows_at(k) for k = start, start + 1, ..., concatenated up to the first k with no rows."""
+    rows, k = [], start
+    while batch := rows_at(k):
+        rows += batch
+        k += 1
+    return rows
 
 
 def sn_table(max_dim: int) -> list[TableRow]:
@@ -788,41 +724,13 @@ def sn_table(max_dim: int) -> list[TableRow]:
     Enumerates type I with 2 <= a <= b (the smaller-d member of each Naimark
     pair) and type III with a <= b, c >= 2; sorted by d.
     """
-    rows = []
-    a = 2
-    while True:
-        d, _r, _n, _alpha = single_layer_parameters("I", a, a)
-        if d > max_dim:
-            break
-        b = a
-        while True:
-            d, r, n, alpha = single_layer_parameters("I", a, b)
-            if d > max_dim:
-                break
-            rows.append(TableRow("R", d, r, n, alpha, "I", a, b, None, None))
-            b += 1
-        a += 1
-    a = 1
-    while True:
-        d, _r, _n, _alpha = single_layer_parameters("III", a, a, 2)
-        if d > max_dim:
-            break
-        b = a
-        while True:
-            d, _r, _n, _alpha = single_layer_parameters("III", a, b, 2)
-            if d > max_dim:
-                break
-            c = 2
-            while True:
-                d, r, n, alpha = single_layer_parameters("III", a, b, c)
-                if d > max_dim:
-                    break
-                rows.append(TableRow("R", d, r, n, alpha, "III", a, b, c, None))
-                c += 1
-            b += 1
-        a += 1
-    rows.sort(key=lambda row: (row.d, row.n, row.r))
-    return rows
+    def row(kind, a, b, c=None):
+        d, r, n, alpha = single_layer_parameters(kind, a, b, c)
+        return [TableRow("R", d, r, n, alpha, kind, a, b, c, None)] if d <= max_dim else []
+
+    rows = _walk(2, lambda a: _walk(a, lambda b: row("I", a, b)))
+    rows += _walk(1, lambda a: _walk(a, lambda b: _walk(2, lambda c: row("III", a, b, c))))
+    return sorted(rows, key=lambda t: (t.d, t.n, t.r))
 
 
 def an_table(max_dim: int) -> list[TableRow]:
@@ -830,22 +738,10 @@ def an_table(max_dim: int) -> list[TableRow]:
 
     One row per (a, c), taking the delta with the smaller d; sorted by d.
     """
-    rows = []
-    a = 1
-    while True:
-        best = min(
-            alternating_parameters(a, 2, delta)[1] for delta in (0, 1)
+    def row(a, c):
+        (field, d, r, n, alpha), delta = min(
+            ((alternating_parameters(a, c, delta), delta) for delta in (0, 1)), key=lambda item: item[0][1]
         )
-        if best > max_dim:
-            break
-        c = 2
-        while True:
-            options = [(alternating_parameters(a, c, delta), delta) for delta in (0, 1)]
-            (field, d, r, n, alpha), delta = min(options, key=lambda item: item[0][1])
-            if d > max_dim:
-                break
-            rows.append(TableRow(field, d, r, n, alpha, "alternating", a, None, c, delta))
-            c += 1
-        a += 1
-    rows.sort(key=lambda row: (row.d, row.n, row.r))
-    return rows
+        return [TableRow(field, d, r, n, alpha, "alternating", a, None, c, delta)] if d <= max_dim else []
+
+    return sorted(_walk(1, lambda a: _walk(2, lambda c: row(a, c))), key=lambda t: (t.d, t.n, t.r))

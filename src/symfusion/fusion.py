@@ -9,12 +9,15 @@ transposes throughout, so real and complex ensembles share one code path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass, field as dc_field, fields
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConstraintViolationError,
     DegenerateParametersError,
     EnsembleFormatError,
     FullDimensionError,
@@ -24,6 +27,7 @@ from .errors import (
     NotUnitaryError,
 )
 from .permutations import Permutation
+from .tableaux import Partition
 
 DEFAULT_TOL = 1e-9
 
@@ -34,6 +38,26 @@ def _ct(A: np.ndarray) -> np.ndarray:
 
 def _max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
+
+
+def _check_tolerance(tol: float) -> float:
+    """``tol`` itself, once it is known to be finite and positive (NaN fails both)."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConstraintViolationError(f"tolerance must be finite and positive, got {tol}")
+    return tol
+
+
+def _jsonable(value):
+    """Partitions and fractions become strings and tuples lists; the rest is JSON already."""
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return str(value) if isinstance(value, (Partition, Fraction)) else value
+
+
+def _fields_json(record, **rename: str) -> dict:
+    """A dataclass record as a JSON object: one key per field, in field order,
+    named as the field unless ``rename`` maps the field to a JSON name."""
+    return {rename.get(f.name, f.name): _jsonable(getattr(record, f.name)) for f in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -130,6 +154,7 @@ def tightness_residual(e: FusionEnsemble) -> float:
 
 
 def is_tight(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> bool:
+    tol = _check_tolerance(tol)
     return tightness_residual(e) <= tol * max(1.0, e.r * e.n / e.d)
 
 
@@ -218,7 +243,7 @@ def _pair_pass(e: FusionEnsemble, tol: float) -> dict:
 def isoclinism_check(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> float | None:
     """Common isoclinism parameter if every pair's G*G is alpha I within ``tol``
     in the spectral norm and the pair parameters agree within ``tol``."""
-    return _pair_pass(e, tol)["isoclinism_alpha"]
+    return _pair_pass(e, _check_tolerance(tol))["isoclinism_alpha"]
 
 
 @dataclass(frozen=True)
@@ -248,32 +273,8 @@ class CertificationReport:
     classification: str  # NONE | TFF | ECTFF | EITFF
 
     def to_json_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "d": self.d,
-            "r": self.r,
-            "n": self.n,
-            "tolerance": self.tolerance,
-            "tightness_residual": self.tightness_residual,
-            "is_tight": self.is_tight,
-            "principal_angles": [
-                {"i": i, "j": j, "angles": list(angles)}
-                for i, j, angles in self.principal_angles
-            ],
-            "spectral_min": self.spectral_min,
-            "chordal_min": self.chordal_min,
-            "common_chordal": self.common_chordal,
-            "chordal_spread": self.chordal_spread,
-            "isoclinism_alpha": self.isoclinism_alpha,
-            "isoclinism_residual": self.isoclinism_residual,
-            "alpha_spread": self.alpha_spread,
-            "welch_spectral": self.welch_spectral,
-            "welch_chordal": self.welch_chordal,
-            "welch_alpha": self.welch_alpha,
-            "lemmens_seidel_bound": self.lemmens_seidel_bound,
-            "lemmens_seidel_equality": self.lemmens_seidel_equality,
-            "classification": self.classification,
-        }
+        angles = [{"i": i, "j": j, "angles": list(a)} for i, j, a in self.principal_angles]
+        return {**_fields_json(self), "principal_angles": angles}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -306,8 +307,10 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
     is a scaled unitary with a common parameter (spectral residuals within
     ``tol``), ECTFF when tight with a common chordal distance, TFF when merely
     tight.  Equality in the Lemmens-Seidel bound is reported for information
-    only; it is never used to infer the classification.
+    only; it is never used to infer the classification.  ``tol`` must be
+    finite and positive.
     """
+    tol = _check_tolerance(tol)
     resid = tightness_residual(e)
     tight = resid <= tol * max(1.0, e.r * e.n / e.d)
     pairs = _pair_pass(e, tol)

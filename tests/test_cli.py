@@ -1,9 +1,12 @@
+import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from symfusion import Partition, certify, errors, load_ensemble, single_layer_ensemble
+from symfusion import constructions as cons
 from symfusion.cli import main
 from symfusion.ensemble_io import save_ensemble, to_json_dict
 
@@ -93,6 +96,33 @@ class TestConstruct:
         assert code == 0
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 5 and len(rows[0].split(",")) == 10
+
+    def test_csv_reads_back_bit_identical(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code, _, _ = run(capsys, *SINGLE_LAYER, "--csv", str(out))
+        assert code == 0
+        with open(out, newline="") as fh:
+            back = np.array([[float(v) for v in row] for row in csv.reader(fh)])
+        P = single_layer_ensemble(Partition((3, 2)), Partition((2, 2))).synthesis()
+        assert back.shape == P.shape and back.tobytes() == P.tobytes()
+
+    def test_csv_of_complex_ensemble_is_user_error(self, tmp_path, capsys):
+        code, stdout, stderr = run(
+            capsys, "construct", "alternating", "--mu", "4,1,1,1", "--delta", "1",
+            "--csv", str(tmp_path / "a.csv"),
+        )
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr)["error"] == "EnsembleFormatError"
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("target, error", [
+        ("missing/e", "FileNotFoundError"),
+        (".", "IsADirectoryError"),
+    ])
+    def test_unwritable_output_is_user_error(self, tmp_path, capsys, flag, target, error):
+        code, stdout, stderr = run(capsys, *SINGLE_LAYER, flag, str(tmp_path / target))
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr)["error"] == error
 
     def test_generic_spec(self, tmp_path, capsys):
         s3 = np.sqrt(3.0)
@@ -216,6 +246,34 @@ class TestSearchAndTable:
         assert code == 0
         rows = json.loads(stdout)
         assert all(r["certified"] is True for r in rows)
+
+    def test_row_above_the_construction_cap_is_not_attempted(self, capsys, monkeypatch):
+        # III(2,2,2) has d = 8580 > DEFAULT_MAX_DIM: the cap refuses it unbuilt
+        row = next(r for r in cons.sn_table(9000) if (r.family, r.a, r.b, r.c) == ("III", 2, 2, 2))
+        assert row.d == 8580
+        monkeypatch.setattr(cons, "sn_table", lambda max_dim: [row])
+        code, stdout, _ = run(capsys, "table", "sn", "--certify-max-dim", "9000", "--json")
+        assert code == 0
+        assert json.loads(stdout)[0]["certified"] is None
+        code, stdout, _ = run(capsys, "table", "sn", "--certify-max-dim", "9000")
+        assert code == 0
+        assert stdout.splitlines()[1].split()[-1] == "-"
+
+    # exact integers and fractions only, so the bytes do not depend on the platform
+    GOLDEN_SHA256 = {
+        ("search-isoclinic", "--max-n", "20"):
+            "fec1d5e5ab8e4d43ebe272ae2441de5f6b9e6bdacdb39275c0b117c55c484bb0",
+        ("table", "sn", "--max-dim", "100000", "--json"):
+            "5eff01ab10446d2bb9144cfcb54c4ab416a3def0edb2eb9f3320464c135afac6",
+        ("table", "an", "--max-dim", "100000", "--json"):
+            "44694eb93f14558a51167a779141fc1b38b503adc2eb49692ec5d4a2a34a9216",
+    }
+
+    @pytest.mark.parametrize("argv", GOLDEN_SHA256)
+    def test_exact_output_matches_golden(self, capsys, argv):
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.GOLDEN_SHA256[argv]
 
 
 class TestBadInput:

@@ -134,6 +134,14 @@ class TestClassification:
                     expected = "EITFF" if fam.is_equiisoclinic else "ECTFF"
                     assert rep.classification == expected, (lam, mu)
 
+    def test_classification_is_the_distance_condition_through_12(self):
+        for total in range(2, 13):
+            for lam in partitions_of(total):
+                for mu, _ in down_set(lam):
+                    if dimension(mu) < dimension(lam):
+                        holds, _ = distance_condition(mu, [lam])
+                        assert classify_single_layer(lam, mu).is_equiisoclinic == holds, (lam, mu)
+
 
 class TestSingleLayerParameters:
     def test_table_values(self):
@@ -216,6 +224,18 @@ class TestCertificates:
                     isoclinic_certificate(mu, 0).holds
                     == isoclinic_certificate(mu, 1).holds
                 )
+
+    def test_parity_subsets_have_opposite_box_sums_through_20(self):
+        # sum_k w_k / (x_k - y) = 0 over all covers of mu (a residue of Kerov's
+        # transition measure), so s(L_1) = -s(L_0) and the parities agree
+        for total in range(1, 21):
+            for mu in partitions_of(total):
+                c0, c1 = isoclinic_certificate(mu, 0), isoclinic_certificate(mu, 1)
+                assert c1.s_values == tuple(-s for s in c0.s_values), mu
+                assert (c0.holds, c0.beta, c0.beta_squared_predicted) == (
+                    c1.holds, c1.beta, c1.beta_squared_predicted
+                ), mu
+                assert c0.d_layers + c1.d_layers == c0.n * c0.d_mu, mu
 
     def test_brute_force_only_canonical_subsets_succeed(self):
         # every proper nonempty subset of covers, tested against the free-sign
@@ -705,6 +725,22 @@ class TestLayerOrbit:
         build()
         assert len(calls) == (sel.mu.n + 1) * len(sel.partitions)
         assert outside == []
+
+    @pytest.mark.parametrize("build", [
+        lambda sel: single_layer_ensemble(Partition((3, 2, 1)), Partition((3, 1, 1)), max_dim=1),
+        lambda sel: multi_layer_ensemble(sel, max_dim=1),
+        lambda sel: alternating_ensemble(sel, "+", max_dim=1),
+        lambda sel: decomposition_check(sel, max_dim=1),
+    ])
+    def test_cap_refuses_before_any_matrix_is_built(self, monkeypatch, build):
+        def unbuilt(*args):
+            raise AssertionError("a matrix was built before the cap refused")
+
+        monkeypatch.setattr(symfusion.constructions, "branching_isometry", unbuilt)
+        monkeypatch.setattr(altrep, "layer_eigenbasis", unbuilt)
+        monkeypatch.setattr(altrep, "eigenspace_injection", unbuilt)
+        with pytest.raises(ResourceLimitError):
+            build(LayerSelection.from_delta(Partition((3, 1, 1)), 1))
 
 
 class TestAlternatingParameters:

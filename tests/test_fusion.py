@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from symfusion.errors import (
     NotIsometryError,
     NotTightError,
     NotUnitaryError,
+    SymfusionError,
 )
 from symfusion.fusion import is_tight, random_orthonormal_blocks
 
@@ -521,6 +524,39 @@ class TestReportResiduals:
         assert {"isoclinism_residual", "alpha_spread", "chordal_spread"} <= set(data)
         rep = certify(FusionEnsemble.from_blocks([np.eye(3)]))
         assert rep.isoclinism_residual is rep.alpha_spread is rep.chordal_spread is None
+
+    def test_json_dict_holds_every_field_once(self, eitff_5_2_5):
+        rep = certify(eitff_5_2_5)
+        data = rep.to_json_dict()
+        assert len(data) == 21 and set(data) == {f.name for f in dataclasses.fields(rep)}
+        assert data.pop("principal_angles") == [
+            {"i": i, "j": j, "angles": list(angles)} for i, j, angles in rep.principal_angles
+        ]
+        for key, value in data.items():
+            assert value == getattr(rep, key), key
+
+
+class TestToleranceCheck:
+    """Every tolerance the certifier judges by must be finite and positive."""
+
+    BAD = [float("inf"), float("nan"), 0.0, -1.0]
+
+    @staticmethod
+    def rejects(call):
+        with pytest.raises(SymfusionError, match="tolerance") as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_certify(self, tol):
+        e = FusionEnsemble.from_blocks(random_orthonormal_blocks(12, 3, 5, seed=1))
+        self.rejects(lambda: certify(e, tol=tol))
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_is_tight_isoclinism_check_naimark_complement(self, eitff_5_2_5, tol):
+        self.rejects(lambda: is_tight(eitff_5_2_5, tol))
+        self.rejects(lambda: isoclinism_check(eitff_5_2_5, tol))
+        self.rejects(lambda: naimark_complement(eitff_5_2_5, tol))
 
 
 class TestFusionGram:
