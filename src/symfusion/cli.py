@@ -10,6 +10,7 @@ Options --tolerance and --max-dim also resolve from environment variables
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -105,6 +106,15 @@ def _parse_transversal(spec: str | None, n: int, even: bool):
     raise SymfusionError(f"unknown transversal spec {spec!r}; use default|cycle|@file")
 
 
+def _check_destination(path: str) -> None:
+    """Raise the OSError that opening ``path`` for writing would, creating nothing."""
+    parent = os.path.dirname(path) or "."
+    code = errno.EISDIR if os.path.isdir(path) else 0 if os.path.isdir(parent) else (
+        errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _emit_ensemble(e: FusionEnsemble, report, args) -> None:
     if args.out:
         eio.save_ensemble(e, args.out)
@@ -121,6 +131,8 @@ def cmd_construct(args, config) -> int:
     kind = args.kind
     mu = layers = None
     try:
+        for path in filter(None, (args.out, args.csv)):  # fail before any work
+            _check_destination(path)
         if kind == "generic":
             spec = eio.read_json(args.spec)
             if not isinstance(spec, dict) or not isinstance(spec.get("generators"), dict):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,8 +50,7 @@ from .tableaux import (
     dimension,
     down_set,
     is_symmetric,
-    partitions_of,
-    removable_boxes,
+    partition_parts,
     transpose,
     up_set,
 )
@@ -131,28 +131,38 @@ def canonical_subsets(mu: Partition) -> tuple[tuple[Partition, ...], tuple[Parti
     return covers[1::2], covers[0::2]
 
 
-def _transition_measure(mu: Partition):
-    """(covers, weights, addable, removable) of mu's Kerov transition measure.
+def _corners(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Contents (x, y) of the addable and removable boxes, in the orders of :func:`up_set`
+    and :func:`removable_boxes`: x = p - i where row i starts a new part, then -len, and
+    y = p - 1 - i where row i ends one.  They interlace, x_1 > y_1 > ... > y_c > x_{c+1}."""
+    ends = [i for i in range(1, len(parts)) if parts[i - 1] > parts[i]] + [len(parts)]
+    xs = tuple(parts[i] - i for i in [0] + ends[:-1]) + (-len(parts),)
+    return xs, tuple(parts[i - 1] - i for i in ends)
 
-    ``covers`` is :func:`up_set`; ``addable`` and ``removable`` hold the
-    contents x_k of the added boxes and y_i of mu's removable boxes, in the
-    orders of :func:`up_set` and :func:`removable_boxes`.  The weight of cover
-    k is d_lam / (n d_mu) = prod_i (x_k - y_i) / prod_{j != k} (x_k - x_j)
-    (Kerov, Funct. Anal. Appl. 1993), exact and O(c^2) for c corners.
-    """
-    covers = up_set(mu)
-    xs = tuple(box.superdiagonal for _lam, box in covers)
-    ys = tuple(box.superdiagonal for box in removable_boxes(mu))
-    weights = []
-    for x in xs:
-        num = den = 1
-        for y in ys:
-            num *= x - y
-        for z in xs:
-            if z != x:  # addable contents are distinct, so this skips j = k
-                den *= x - z
-        weights.append(Fraction(num, den))
-    return covers, tuple(weights), xs, ys
+
+def _scaled_weights(xs, ys, at) -> tuple[int, list[int]]:
+    """V = prod_{j<l} (x_j - x_l) > 0 and the integers V w at the contents ``at``, where
+    w = prod_i (x - y_i) / prod_{x_j != x} (x - x_j) = d_lam / (n d_mu) (Kerov 1993)."""
+    v = prod([a - b for a, b in combinations(xs, 2)])
+    return v, [v // prod([x - z for z in xs if z != x]) * prod([x - y for y in ys]) for x in at]
+
+
+def _isoclinic(xs, ys) -> bool:
+    """Whether every (-1)^q s_q(L_0) is one beta, decided on the integers V s_q up to
+    the first box that differs; beta = -s_1 > 0, as L_0 lies below y_1.  Over all
+    covers the w_k / (x_k - y_q) sum to 0, so s(L_1) = -s(L_0): one test decides both."""
+    picks = xs[1::2]  # L_0: the even 1-based positions
+    terms = list(zip(picks, _scaled_weights(xs, ys, picks)[1]))
+    beta = -sum([vw // (x - ys[0]) for x, vw in terms])
+    return all(sum([vw // (x - y) for x, vw in terms]) == (beta if q % 2 else -beta) for q, y in enumerate(ys[1:], 1))
+
+
+def _transition_measure(mu: Partition):
+    """(covers, weights, addable, removable) of mu's Kerov transition measure: :func:`up_set`,
+    the exact weights d_lam / (n d_mu) in O(c^2) for c corners, and :func:`_corners`."""
+    xs, ys = _corners(mu.parts)
+    v, scaled = _scaled_weights(xs, ys, xs)
+    return up_set(mu), tuple(Fraction(vw, v) for vw in scaled), xs, ys
 
 
 def _box_sums(weights, xs, ys, picks: Sequence[int]) -> tuple[Fraction, ...]:
@@ -232,10 +242,8 @@ def isoclinic_certificate(mu: Partition, delta: int) -> ExactIsoclinicCertificat
         d_layers * (n * d_mu - d_layers), d_mu * d_mu * n * n * (n - 1)
     )
     # holds when every (-1)^(q + delta) s_q is one beta >= 0, which is then |s_1|
-    beta = abs(sums[0])
-    expected = (beta, -beta)
-    holds = all(s == expected[(q + delta) % 2] for q, s in enumerate(sums, start=1))
-    beta = beta if holds else None
+    holds = _isoclinic(xs, ys)
+    beta = abs(sums[0]) if holds else None
     beta_squared = beta * beta if holds else None
     alpha = Fraction(n * n * d_mu * d_mu, d_layers * d_layers) * beta_squared if holds else None
     return ExactIsoclinicCertificate(
@@ -260,11 +268,11 @@ def search_isoclinic(max_n: int) -> list[ExactIsoclinicCertificate]:
         raise ConstraintViolationError("max_n must be >= 2")
     results = []
     for n in range(2, max_n + 1):
-        for mu in partitions_of(n - 1):
-            for delta in (0, 1):
-                cert = isoclinic_certificate(mu, delta)
-                if cert.holds:
-                    results.append(cert)
+        for parts in partition_parts(n - 1):
+            # certificates only for the hits; both parities hold or neither does
+            if _isoclinic(*_corners(parts)):
+                mu = Partition(parts)
+                results += (isoclinic_certificate(mu, 0), isoclinic_certificate(mu, 1))
     return results
 
 
@@ -309,13 +317,12 @@ def four_part_family(a: int, b: int, c: int) -> tuple[Partition, ExactIsoclinicC
 
 
 def _first_holding(mu: Partition) -> tuple[Partition, ExactIsoclinicCertificate]:
-    """mu with the certificate of its first parity that holds; a family recipe
-    whose mu has none is inconsistent."""
-    for delta in (0, 1):
-        cert = isoclinic_certificate(mu, delta)
-        if cert.holds:
-            return mu, cert
-    raise InconsistentFamilyError(f"family recipe produced a non-isoclinic partition {mu!r}")
+    """mu with the certificate of L_0, which holds exactly when L_1's does; a
+    family recipe whose mu has none is inconsistent."""
+    cert = isoclinic_certificate(mu, 0)
+    if not cert.holds:
+        raise InconsistentFamilyError(f"family recipe produced a non-isoclinic partition {mu!r}")
+    return mu, cert
 
 
 @dataclass(frozen=True)

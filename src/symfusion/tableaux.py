@@ -203,19 +203,24 @@ def up_set(mu: Partition) -> tuple[tuple[Partition, Box], ...]:
     return tuple(out)
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """Every partition of n exactly once, in descending lexicographic order."""
+def partition_parts(n: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition of n once, in :func:`partitions_of` order."""
     if n < 1:
         raise NonPositivePartError("partitions are defined for n >= 1")
 
-    def gen(remaining: int, max_part: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
+    def gen(remaining: int, max_part: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            yield Partition(prefix)
+            yield prefix
             return
         for p in range(min(max_part, remaining), 0, -1):
             yield from gen(remaining - p, p, prefix + (p,))
 
     yield from gen(n, n, ())
+
+
+def partitions_of(n: int) -> Iterator[Partition]:
+    """Every partition of n exactly once, in descending lexicographic order."""
+    return map(Partition, partition_parts(n))
 
 
 class StandardTableau:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from symfusion import Partition, certify, errors, load_ensemble, single_layer_en
 from symfusion import constructions as cons
 from symfusion.cli import main
 from symfusion.ensemble_io import save_ensemble, to_json_dict
+
+
+SEARCH_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "search_sha256.json"
 
 
 def run(capsys, *argv):
@@ -123,6 +127,37 @@ class TestConstruct:
         code, stdout, stderr = run(capsys, *SINGLE_LAYER, flag, str(tmp_path / target))
         assert (code, stdout) == (2, "")
         assert json.loads(stderr)["error"] == error
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("target, error", [
+        ("missing/e", "FileNotFoundError"),
+        (".", "IsADirectoryError"),
+        ("plain/e", "NotADirectoryError"),
+    ])
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch, flag, target, error):
+        (tmp_path / "plain").write_text("")
+        calls = []
+
+        def builder(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the ensemble was built before the destination was checked")
+
+        monkeypatch.setattr(cons, "single_layer_ensemble", builder)
+        code, stdout, stderr = run(capsys, *SINGLE_LAYER, flag, str(tmp_path / target))
+        assert (code, stdout, calls) == (2, "", [])
+        with pytest.raises(OSError) as opened:  # the error opening the file gives
+            open(str(tmp_path / target), "w")
+        assert type(opened.value).__name__ == error
+        assert json.loads(stderr) == {"error": error, "message": str(opened.value)}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_failed_build_leaves_no_output_file(self, tmp_path, capsys, flag):
+        out = tmp_path / "e"
+        code, _, stderr = run(capsys, "construct", "single-layer", "--lambda", "2", "--mu", "1", flag, str(out))
+        assert code == 2
+        assert json.loads(stderr)["error"] == "TrivialSubspaceError"
+        assert not out.exists()
 
     def test_generic_spec(self, tmp_path, capsys):
         s3 = np.sqrt(3.0)
@@ -259,14 +294,17 @@ class TestSearchAndTable:
         assert code == 0
         assert stdout.splitlines()[1].split()[-1] == "-"
 
-    # exact integers and fractions only, so the bytes do not depend on the platform
+    # exact integers and fractions only, so the bytes do not depend on the platform;
+    # the searches are the benchmark's record for N = 12..22, read here and never rewritten
     GOLDEN_SHA256 = {
-        ("search-isoclinic", "--max-n", "20"):
-            "fec1d5e5ab8e4d43ebe272ae2441de5f6b9e6bdacdb39275c0b117c55c484bb0",
         ("table", "sn", "--max-dim", "100000", "--json"):
             "5eff01ab10446d2bb9144cfcb54c4ab416a3def0edb2eb9f3320464c135afac6",
         ("table", "an", "--max-dim", "100000", "--json"):
             "44694eb93f14558a51167a779141fc1b38b503adc2eb49692ec5d4a2a34a9216",
+        **{
+            ("search-isoclinic", "--max-n", n): digest
+            for n, digest in json.loads(SEARCH_DIGESTS.read_text())["sha256"].items()
+        },
     }
 
     @pytest.mark.parametrize("argv", GOLDEN_SHA256)

@@ -1,4 +1,5 @@
 import ast
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -36,12 +37,20 @@ from symfusion import (
 )
 import symfusion
 from symfusion import altrep, symrep
-from symfusion.constructions import _transition_measure, alternating_shapes
+from symfusion import constructions as cons
+from symfusion.constructions import (
+    ExactIsoclinicCertificate,
+    _corners,
+    _isoclinic,
+    _transition_measure,
+    alternating_shapes,
+)
 from symfusion.errors import (
     BadTransversalError,
     ConstraintViolationError,
     DivisibilityViolatedError,
     EnsembleFormatError,
+    InconsistentFamilyError,
     NotTransposeClosedError,
     ResourceLimitError,
     StepConstraintViolatedError,
@@ -353,7 +362,125 @@ class TestSearch:
                 assert ((str(mu), 1) in found) == holds
 
 
+def _diagram_sums(mu, delta):
+    """Covers, weights, the picks of L_delta, its box sums and its verdict, from the
+    diagram: contents from up_set and removable_boxes, Fraction weights and sums,
+    and the sign rule checked for the given parity on its own."""
+    covers = up_set(mu)
+    xs = [box.superdiagonal for _lam, box in covers]
+    ys = [box.superdiagonal for box in removable_boxes(mu)]
+    weights = [Fraction(prod(x - y for y in ys), prod(x - z for z in xs if z != x)) for x in xs]
+    picks = range(1 - delta, len(covers), 2)
+    sums = tuple(sum((weights[k] / (xs[k] - y) for k in picks), Fraction(0)) for y in ys)
+    beta = abs(sums[0])
+    holds = all(s == (beta, -beta)[(q + delta) % 2] for q, s in enumerate(sums, start=1))
+    return covers, weights, picks, sums, holds
+
+
+def _diagram_certificate(mu, delta):
+    """The full certificate record built on :func:`_diagram_sums`."""
+    covers, weights, picks, sums, holds = _diagram_sums(mu, delta)
+    n = mu.n + 1
+    d_mu = dimension(mu)
+    d_layers = int(sum(n * d_mu * weights[k] for k in picks))
+    beta = abs(sums[0]) if holds else None
+    beta_squared = beta * beta if holds else None
+    return ExactIsoclinicCertificate(
+        mu=mu,
+        delta=delta,
+        layers=tuple(covers[k][0] for k in picks),
+        s_values=sums,
+        holds=holds,
+        beta=beta,
+        beta_squared=beta_squared,
+        beta_squared_predicted=Fraction(d_layers * (n * d_mu - d_layers), d_mu * d_mu * n * n * (n - 1)),
+        d_layers=d_layers,
+        d_mu=d_mu,
+        n=n,
+        alpha=Fraction(n * n * d_mu * d_mu, d_layers * d_layers) * beta_squared if holds else None,
+    )
+
+
+def _two_certificate_search(max_n):
+    """The search as a loop over every mu and both parities, each judged on its own."""
+    return [
+        _diagram_certificate(mu, delta)
+        for n in range(2, max_n + 1)
+        for mu in partitions_of(n - 1)
+        for delta in (0, 1)
+        if _diagram_sums(mu, delta)[-1]
+    ]
+
+
+def _lines(certs):
+    return [json.dumps(c.to_json_dict(), sort_keys=True) for c in certs]
+
+
+class TestCornerData:
+    def test_corners_match_the_diagram_through_20(self):
+        for total in range(1, 21):
+            for mu in partitions_of(total):
+                xs, ys = _corners(mu.parts)
+                assert xs == tuple(box.superdiagonal for _lam, box in up_set(mu)), mu
+                assert ys == tuple(box.superdiagonal for box in removable_boxes(mu)), mu
+                # x_1 > y_1 > x_2 > ... > y_c > x_{c+1}
+                assert len(xs) == len(ys) + 1, mu
+                merged = [v for pair in zip(xs, ys) for v in pair] + [xs[-1]]
+                assert all(a > b for a, b in zip(merged, merged[1:])), mu
+                assert sum(_transition_measure(mu)[1]) == 1, mu
+
+    def test_certificates_match_the_diagram_rule_through_20(self):
+        for total in range(1, 21):
+            for mu in partitions_of(total):
+                for delta in (0, 1):
+                    cert = isoclinic_certificate(mu, delta)
+                    assert cert == _diagram_certificate(mu, delta), (mu, delta)
+                    assert cert.holds == _isoclinic(*_corners(mu.parts)), (mu, delta)
+                # every cover in L_0 lies below y_1, so beta = -s_1(L_0) is positive
+                assert isoclinic_certificate(mu, 0).s_values[0] < 0, mu
+
+    def test_search_matches_the_two_certificate_loop_through_26(self):
+        expected = _two_certificate_search(26)  # ordered by n: each max_n is a prefix
+        assert len(expected) == 378
+        for max_n in range(2, 27):
+            found = search_isoclinic(max_n)
+            prefix = [c for c in expected if c.n <= max_n]
+            assert found == prefix, max_n
+            assert _lines(found) == _lines(prefix), max_n
+
+    def test_search_certifies_only_the_hits(self, monkeypatch):
+        real = cons.isoclinic_certificate
+        calls = []
+        monkeypatch.setattr(
+            cons, "isoclinic_certificate", lambda mu, delta: calls.append((mu.parts, delta)) or real(mu, delta)
+        )
+        found = search_isoclinic(18)
+        holding = [mu.parts for n in range(2, 19) for mu in partitions_of(n - 1) if real(mu, 0).holds]
+        assert calls == [(parts, delta) for parts in holding for delta in (0, 1)]
+        assert [(c.mu.parts, c.delta) for c in found] == calls
+
+
 class TestFamilies:
+    @pytest.mark.parametrize("recipe, args", [
+        (three_part_family, (2, 1, 4, 1)),
+        (three_part_family, (1, 2, 4, 1)),
+        (three_part_family, (3, 1, 6, 1)),
+        (three_part_family, (2, 2, 8, 2)),
+        (four_part_family, (1, 1, 1)),
+        (four_part_family, (1, 2, 1)),
+    ])
+    def test_recipe_certifies_once_with_the_first_holding_parity(self, monkeypatch, recipe, args):
+        real = cons.isoclinic_certificate
+        calls = []
+        monkeypatch.setattr(cons, "isoclinic_certificate", lambda mu, delta: calls.append(delta) or real(mu, delta))
+        mu, cert = recipe(*args)
+        assert calls == [0]
+        assert cert == _diagram_certificate(mu, next(d for d in (0, 1) if _diagram_sums(mu, d)[-1]))
+
+    def test_non_isoclinic_recipe_output_is_inconsistent(self):
+        with pytest.raises(InconsistentFamilyError):
+            cons._first_holding(Partition((3, 1)))
+
     def test_three_part_example(self):
         mu, cert = three_part_family(2, 1, 4, 1)
         assert mu == Partition((7, 7, 4, 3, 3))
