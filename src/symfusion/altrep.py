@@ -10,13 +10,13 @@ split multi-layer constructions in half.
 On the word arrays of :mod:`tableaux` the associator is three arrays over
 Tab(lam): the index T, the partner T' (an entry's row in T' is its column in
 T) and the phase i^m sgn(g_T) (an inversion parity of reading words).  Every
-eigenbasis builder scatters from them; tableau objects are built only where
-a function returns one.
+eigenbasis builder scatters from them.  Tab_*(nu), the half of Tab(nu) that
+indexes an eigenspace basis, is the set of words with the entry 2 in row 0.
 
 Reference tableaux: the base point is the row superstandard tableau of the
 "small" symmetric shape (even number of distinct parts); shapes covering it
-use its embedding.  The scalars i^m are real exactly when m is even, which is
-what the field selection rule encodes.
+use its embedding.  Both are kept as row words.  The scalars i^m are real
+exactly when m is even, which is what the field selection rule encodes.
 """
 
 from __future__ import annotations
@@ -42,16 +42,13 @@ from .symrep import _generator_action, adjacent_transposition_matrix
 from .tableaux import (
     Box,
     Partition,
-    StandardTableau,
     added_row,
     diagonal_count,
     dimension,
     down_offset,
-    enumerate_standard_tableaux,
     is_symmetric,
     remove_box,
     tableau_contents,
-    tableau_from_word,
     tableau_words,
     transpose,
     up_set,
@@ -86,10 +83,13 @@ def i_power(m: int):
 
 
 def _reference_word(lam: Partition, mu: Partition | None) -> np.ndarray:
-    """Row word of the reference tableau of lam (of the family over mu if given):
-    the row superstandard word of the base shape, then the row of the box lam
-    adds to it.  Without mu the base is lam itself or, for an odd number of
-    distinct parts, lam minus its diagonal corner."""
+    """Row word of the reference tableau of lam, in the family over mu if given.
+
+    A family member is the row superstandard word of mu, then the row of the
+    box lam adds to it.  Without mu, a symmetric lam with an even number of
+    distinct parts ("small") takes its own row superstandard word, and one with
+    an odd count ("big") is the family member over lam minus its diagonal corner.
+    """
     if mu is None:
         if not is_symmetric(lam):
             raise NotSymmetricError(f"{lam!r} is not symmetric")
@@ -98,36 +98,6 @@ def _reference_word(lam: Partition, mu: Partition | None) -> np.ndarray:
         p = diagonal_count(lam)
         mu = remove_box(lam, Box(p, p))
     return np.append(np.repeat(np.arange(len(mu)), mu.parts), added_row(mu, lam))
-
-
-def reference_tableau(kappa: Partition) -> StandardTableau:
-    """The distinguished tableau of a symmetric shape.
-
-    Shapes with an even number of distinct parts ("small") use the row
-    superstandard filling; shapes with an odd count ("big") embed the row
-    superstandard filling of the shape with the diagonal corner removed.
-    """
-    return tableau_from_word(_reference_word(kappa, None).tolist())
-
-
-def family_reference_tableau(mu: Partition, lam: Partition) -> StandardTableau:
-    """Reference tableau of lam in the family over symmetric mu: embed T_mu."""
-    return tableau_from_word(_reference_word(lam, mu).tolist())
-
-
-def reference_permutation(T: StandardTableau, reference: StandardTableau) -> Permutation:
-    """The unique g with g * reference = T (entrywise relabeling)."""
-    if T.shape != reference.shape:
-        raise ShapeMismatchError("tableaux must share a shape")
-    images = [0] * T.n
-    for ref_row, t_row in zip(reference.rows, T.rows):
-        for src, dst in zip(ref_row, t_row):
-            images[src - 1] = dst
-    return Permutation(images)
-
-
-def reference_permutation_sign(T: StandardTableau, reference: StandardTableau) -> int:
-    return reference_permutation(T, reference).sign
 
 
 @lru_cache(maxsize=256)
@@ -162,23 +132,16 @@ def _transpose_index(lam: Partition) -> np.ndarray:
 
 
 def _stars(nu: Partition) -> np.ndarray:
-    """Canonical indices of tab_star(nu): the words with entry 2 in row 0."""
+    """Canonical indices of Tab_*(nu): the words with entry 2 in row 0.
+
+    Tab_*(nu) holds exactly one tableau of each transpose pair, so its size is
+    dimension(nu) / 2.
+    """
     if not is_symmetric(nu):
         raise NotSymmetricError(f"{nu!r} is not symmetric")
     if nu.n < 2:
-        raise DegenerateShapeError("tab_star needs at least two boxes")
+        raise DegenerateShapeError("Tab_* needs at least two boxes")
     return np.flatnonzero(tableau_words(nu)[:, 1] == 0)
-
-
-def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:
-    """Standard tableaux of symmetric shape nu with the entry 2 in box (1, 2).
-
-    Contains exactly one tableau from each transpose pair, so its size is
-    dimension(nu) / 2.
-    """
-    stars = _stars(nu)
-    tableaux = enumerate_standard_tableaux(nu)
-    return tuple(tableaux[i] for i in stars)
 
 
 def _w_basis(rows: int, index: np.ndarray, partner: np.ndarray, phase: np.ndarray, m: int) -> np.ndarray:
@@ -206,7 +169,7 @@ def associator_unitary(nu: Partition) -> np.ndarray:
 def eigenspace_injection(nu: Partition, eps) -> np.ndarray:
     """Isometry whose columns are the eigenbasis w_T = (v_T + eps i^m sgn(g_T) v_{T'})/sqrt(2).
 
-    Columns are indexed by tab_star(nu); the matrix maps the eps-eigenspace
+    Columns are indexed by Tab_*(nu); the matrix maps the eps-eigenspace
     coordinates into the ambient Tab(nu) basis.
     """
     sign = _eps_sign(eps)
@@ -217,7 +180,7 @@ def eigenspace_injection(nu: Partition, eps) -> np.ndarray:
 
 
 def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
-    """Matrix of the eps-eigenspace representation at s_1 s_k, on the tab_star basis.
+    """Matrix of the eps-eigenspace representation at s_1 s_k, on the Tab_* basis.
 
     For k >= 3 this is the Tab_* x Tab_* sub-block of pi_nu(s_k).  For k = 2
     the diagonal holds 1/D_T(3,2) and the only off-diagonal entries sit at
@@ -237,7 +200,7 @@ def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
         return M if m % 2 == 0 else M.astype(complex)
     diag, off, partner = _generator_action(nu, 2)
     phase = sign * i_power(m) * _sign_vector(nu, None)
-    # s_2 T' is standard exactly when |D_T(3,2)| >= 2, i.e. off > 0, and lies in tab_star
+    # s_2 T' is standard exactly when |D_T(3,2)| >= 2, i.e. off > 0, and lies in Tab_*
     moves = off[stars] > 0
     targets = np.searchsorted(stars, partner[_transpose_index(nu)[stars[moves]]])
     cols = np.arange(len(stars))
@@ -304,7 +267,7 @@ def pair_branching_isometry(lam: Partition, mu: Partition, eps) -> np.ndarray:
     """Isometry from the mu eigenspace into the {lam, lam'} eigenspace, w-bases.
 
     Rows are indexed by Tab(lam) (the eigenbasis of the pair space), columns by
-    tab_star(mu).  Column R carries 1/sqrt(2) at R^lam and
+    Tab_*(mu).  Column R carries 1/sqrt(2) at R^lam and
     eps i^m sgn(g_R)/sqrt(2) at (R')^lam.
     """
     _check_family_mu(mu)
@@ -319,11 +282,11 @@ def pair_branching_isometry(lam: Partition, mu: Partition, eps) -> np.ndarray:
 
 
 def symmetric_branching_isometry(nu: Partition, mu: Partition, eps) -> np.ndarray:
-    """Isometry from the mu eigenspace into the nu eigenspace, tab_star bases.
+    """Isometry from the mu eigenspace into the nu eigenspace, Tab_* bases.
 
     nu must be symmetric with an odd number of distinct parts and mu its
     symmetric predecessor (nu minus the diagonal corner).  Embedding preserves
-    membership in tab_star, so the matrix is a 0/1 column selector.
+    membership in Tab_*, so the matrix is a 0/1 column selector.
     """
     _eps_sign(eps)
     if not is_symmetric(nu):
@@ -344,7 +307,7 @@ def layer_eigenbasis(mu: Partition, layers: tuple[Partition, ...], eps) -> np.nd
     Returns the (sum of layer dimensions) x (half that) matrix whose columns
     express the w-basis in the concatenated Tab(lam) coordinates, lam running
     over ``layers`` in their given order.  The symmetric layer (if present)
-    contributes tab_star columns; each transpose pair contributes Tab(lam)
+    contributes Tab_* columns; each transpose pair contributes Tab(lam)
     columns for its first-listed member.
     """
     _check_family_mu(mu)

@@ -5,6 +5,7 @@ Exit status contract: 0 completed; 2 user/argument error; 3 resource cap;
 Options --tolerance and --max-dim also resolve from environment variables
 (SYMFUSION_TOLERANCE, SYMFUSION_MAX_DIM) and from a JSON config file
 (--config PATH or SYMFUSION_CONFIG), with precedence flag > env > file.
+A dimension cap below 0, from any of them, is a user error.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ def _resolve_tolerance(args, config: dict) -> float:
     return _check_tolerance(_resolve(args.tolerance, "SYMFUSION_TOLERANCE", config, "tolerance", DEFAULT_TOL, float))
 
 
+def _check_cap(cap: int, name: str) -> int:
+    """A dimension cap must be at least 0; a cap of 0 admits nothing."""
+    if cap < 0:
+        raise SymfusionError(f"invalid {name} {cap}: a dimension cap must be at least 0")
+    return cap
+
+
+def _resolve_max_dim(args, config: dict, default: int) -> int:
+    """--max-dim from flag, env or config, checked as a cap."""
+    return _check_cap(_resolve(args.max_dim, "SYMFUSION_MAX_DIM", config, "max_dim", default, int), "max_dim")
+
+
 def _fail(exc: Exception, code: int) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(payload), file=sys.stderr)
@@ -127,7 +140,7 @@ def _emit_ensemble(e: FusionEnsemble, report, args) -> None:
 
 def cmd_construct(args, config) -> int:
     tol = _resolve_tolerance(args, config)
-    max_dim = _resolve(args.max_dim, "SYMFUSION_MAX_DIM", config, "max_dim", cons.DEFAULT_MAX_DIM, int)
+    max_dim = _resolve_max_dim(args, config, cons.DEFAULT_MAX_DIM)
     kind = args.kind
     mu = layers = None
     try:
@@ -155,6 +168,8 @@ def cmd_construct(args, config) -> int:
                 e = cons.single_layer_ensemble(lam, mu, transversal=ts, tol=tol, max_dim=max_dim)
                 layers = (lam,)
             else:
+                if args.layers is not None and args.delta is not None:
+                    raise SymfusionError("give --delta or --layers, not both")
                 if args.layers is not None:
                     try:
                         idx = tuple(int(t) for t in args.layers.split(","))
@@ -202,10 +217,11 @@ def cmd_search(args, config) -> int:
 
 
 def cmd_table(args, config) -> int:
-    max_dim = _resolve(args.max_dim, "SYMFUSION_MAX_DIM", config, "max_dim", 500, int)
+    max_dim = _resolve_max_dim(args, config, 500)
+    certify_max_dim = _check_cap(args.certify_max_dim, "certify_max_dim")
     rows = cons.sn_table(max_dim) if args.group == "sn" else cons.an_table(max_dim)
-    if args.certify_max_dim:
-        rows = [_certify_row(row, args.certify_max_dim) for row in rows]
+    if certify_max_dim:
+        rows = [_certify_row(row, certify_max_dim) for row in rows]
     if args.json:
         print(json.dumps([row.to_json_dict() for row in rows], indent=1))
         return EXIT_OK

@@ -19,18 +19,6 @@ class NonPositivePartError(SymfusionError, ValueError):
     """Partition contains a part < 1 (or no parts at all)."""
 
 
-class BoxOutsideDiagramError(SymfusionError, ValueError):
-    """Referenced box does not lie in the Young diagram."""
-
-
-class NotStandardError(SymfusionError, ValueError):
-    """Tableau filling is not standard."""
-
-
-class EntryOutOfRangeError(SymfusionError, ValueError):
-    """Tableau entry index outside 1..n."""
-
-
 class NotInUpSetError(SymfusionError, ValueError):
     """Target shape is not obtained from the given shape by adding one box."""
 

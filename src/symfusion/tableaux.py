@@ -3,12 +3,10 @@
 Boxes are indexed like matrix entries, 1-based, rows top to bottom and columns
 left to right.  All values here are immutable and hashable, so they can be
 shared freely across threads and used as cache keys by the representation
-layer.  The representation layer reads Tab(lam) as read-only arrays: one
-row-index word per tableau (:func:`tableau_words`) and its contents
-(:func:`tableau_contents`); :class:`StandardTableau` objects are built from
-those words only on request.  Dimensions are exact Python integers (they
-overflow fixed-width types quickly: ``dimension(Partition((7, 7, 4, 3, 3)))``
-is 11,660,320,672).
+layer.  Tab(lam) has one encoding, as read-only arrays: one row-index word
+per tableau (:func:`tableau_words`) and its contents (:func:`tableau_contents`).
+Dimensions are exact Python integers (they overflow fixed-width types
+quickly: ``dimension(Partition((7, 7, 4, 3, 3)))`` is 11,660,320,672).
 """
 
 from __future__ import annotations
@@ -22,13 +20,10 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import (
-    BoxOutsideDiagramError,
-    EntryOutOfRangeError,
     NonPositivePartError,
     NotInDownSetError,
     NotInUpSetError,
     NotNonincreasingError,
-    NotStandardError,
     ParseError,
 )
 
@@ -98,17 +93,6 @@ class Partition:
         return cls(parts)
 
 
-def contains(lam: Partition, box: Box | tuple[int, int]) -> bool:
-    row, col = box
-    return 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]
-
-
-def boxes(lam: Partition) -> Iterator[Box]:
-    for i, part in enumerate(lam, start=1):
-        for j in range(1, part + 1):
-            yield Box(i, j)
-
-
 def transpose(lam: Partition) -> Partition:
     """Reflect the diagram across its main diagonal."""
     return Partition(
@@ -123,16 +107,6 @@ def is_symmetric(lam: Partition) -> bool:
 def diagonal_count(lam: Partition) -> int:
     """Number of boxes on the main diagonal, max{i : lam_i >= i}."""
     return sum(1 for i, p in enumerate(lam, start=1) if p >= i)
-
-
-def hook_length(lam: Partition, box: Box | tuple[int, int]) -> int:
-    """Boxes at-or-right of ``box`` in its row plus strictly below in its column."""
-    if not contains(lam, box):
-        raise BoxOutsideDiagramError(f"box {tuple(box)} outside diagram of {lam!r}")
-    row, col = box
-    arm = lam[row - 1] - col
-    leg = sum(1 for p in lam.parts[row:] if p >= col)
-    return arm + leg + 1
 
 
 def hook_product(lam: Partition) -> int:
@@ -223,121 +197,6 @@ def partitions_of(n: int) -> Iterator[Partition]:
     return map(Partition, partition_parts(n))
 
 
-class StandardTableau:
-    """A bijective filling of a Young diagram, increasing along rows and columns.
-
-    Entries are stored both as a row grid and as an inverse map entry -> box,
-    so axial distances are O(1) lookups.
-    """
-
-    __slots__ = ("rows", "shape", "_box_of", "_content")
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        grid = tuple(tuple(int(v) for v in row) for row in rows)
-        shape = Partition(len(row) for row in grid)
-        n = shape.n
-        positions: list[Box | None] = [None] * n
-        for i, row in enumerate(grid, start=1):
-            for j, v in enumerate(row, start=1):
-                if not 1 <= v <= n:
-                    raise NotStandardError(f"entry {v} outside 1..{n}")
-                if positions[v - 1] is not None:
-                    raise NotStandardError(f"entry {v} repeated")
-                positions[v - 1] = Box(i, j)
-        for i, row in enumerate(grid):
-            for j, v in enumerate(row):
-                if j + 1 < len(row) and v >= row[j + 1]:
-                    raise NotStandardError("rows must increase left to right")
-                if i + 1 < len(grid) and j < len(grid[i + 1]) and v >= grid[i + 1][j]:
-                    raise NotStandardError("columns must increase top to bottom")
-        self.rows = grid
-        self.shape = shape
-        self._box_of = tuple(positions)  # type: ignore[arg-type]
-        self._content: tuple[int, ...] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.shape.n
-
-    def box_of(self, entry: int) -> Box:
-        if not 1 <= entry <= self.n:
-            raise EntryOutOfRangeError(f"entry {entry} outside 1..{self.n}")
-        return self._box_of[entry - 1]
-
-    def entry(self, box: Box | tuple[int, int]) -> int:
-        if not contains(self.shape, box):
-            raise BoxOutsideDiagramError(f"box {tuple(box)} outside {self.shape!r}")
-        row, col = box
-        return self.rows[row - 1][col - 1]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, StandardTableau) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return "\n".join("|" + "|".join(map(str, row)) + "|" for row in self.rows)
-
-    def to_lists(self) -> list[list[int]]:
-        """Row-major nested lists, the JSON serialization of a tableau."""
-        return [list(row) for row in self.rows]
-
-
-def content(T: StandardTableau) -> tuple[int, ...]:
-    """Superdiagonal positions of the entries 1..n, in entry order."""
-    if T._content is None:
-        T._content = tuple(b.superdiagonal for b in T._box_of)
-    return T._content
-
-
-def axial_distance(T: StandardTableau, i: int, j: int) -> int:
-    """Content difference between entries ``i`` and ``j`` of ``T``."""
-    c = content(T)
-    if not (1 <= i <= T.n and 1 <= j <= T.n):
-        raise EntryOutOfRangeError(f"entries {i}, {j} must lie in 1..{T.n}")
-    return c[i - 1] - c[j - 1]
-
-
-def apply_adjacent_transposition(T: StandardTableau, k: int) -> StandardTableau | None:
-    """Swap entries k and k+1 of ``T`` if the result is standard, else None.
-
-    The result is standard exactly when |axial_distance(T, k+1, k)| >= 2,
-    i.e. when the two entries are neither row- nor column-adjacent.
-    """
-    if not 1 <= k <= T.n - 1:
-        raise EntryOutOfRangeError(f"k = {k} outside 1..{T.n - 1}")
-    if abs(axial_distance(T, k + 1, k)) < 2:
-        return None
-    a = T.box_of(k)
-    b = T.box_of(k + 1)
-    grid = [list(row) for row in T.rows]
-    grid[a.row - 1][a.col - 1] = k + 1
-    grid[b.row - 1][b.col - 1] = k
-    return StandardTableau(grid)
-
-
-def embed(R: StandardTableau, lam: Partition) -> StandardTableau:
-    """Add the box lam - shape(R) to ``R`` and fill it with n = |lam|."""
-    return tableau_from_word([box.row - 1 for box in R._box_of] + [added_row(R.shape, lam)])
-
-
-def transpose_tableau(T: StandardTableau) -> StandardTableau:
-    cols = transpose(T.shape)
-    grid = [[T.rows[i][j] for i in range(cols[j])] for j in range(len(cols))]
-    return StandardTableau(grid)
-
-
-def row_superstandard(lam: Partition) -> StandardTableau:
-    """The tableau whose rows list 1, 2, 3, ... left to right, top to bottom."""
-    return tableau_from_word([row for row, part in enumerate(lam) for _ in range(part)])
-
-
-def canonical_key(T: StandardTableau) -> tuple[int, ...]:
-    """Sort key for the canonical basis order: (row of n, row of n-1, ..., row of 1)."""
-    return tuple(T._box_of[e].row for e in range(T.n - 1, -1, -1))
-
-
 @lru_cache(maxsize=None)
 def tableau_words(lam: Partition) -> np.ndarray:
     """Read-only (d, n) array: row t lists the 0-based rows of entries 1..n in
@@ -390,23 +249,3 @@ def down_offset(lam: Partition, mu: Partition) -> int:
     if mu not in children:
         raise NotInDownSetError(f"{mu!r} is not obtained from {lam!r} by removing a box")
     return sum(map(dimension, children[: children.index(mu)]))
-
-
-def tableau_from_word(word: list[int]) -> StandardTableau:
-    """The tableau whose entry e sits in the 0-based row ``word[e - 1]``."""
-    grid: list[list[int]] = [[] for _ in range(max(word) + 1)]
-    for entry, row in enumerate(word, start=1):
-        grid[row].append(entry)
-    return StandardTableau(grid)
-
-
-@lru_cache(maxsize=None)
-def enumerate_standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
-    """All standard tableaux of shape ``lam``, in the order of :func:`tableau_words`."""
-    return tuple(map(tableau_from_word, tableau_words(lam).tolist()))
-
-
-@lru_cache(maxsize=None)
-def tableau_index(lam: Partition) -> dict[StandardTableau, int]:
-    """Position of every standard tableau of shape ``lam`` in the canonical order."""
-    return {T: i for i, T in enumerate(enumerate_standard_tableaux(lam))}

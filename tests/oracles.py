@@ -1,0 +1,182 @@
+"""Standard tableaux as objects: the tests' reference for the word arrays.
+
+The package reads Tab(lam) only as the arrays :func:`symfusion.tableaux.tableau_words`
+and :func:`symfusion.tableaux.tableau_contents`.  This module keeps the
+textbook picture beside them, a validated grid of entries with its box map,
+so the tests can state each array, index and sign by its definition on
+tableaux and compare.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Iterable, Iterator
+
+from symfusion import altrep
+from symfusion.permutations import Permutation
+from symfusion.tableaux import Box, Partition, added_row, tableau_words, transpose
+
+
+class NotStandardError(ValueError):
+    """Tableau filling is not standard."""
+
+
+class BoxOutsideDiagramError(ValueError):
+    """Referenced box does not lie in the Young diagram."""
+
+
+class StandardTableau:
+    """A bijective filling of a Young diagram, increasing along rows and columns."""
+
+    __slots__ = ("rows", "shape", "_box_of")
+
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        grid = tuple(tuple(int(v) for v in row) for row in rows)
+        shape = Partition(len(row) for row in grid)
+        n = shape.n
+        positions: list[Box | None] = [None] * n
+        for i, row in enumerate(grid, start=1):
+            for j, v in enumerate(row, start=1):
+                if not 1 <= v <= n:
+                    raise NotStandardError(f"entry {v} outside 1..{n}")
+                if positions[v - 1] is not None:
+                    raise NotStandardError(f"entry {v} repeated")
+                positions[v - 1] = Box(i, j)
+        for i, row in enumerate(grid):
+            for j, v in enumerate(row):
+                if j + 1 < len(row) and v >= row[j + 1]:
+                    raise NotStandardError("rows must increase left to right")
+                if i + 1 < len(grid) and j < len(grid[i + 1]) and v >= grid[i + 1][j]:
+                    raise NotStandardError("columns must increase top to bottom")
+        self.rows = grid
+        self.shape = shape
+        self._box_of = tuple(positions)
+
+    @property
+    def n(self) -> int:
+        return self.shape.n
+
+    def box_of(self, entry: int) -> Box:
+        return self._box_of[entry - 1]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, StandardTableau) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return "\n".join("|" + "|".join(map(str, row)) + "|" for row in self.rows)
+
+    def to_lists(self) -> list[list[int]]:
+        """Row-major nested lists, the JSON serialization of a tableau."""
+        return [list(row) for row in self.rows]
+
+
+def boxes(lam: Partition) -> Iterator[Box]:
+    for i, part in enumerate(lam, start=1):
+        for j in range(1, part + 1):
+            yield Box(i, j)
+
+
+def hook_length(lam: Partition, box: Box | tuple[int, int]) -> int:
+    """Boxes at-or-right of ``box`` in its row plus strictly below in its column."""
+    row, col = box
+    if not (1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
+        raise BoxOutsideDiagramError(f"box {tuple(box)} outside diagram of {lam!r}")
+    arm = lam[row - 1] - col
+    leg = sum(1 for p in lam.parts[row:] if p >= col)
+    return arm + leg + 1
+
+
+def content(T: StandardTableau) -> tuple[int, ...]:
+    """Superdiagonal positions of the entries 1..n, in entry order."""
+    return tuple(b.superdiagonal for b in T._box_of)
+
+
+def axial_distance(T: StandardTableau, i: int, j: int) -> int:
+    """Content difference between entries ``i`` and ``j`` of ``T``."""
+    c = content(T)
+    return c[i - 1] - c[j - 1]
+
+
+def apply_adjacent_transposition(T: StandardTableau, k: int) -> StandardTableau | None:
+    """Swap entries k and k+1 of ``T`` if the result is standard, else None.
+
+    The result is standard exactly when |axial_distance(T, k+1, k)| >= 2,
+    i.e. when the two entries are neither row- nor column-adjacent.
+    """
+    if abs(axial_distance(T, k + 1, k)) < 2:
+        return None
+    a = T.box_of(k)
+    b = T.box_of(k + 1)
+    grid = [list(row) for row in T.rows]
+    grid[a.row - 1][a.col - 1] = k + 1
+    grid[b.row - 1][b.col - 1] = k
+    return StandardTableau(grid)
+
+
+def _from_word(word: list[int]) -> StandardTableau:
+    """The tableau whose entry e sits in the 0-based row ``word[e - 1]``."""
+    grid: list[list[int]] = [[] for _ in range(max(word) + 1)]
+    for entry, row in enumerate(word, start=1):
+        grid[row].append(entry)
+    return StandardTableau(grid)
+
+
+def embed(R: StandardTableau, lam: Partition) -> StandardTableau:
+    """Add the box lam - shape(R) to ``R`` and fill it with n = |lam|."""
+    return _from_word([box.row - 1 for box in R._box_of] + [added_row(R.shape, lam)])
+
+
+def transpose_tableau(T: StandardTableau) -> StandardTableau:
+    cols = transpose(T.shape)
+    grid = [[T.rows[i][j] for i in range(cols[j])] for j in range(len(cols))]
+    return StandardTableau(grid)
+
+
+def row_superstandard(lam: Partition) -> StandardTableau:
+    """The tableau whose rows list 1, 2, 3, ... left to right, top to bottom."""
+    return _from_word([row for row, part in enumerate(lam) for _ in range(part)])
+
+
+def canonical_key(T: StandardTableau) -> tuple[int, ...]:
+    """Sort key for the canonical basis order: (row of n, row of n-1, ..., row of 1)."""
+    return tuple(T._box_of[e].row for e in range(T.n - 1, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def enumerate_standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
+    """All standard tableaux of shape ``lam``, in the order of :func:`tableau_words`."""
+    return tuple(map(_from_word, tableau_words(lam).tolist()))
+
+
+@lru_cache(maxsize=None)
+def tableau_index(lam: Partition) -> dict[StandardTableau, int]:
+    """Position of every standard tableau of shape ``lam`` in the canonical order."""
+    return {T: i for i, T in enumerate(enumerate_standard_tableaux(lam))}
+
+
+def reference_tableau(kappa: Partition) -> StandardTableau:
+    """The distinguished tableau of a symmetric shape, from the package's reference word."""
+    return _from_word(altrep._reference_word(kappa, None).tolist())
+
+
+def family_reference_tableau(mu: Partition, lam: Partition) -> StandardTableau:
+    """Reference tableau of lam in the family over symmetric mu, from the package's word."""
+    return _from_word(altrep._reference_word(lam, mu).tolist())
+
+
+def reference_permutation_sign(T: StandardTableau, reference: StandardTableau) -> int:
+    """Sign of the unique g with g * reference = T (entrywise relabeling)."""
+    images = [0] * T.n
+    for ref_row, t_row in zip(reference.rows, T.rows):
+        for src, dst in zip(ref_row, t_row):
+            images[src - 1] = dst
+    return Permutation(images).sign
+
+
+def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:
+    """Tab_*(nu) as objects, at the package's canonical indices of it."""
+    tableaux = enumerate_standard_tableaux(nu)
+    return tuple(tableaux[i] for i in altrep._stars(nu))

@@ -25,7 +25,6 @@ from symfusion import (
     dimension,
     distance_condition,
     down_set,
-    enumerate_standard_tableaux,
     fusion_gram,
     isoclinic_certificate,
     naimark_complement,
@@ -36,12 +35,10 @@ from symfusion import (
     single_layer_shapes,
     tightness_residual,
     transpose,
-    transpose_tableau,
     up_set,
 )
 from symfusion.altrep import (
     eigenspace_injection,
-    family_reference_tableau,
     half_offdiagonal_count,
     layer_eigenbasis,
 )
@@ -49,6 +46,8 @@ from symfusion.constructions import alternating_shapes
 from symfusion.fusion import _ct
 from symfusion.permutations import an_pair_generators
 from itertools import combinations
+
+from oracles import enumerate_standard_tableaux, family_reference_tableau, reference_permutation_sign, transpose_tableau
 
 # Table rows reproduced at desk scale: (d, r, n, alpha, family kind, a, b, c)
 SN_ROWS = [
@@ -227,7 +226,7 @@ def test_criterion_6_representation_property_suite():
 
     # A_n suite for nu = (3,2,1)
     nu = Partition((3, 2, 1))
-    from symfusion import an_rep_matrix, associator_unitary, reference_permutation_sign
+    from symfusion import an_rep_matrix, associator_unitary
 
     U = associator_unitary(nu)
     assert np.max(np.abs(U @ U - np.eye(16))) <= tol

@@ -5,32 +5,23 @@ from symfusion import (
     Box,
     Partition,
     Permutation,
-    StandardTableau,
     an_generator_matrix,
     an_rep_matrix,
     associator_unitary,
     dimension,
     eigenspace_injection,
-    embed,
-    enumerate_standard_tableaux,
     field_for,
     pair_associator_unitary,
     pair_branching_isometry,
     partitions_of,
-    reference_permutation_sign,
-    reference_tableau,
     rep_matrix,
-    row_superstandard,
     symmetric_branching_isometry,
-    tab_star,
     transpose,
-    transpose_tableau,
     up_set,
 )
 from symfusion import altrep
 from symfusion import constructions as cons
 from symfusion.altrep import (
-    family_reference_tableau,
     half_offdiagonal_count,
     i_power,
     layer_eigenbasis,
@@ -43,7 +34,22 @@ from symfusion.errors import (
     SymmetricLambdaError,
     TooSmallError,
 )
-from symfusion.tableaux import is_symmetric, tableau_index
+from symfusion.tableaux import is_symmetric
+
+from oracles import (
+    StandardTableau,
+    apply_adjacent_transposition,
+    axial_distance,
+    embed,
+    enumerate_standard_tableaux,
+    family_reference_tableau,
+    reference_permutation_sign,
+    reference_tableau,
+    row_superstandard,
+    tab_star,
+    tableau_index,
+    transpose_tableau,
+)
 
 TOL = 1e-9
 
@@ -96,8 +102,6 @@ class TestReference:
         assert reference_permutation_sign(ref, ref) == 1
 
     def test_sign_of_single_swap(self):
-        from symfusion import apply_adjacent_transposition
-
         ref = reference_tableau(Partition((3, 2, 1)))
         swapped = apply_adjacent_transposition(ref, 5)
         assert swapped is not None
@@ -213,8 +217,6 @@ class TestGeneratorMatrices:
     def test_k_2_diagonal_entries(self):
         nu = Partition((3, 2, 1))
         M = an_generator_matrix(nu, "+", 2)
-        from symfusion import axial_distance
-
         for c, T in enumerate(tab_star(nu)):
             assert abs(M[c, c] - 1.0 / axial_distance(T, 3, 2)) < TOL
 
@@ -537,7 +539,7 @@ class TestArrayLayer:
             symmetric_branching_isometry(nu, mu, eps)
             layer_eigenbasis(mu, tuple(l for l, _ in up_set(mu)), eps)
         assert built == []
-        tab_star(nu)  # the guard is live: the user surface does build tableaux
+        tab_star(nu)  # the guard is live: the oracle does build tableaux
         assert built
 
 

@@ -13,6 +13,7 @@ from symfusion.ensemble_io import save_ensemble, to_json_dict
 
 
 SEARCH_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "search_sha256.json"
+SINGLE_LAYER = ("construct", "single-layer", "--lambda", "3,2", "--mu", "2,2")
 
 
 def run(capsys, *argv):
@@ -387,6 +388,60 @@ class TestBadInput:
         assert error["error"] == "EnsembleFormatError"
         assert "non-finite" in error["message"]
 
+    @pytest.mark.parametrize("kind", ["multi-layer", "alternating"])
+    def test_layers_and_delta_together_are_user_error(self, capsys, kind):
+        # the layers come from one flag; with both, one of them would go unread
+        code, stdout, stderr = run(
+            capsys, "construct", kind, "--mu", "2,1", "--layers", "0", "--delta", "1",
+        )
+        assert (code, stdout) == (2, "")
+        error = json.loads(stderr)
+        assert error["error"] == "SymfusionError"
+        assert "--delta" in error["message"] and "--layers" in error["message"]
+
+
+def cap_id(argv):
+    return "-".join(argv[:2])
+
+
+class TestNegativeCaps:
+    """A cap below 0 exits 2 whichever route sets it; a cap of 0 admits nothing."""
+
+    def assert_cap_error(self, result, name):
+        code, stdout, stderr = result
+        assert (code, stdout) == (2, "")
+        error = json.loads(stderr)
+        assert error["error"] == "SymfusionError"
+        assert name in error["message"] and "at least 0" in error["message"]
+
+    @pytest.mark.parametrize("argv", [SINGLE_LAYER, ("table", "sn"), ("table", "an")], ids=cap_id)
+    def test_flag(self, capsys, argv):
+        self.assert_cap_error(run(capsys, *argv, "--max-dim", "-3"), "max_dim")
+
+    @pytest.mark.parametrize("argv", [SINGLE_LAYER, ("table", "sn")], ids=cap_id)
+    def test_env(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SYMFUSION_MAX_DIM", "-1")
+        self.assert_cap_error(run(capsys, *argv), "max_dim")
+
+    @pytest.mark.parametrize("argv", [SINGLE_LAYER, ("table", "sn")], ids=cap_id)
+    def test_config(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_dim": -1}))
+        self.assert_cap_error(run(capsys, "--config", str(cfg), *argv), "max_dim")
+
+    def test_certify_flag(self, capsys):
+        result = run(capsys, "table", "an", "--max-dim", "20", "--certify-max-dim", "-1")
+        self.assert_cap_error(result, "certify_max_dim")
+
+    def test_zero_keeps_its_meaning(self, capsys):
+        code, stdout, stderr = run(capsys, *SINGLE_LAYER, "--max-dim", "0")
+        assert (code, stdout) == (3, "")
+        assert json.loads(stderr)["error"] == "ResourceLimitError"
+        code, stdout, _ = run(capsys, "table", "sn", "--max-dim", "0", "--json")
+        assert (code, json.loads(stdout)) == (0, [])
+        code, stdout, _ = run(capsys, "table", "sn", "--max-dim", "20", "--certify-max-dim", "0", "--json")
+        assert code == 0 and all(row["certified"] is None for row in json.loads(stdout))
+
 
 def complex_file_data() -> dict:
     from symfusion.constructions import LayerSelection, alternating_ensemble, alternating_shapes
@@ -457,7 +512,6 @@ class TestMalformedEnsembleFile:
 
 
 UNREADABLE = {"bad_utf8": b"\xff\xfe{", "runaway_nesting": b"[" * 100000}
-SINGLE_LAYER = ("construct", "single-layer", "--lambda", "3,2", "--mu", "2,2")
 
 
 class TestUnreadableInputFile:

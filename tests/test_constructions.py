@@ -58,7 +58,9 @@ from symfusion.errors import (
 )
 from symfusion.permutations import Permutation, transversal_an, transversal_sn
 from symfusion.symrep import branching_isometry, rep_apply
-from symfusion.tableaux import box_axial_distance, boxes, down_set, hook_length, removable_boxes
+from symfusion.tableaux import box_axial_distance, down_set, removable_boxes
+
+from oracles import boxes, hook_length
 
 TOL = 1e-9
 

@@ -1,0 +1,61 @@
+"""The package's public surface, and the tableau objects kept out of it."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import symfusion
+from symfusion import altrep, errors, tableaux
+
+import oracles
+
+# The object tableau layer; it lives on only as the tests' reference in oracles.py.
+REMOVED = (
+    "StandardTableau",
+    "content",
+    "axial_distance",
+    "apply_adjacent_transposition",
+    "embed",
+    "transpose_tableau",
+    "row_superstandard",
+    "canonical_key",
+    "tableau_from_word",
+    "enumerate_standard_tableaux",
+    "tableau_index",
+    "hook_length",
+    "contains",
+    "boxes",
+    "reference_tableau",
+    "family_reference_tableau",
+    "reference_permutation",
+    "reference_permutation_sign",
+    "tab_star",
+    "NotStandardError",
+    "EntryOutOfRangeError",
+    "BoxOutsideDiagramError",
+)
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_all_names_resolve_once():
+    assert len(symfusion.__all__) == len(set(symfusion.__all__))
+    for name in symfusion.__all__:
+        assert getattr(symfusion, name) is not None, name
+
+
+@pytest.mark.parametrize("module", [symfusion, tableaux, altrep, errors], ids=lambda m: m.__name__)
+def test_object_layer_is_gone(module):
+    assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+def test_every_oracle_name_is_called_by_a_test():
+    sources = "\n".join(
+        path.read_text() for path in TESTS.glob("test_*.py") if path.name != Path(__file__).name
+    )
+    defined = [name for name, value in vars(oracles).items()
+               if not name.startswith("_") and getattr(value, "__module__", None) == oracles.__name__]
+    assert defined
+    unused = [name for name in defined if not re.search(rf"\b{name}\b", sources)]
+    assert unused == []

@@ -5,19 +5,22 @@ from symfusion import (
     Partition,
     Permutation,
     adjacent_transposition_matrix,
-    apply_adjacent_transposition,
-    axial_distance,
     branching_isometry,
     dimension,
     down_set,
-    embed,
-    enumerate_standard_tableaux,
     partitions_of,
     rep_matrix,
 )
 from symfusion.errors import IndexOutOfRangeError, NotInDownSetError, SizeMismatchError
 from symfusion.symrep import _generator_action, apply_generator, right_apply_generator
-from symfusion.tableaux import tableau_index
+
+from oracles import (
+    apply_adjacent_transposition,
+    axial_distance,
+    embed,
+    enumerate_standard_tableaux,
+    tableau_index,
+)
 
 TOL = 1e-9
 S3 = np.sqrt(3.0)

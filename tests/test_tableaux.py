@@ -6,35 +6,22 @@ from hypothesis import given, settings
 from symfusion import (
     Box,
     Partition,
-    StandardTableau,
-    apply_adjacent_transposition,
-    axial_distance,
-    content,
     diagonal_count,
     dimension,
     down_set,
-    embed,
-    enumerate_standard_tableaux,
-    hook_length,
     is_symmetric,
     partitions_of,
-    row_superstandard,
     transpose,
-    transpose_tableau,
     up_set,
 )
 from symfusion.errors import (
-    BoxOutsideDiagramError,
     NonPositivePartError,
     NotInUpSetError,
     NotNonincreasingError,
-    NotStandardError,
     ParseError,
     SymfusionError,
 )
 from symfusion.tableaux import (
-    boxes,
-    canonical_key,
     hook_product,
     removable_boxes,
     tableau_contents,
@@ -42,6 +29,21 @@ from symfusion.tableaux import (
 )
 
 from conftest import brute_force_standard_count, partition_strategy
+from oracles import (
+    BoxOutsideDiagramError,
+    NotStandardError,
+    StandardTableau,
+    apply_adjacent_transposition,
+    axial_distance,
+    boxes,
+    canonical_key,
+    content,
+    embed,
+    enumerate_standard_tableaux,
+    hook_length,
+    row_superstandard,
+    transpose_tableau,
+)
 
 FIG_T = StandardTableau([[1, 3, 5, 8], [2, 6], [4, 7]])  # shape (4,2,2)
 
