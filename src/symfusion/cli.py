@@ -129,10 +129,10 @@ def _check_destination(path: str) -> None:
 
 
 def _emit_ensemble(e: FusionEnsemble, report, args) -> None:
+    if getattr(args, "csv", None):  # first: it refuses a complex ensemble before opening a file
+        eio.save_synthesis_csv(e, args.csv)
     if args.out:
         eio.save_ensemble(e, args.out)
-    if getattr(args, "csv", None):
-        eio.save_synthesis_csv(e, args.csv)
     print(report.summary())
     if args.json:
         print(report.to_json())

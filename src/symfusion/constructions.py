@@ -5,7 +5,9 @@ S_n; multiple layers stack weighted branching isometries over a set L of
 shapes covering mu.  Exact rational certificates decide which selections give
 equi-isoclinic ensembles before (or instead of) building any matrices: the
 per-removable-box sums must share one magnitude with alternating signs, and
-only the two parity subsets L_0, L_1 of the covers can ever succeed.
+only the two parity subsets L_0, L_1 of the covers can ever succeed.  Every
+exact verdict comes from one integer kernel over mu's corner contents, the
+layer sums scaled by a Vandermonde; Fractions appear only in the records.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
+from operator import floordiv
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,11 +47,8 @@ from .permutations import (
 )
 from .symrep import branching_isometry, rep_apply, rep_matrix, right_apply_generator
 from .tableaux import (
-    Box,
     Partition,
-    box_axial_distance,
     dimension,
-    down_set,
     is_symmetric,
     partition_parts,
     transpose,
@@ -89,8 +89,7 @@ class LayerSelection:
     def from_delta(cls, mu: Partition, delta: int) -> "LayerSelection":
         if delta not in (0, 1):
             raise ConstraintViolationError("delta must be 0 or 1")
-        # 1-based position p goes to L_0 when p is even, L_1 when odd
-        return cls(mu, tuple(range(1 - delta, len(up_set(mu)), 2)))
+        return cls(mu, tuple(range(len(up_set(mu)))[_parity(delta)]))
 
     @classmethod
     def from_partitions(cls, mu: Partition, layers: Sequence[Partition]) -> "LayerSelection":
@@ -110,10 +109,8 @@ class LayerSelection:
     @property
     def delta(self) -> int | None:
         """0 or 1 when the selection is a canonical parity subset, else None."""
-        for delta in (0, 1):
-            if self.indices == LayerSelection.from_delta(self.mu, delta).indices:
-                return delta
-        return None
+        every = range(len(up_set(self.mu)))
+        return next((delta for delta in (0, 1) if self.indices == tuple(every[_parity(delta)])), None)
 
     @property
     def total_dimension(self) -> int:
@@ -125,10 +122,9 @@ class LayerSelection:
         return LayerSelection(self.mu, rest)
 
 
-def canonical_subsets(mu: Partition) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
-    """(L_0, L_1): covers of mu in even and odd 1-based positions respectively."""
-    covers = tuple(lam for lam, _ in up_set(mu))
-    return covers[1::2], covers[0::2]
+def _parity(delta: int) -> slice:
+    """The positions of L_delta among the covers: the even 1-based ones for L_0, the odd for L_1."""
+    return slice(1 - delta, None, 2)
 
 
 def _corners(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -140,52 +136,37 @@ def _corners(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return xs, tuple(parts[i - 1] - i for i in ends)
 
 
-def _scaled_weights(xs, ys, at) -> tuple[int, list[int]]:
-    """V = prod_{j<l} (x_j - x_l) > 0 and the integers V w at the contents ``at``, where
-    w = prod_i (x - y_i) / prod_{x_j != x} (x - x_j) = d_lam / (n d_mu) (Kerov 1993)."""
+def _scaled_sums(xs, ys, at):
+    """V = prod_{j<l} (x_j - x_l) > 0, the integers V w_k at the addable contents ``at``, where
+    w = prod_i (x - y_i) / prod_{x_j != x} (x - x_j) = d_lam / (n d_mu) (Kerov 1993), and lazily
+    the layer sums V s_q = sum_k V w_k / (x_k - y_q) over the removable contents y_q, with
+    x_k - y_q = D(lam_k - mu, box_q).  Each division is exact: x_k - y_q divides w_k's numerator."""
     v = prod([a - b for a, b in combinations(xs, 2)])
-    return v, [v // prod([x - z for z in xs if z != x]) * prod([x - y for y in ys]) for x in at]
+    vws = [v // prod([x - z for z in xs if z != x]) * prod([x - y for y in ys]) for x in at]
+    return v, vws, (sum(map(floordiv, vws, [x - y for x in at])) for y in ys)
 
 
 def _isoclinic(xs, ys) -> bool:
-    """Whether every (-1)^q s_q(L_0) is one beta, decided on the integers V s_q up to
-    the first box that differs; beta = -s_1 > 0, as L_0 lies below y_1.  Over all
-    covers the w_k / (x_k - y_q) sum to 0, so s(L_1) = -s(L_0): one test decides both."""
-    picks = xs[1::2]  # L_0: the even 1-based positions
-    terms = list(zip(picks, _scaled_weights(xs, ys, picks)[1]))
-    beta = -sum([vw // (x - ys[0]) for x, vw in terms])
-    return all(sum([vw // (x - y) for x, vw in terms]) == (beta if q % 2 else -beta) for q, y in enumerate(ys[1:], 1))
-
-
-def _transition_measure(mu: Partition):
-    """(covers, weights, addable, removable) of mu's Kerov transition measure: :func:`up_set`,
-    the exact weights d_lam / (n d_mu) in O(c^2) for c corners, and :func:`_corners`."""
-    xs, ys = _corners(mu.parts)
-    v, scaled = _scaled_weights(xs, ys, xs)
-    return up_set(mu), tuple(Fraction(vw, v) for vw in scaled), xs, ys
-
-
-def _box_sums(weights, xs, ys, picks: Sequence[int]) -> tuple[Fraction, ...]:
-    """For each removable content y, the sum over covers k in picks of
-    w_k / (x_k - y), where x_k - y is the axial distance D(lam_k - mu, box)."""
-    sums = []
-    for y in ys:
-        # integer numerator and denominator, normalized once at the end
-        num, den = 0, 1
-        for k in picks:
-            d = weights[k].denominator * (xs[k] - y)
-            num = num * d + weights[k].numerator * den
-            den *= d
-        sums.append(Fraction(num, den))
-    return tuple(sums)
+    """Whether the sums s_q(L_0) alternate in sign with one magnitude, decided on the
+    integers V s_q up to the first box that breaks the pattern; s_1 < 0, as L_0 lies
+    below y_1, so s_q = (-1)^q beta with beta > 0.  Over all covers the w_k / (x_k - y_q)
+    sum to 0, so s(L_1) = -s(L_0): one test decides both."""
+    sums = _scaled_sums(xs, ys, xs[_parity(0)])[2]
+    previous = next(sums)
+    for s in sums:
+        if s != -previous:
+            return False
+        previous = s
+    return True
 
 
 def layer_sums(mu: Partition, layers: Sequence[Partition]) -> tuple[Fraction, ...]:
     """For each removable box of mu, the exact sum over lam in layers of
-    d_lam / (n d_mu) / D(lam - mu, box)."""
-    covers, weights, xs, ys = _transition_measure(mu)
-    position = {lam: k for k, (lam, _box) in enumerate(covers)}
-    return _box_sums(weights, xs, ys, [position[lam] for lam in layers])
+    d_lam / (n d_mu) / D(lam - mu, box).  layers must be distinct covers of mu."""
+    picks = LayerSelection.from_partitions(mu, layers).indices
+    xs, ys = _corners(mu.parts)
+    v, _, sums = _scaled_sums(xs, ys, [xs[k] for k in picks])
+    return tuple(Fraction(s, v) for s in sums)
 
 
 def distance_condition(mu: Partition, layers: Sequence[Partition]) -> tuple[bool, tuple[Fraction, ...]]:
@@ -230,17 +211,15 @@ def isoclinic_certificate(mu: Partition, delta: int) -> ExactIsoclinicCertificat
     """Exact test of the sign-alternating layer-sum condition for L_delta."""
     if delta not in (0, 1):
         raise ConstraintViolationError("delta must be 0 or 1")
-    covers, weights, xs, ys = _transition_measure(mu)
-    picks = range(1 - delta, len(covers), 2)  # as in LayerSelection.from_delta
-    layers = tuple(covers[k][0] for k in picks)
-    sums = _box_sums(weights, xs, ys, picks)
+    picks = _parity(delta)
+    xs, ys = _corners(mu.parts)
+    v, vws, scaled = _scaled_sums(xs, ys, xs[picks])
+    sums = tuple(Fraction(s, v) for s in scaled)
     n = mu.n + 1
     d_mu = dimension(mu)
     # d_lam = n d_mu w_lam exactly
-    d_layers = sum(n * d_mu * weights[k].numerator // weights[k].denominator for k in picks)
-    predicted = Fraction(
-        d_layers * (n * d_mu - d_layers), d_mu * d_mu * n * n * (n - 1)
-    )
+    d_layers = n * d_mu * sum(vws) // v
+    predicted = Fraction(d_layers * (n * d_mu - d_layers), d_mu * d_mu * n * n * (n - 1))
     # holds when every (-1)^(q + delta) s_q is one beta >= 0, which is then |s_1|
     holds = _isoclinic(xs, ys)
     beta = abs(sums[0]) if holds else None
@@ -249,7 +228,7 @@ def isoclinic_certificate(mu: Partition, delta: int) -> ExactIsoclinicCertificat
     return ExactIsoclinicCertificate(
         mu=mu,
         delta=delta,
-        layers=layers,
+        layers=tuple(lam for lam, _box in up_set(mu)[picks]),
         s_values=sums,
         holds=holds,
         beta=beta,
@@ -348,32 +327,24 @@ def classify_single_layer(lam: Partition, mu: Partition) -> SingleLayerFamily:
     II  mu = (a^b), lam adds a row of one box (a >= 2);
     III mu = ((b+c)^a, b^c), lam adds the inner corner (c >= 2).
     """
-    added = _single_layer_added_box(lam, mu)
-    removable = [box for _p, box in down_set(mu)]
-    distances = [box_axial_distance(added, box) for box in removable]
-    if len({abs(x) for x in distances}) != 1:
+    sel = _single_layer(lam, mu)
+    if not distance_condition(mu, [lam])[0]:
         return SingleLayerFamily("equichordal-only")
-    if len(removable) == 1:
-        rows, cols = len(mu), mu[0]
-        if added.row == 1:
-            return SingleLayerFamily("I", a=rows, b=cols)
-        return SingleLayerFamily("II", a=cols, b=rows)
-    # two removable boxes at opposite distances: the inner-corner picture
     big, small = mu[0], mu[-1]
-    a = sum(1 for p in mu if p == big)
-    c = sum(1 for p in mu if p == small)
-    return SingleLayerFamily("III", a=a, b=small, c=c)
+    if big != small:  # two removable boxes at opposite distances: the inner-corner picture
+        return SingleLayerFamily("III", a=mu.parts.count(big), b=small, c=mu.parts.count(small))
+    # one removable box: lam grows the first row (the first cover) or starts a new one
+    if sel.indices == (0,):
+        return SingleLayerFamily("I", a=len(mu), b=big)
+    return SingleLayerFamily("II", a=big, b=len(mu))
 
 
-def _single_layer_added_box(lam: Partition, mu: Partition) -> Box:
-    matches = [box for m, box in down_set(lam) if m == mu]
-    if not matches:
-        raise NotInDownSetError(f"{mu!r} is not obtained from {lam!r} by removing a box")
+def _single_layer(lam: Partition, mu: Partition) -> LayerSelection:
+    """The selection {lam} over mu, refused when the branching component is the whole space."""
+    sel = LayerSelection.from_partitions(mu, [lam])
     if dimension(mu) >= dimension(lam):
-        raise TrivialSubspaceError(
-            "the branching component is the whole space; no packing results"
-        )
-    return matches[0]
+        raise TrivialSubspaceError("the branching component is the whole space; no packing results")
+    return sel
 
 
 def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
@@ -516,10 +487,10 @@ def single_layer_ensemble(
     Blocks are pi_lam(t_k) Psi_{lam,mu}, giving a real, totally symmetric
     ensemble of n = |lam| subspaces of dimension d_mu inside dimension d_lam.
     """
-    _single_layer_added_box(lam, mu)  # validates the pair
+    sel = _single_layer(lam, mu)
     _check_cap(dimension(lam), max_dim)
     meta = {"construction": "single_layer", "lambda": str(lam), "mu": str(mu)}
-    return _orbit_ensemble(LayerSelection.from_partitions(mu, [lam]), transversal, meta, "R", tol)
+    return _orbit_ensemble(sel, transversal, meta, "R", tol)
 
 
 def multi_layer_ensemble(

@@ -119,6 +119,16 @@ class TestConstruct:
         assert (code, stdout) == (2, "")
         assert json.loads(stderr)["error"] == "EnsembleFormatError"
 
+    def test_csv_of_complex_ensemble_writes_no_file(self, tmp_path, capsys):
+        out, table = tmp_path / "o.json", tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            capsys, "construct", "alternating", "--mu", "4,1,1,1", "--delta", "1",
+            "--out", str(out), "--csv", str(table),
+        )
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr)["error"] == "EnsembleFormatError"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     @pytest.mark.parametrize("target, error", [
         ("missing/e", "FileNotFoundError"),

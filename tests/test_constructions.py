@@ -14,7 +14,6 @@ from symfusion import (
     alternating_ensemble,
     alternating_parameters,
     an_table,
-    canonical_subsets,
     certify,
     classify_single_layer,
     decomposition_check,
@@ -42,15 +41,18 @@ from symfusion.constructions import (
     ExactIsoclinicCertificate,
     _corners,
     _isoclinic,
-    _transition_measure,
+    _scaled_sums,
     alternating_shapes,
+    layer_sums,
 )
 from symfusion.errors import (
     BadTransversalError,
     ConstraintViolationError,
     DivisibilityViolatedError,
+    EmptySelectionError,
     EnsembleFormatError,
     InconsistentFamilyError,
+    NotInDownSetError,
     NotTransposeClosedError,
     ResourceLimitError,
     StepConstraintViolatedError,
@@ -153,6 +155,27 @@ class TestClassification:
                         holds, _ = distance_condition(mu, [lam])
                         assert classify_single_layer(lam, mu).is_equiisoclinic == holds, (lam, mu)
 
+    def test_named_shapes_read_back_their_family(self):
+        rows = sn_table(10**7)
+        assert len(rows) == 40
+        cases = [(row.family, row.a, row.b, row.c) for row in rows]
+        cases += [("II", a, b, None) for a in range(2, 6) for b in range(1, 6)]
+        for kind, a, b, c in cases:
+            fam = classify_single_layer(*single_layer_shapes(kind, a, b, c))
+            assert (fam.kind, fam.a, fam.b, fam.c) == (kind, a, b, c)
+
+    @pytest.mark.parametrize("lam, mu, error", [
+        ((4, 1), (2, 2), NotInDownSetError),
+        ((3, 2), (2, 1), NotInDownSetError),
+        ((2, 2), (2, 1), TrivialSubspaceError),
+        ((2,), (1,), TrivialSubspaceError),
+    ])
+    def test_invalid_pairs_fail_as_the_construction_does(self, lam, mu, error):
+        lam, mu = Partition(lam), Partition(mu)
+        for call in (classify_single_layer, single_layer_ensemble):
+            with pytest.raises(error):
+                call(lam, mu)
+
 
 class TestSingleLayerParameters:
     def test_table_values(self):
@@ -179,20 +202,35 @@ class TestSingleLayerParameters:
 
 
 class TestCanonicalSubsets:
+    @staticmethod
+    def subsets(mu):
+        return tuple(LayerSelection.from_delta(mu, delta).partitions for delta in (0, 1))
+
     def test_2_2(self):
-        L0, L1 = canonical_subsets(Partition((2, 2)))
+        L0, L1 = self.subsets(Partition((2, 2)))
         assert L0 == (Partition((2, 2, 1)),)
         assert L1 == (Partition((3, 2)),)
 
     def test_sizes(self):
         for mu in partitions_of(6):
-            L0, L1 = canonical_subsets(mu)
+            L0, L1 = self.subsets(mu)
             assert len(L0) + len(L1) == len(set(mu.parts)) + 1
 
     def test_3_1_1(self):
-        L0, L1 = canonical_subsets(Partition((3, 1, 1)))
+        L0, L1 = self.subsets(Partition((3, 1, 1)))
         assert L0 == (Partition((3, 2, 1)),)
         assert L1 == (Partition((4, 1, 1)), Partition((3, 1, 1, 1)))
+
+    def test_parities_split_the_covers_and_read_back_through_10(self):
+        # 1-based position p goes to L_0 when p is even, L_1 when odd
+        for total in range(1, 11):
+            for mu in partitions_of(total):
+                covers = tuple(lam for lam, _ in up_set(mu))
+                L0, L1 = self.subsets(mu)
+                assert (L0, L1) == (covers[1::2], covers[0::2]), mu
+                for delta in (0, 1):
+                    assert LayerSelection.from_delta(mu, delta).delta == delta, mu
+                    assert LayerSelection.from_delta(mu, delta).complement().delta == 1 - delta, mu
 
 
 class TestCertificates:
@@ -273,11 +311,9 @@ def _box_hook_product(lam):
     return prod(hook_length(lam, box) for box in boxes(lam))
 
 
-def _reference_certificate(mu, delta):
-    """The hook-product certificate: each d_lam / (n d_mu) as a quotient of
-    box-by-box hook products, summed per removable box of mu."""
-    sel = LayerSelection.from_delta(mu, delta)
-    layers = sel.partitions
+def _reference_sums(mu, layers):
+    """The hook-product layer sums: each d_lam / (n d_mu) as a quotient of
+    box-by-box hook products over the axial distance, summed per removable box of mu."""
     added = dict(up_set(mu))
     sums = []
     for box in removable_boxes(mu):
@@ -286,6 +322,13 @@ def _reference_certificate(mu, delta):
             ratio = Fraction(_box_hook_product(mu), _box_hook_product(lam))
             total += ratio / box_axial_distance(added[lam], box)
         sums.append(total)
+    return tuple(sums)
+
+
+def _reference_certificate(mu, delta):
+    """The hook-product certificate built on :func:`_reference_sums`."""
+    layers = LayerSelection.from_delta(mu, delta).partitions
+    sums = _reference_sums(mu, layers)
     n = mu.n + 1
     d_mu = factorial(mu.n) // _box_hook_product(mu)
     d_layers = sum(factorial(n) // _box_hook_product(lam) for lam in layers)
@@ -326,10 +369,37 @@ class TestKerovTransitionMeasure:
     def test_weights_are_hook_product_ratios_through_16(self):
         for total in range(1, 17):
             for mu in partitions_of(total):
-                covers, weights, _xs, _ys = _transition_measure(mu)
-                assert len(weights) == len(covers)
-                for (lam, _box), w in zip(covers, weights):
-                    assert w == Fraction(_box_hook_product(mu), _box_hook_product(lam)), (mu, lam)
+                covers = up_set(mu)
+                xs, ys = _corners(mu.parts)
+                v, scaled, _sums = _scaled_sums(xs, ys, xs)
+                assert len(scaled) == len(covers)
+                for (lam, _box), x, vw in zip(covers, xs, scaled):
+                    assert Fraction(vw, v) == Fraction(_box_hook_product(mu), _box_hook_product(lam)), (mu, lam)
+                    # the kernel's divisions by x_k - y_q leave no remainder
+                    assert all(vw % (x - y) == 0 for y in ys), (mu, lam)
+
+    def test_layer_sums_match_hook_product_oracle_through_12(self):
+        count = 0
+        for total in range(1, 13):
+            for mu in partitions_of(total):
+                covers = [lam for lam, _ in up_set(mu)]
+                for size in range(1, len(covers) + 1):
+                    for combo in combinations(covers, size):
+                        assert layer_sums(mu, combo) == _reference_sums(mu, combo), (mu, combo)
+                        count += 1
+        assert count == 2709
+
+    @pytest.mark.parametrize("layers, error", [
+        ([], EmptySelectionError),
+        ([Partition((3, 2)), Partition((3, 2))], ConstraintViolationError),
+        ([Partition((4, 2))], NotInDownSetError),
+        ([Partition((2, 2))], NotInDownSetError),
+    ], ids=["empty", "repeated", "not-a-cover", "mu-itself"])
+    def test_layer_lists_are_validated(self, layers, error):
+        mu = Partition((2, 2))
+        for check in (layer_sums, distance_condition):
+            with pytest.raises(error):
+                check(mu, layers)
 
     def test_certificates_match_hook_product_oracle_through_14(self):
         for total in range(1, 15):
@@ -429,7 +499,8 @@ class TestCornerData:
                 assert len(xs) == len(ys) + 1, mu
                 merged = [v for pair in zip(xs, ys) for v in pair] + [xs[-1]]
                 assert all(a > b for a, b in zip(merged, merged[1:])), mu
-                assert sum(_transition_measure(mu)[1]) == 1, mu
+                v, scaled, _sums = _scaled_sums(xs, ys, xs)
+                assert sum(scaled) == v, mu  # the weights sum to 1
 
     def test_certificates_match_the_diagram_rule_through_20(self):
         for total in range(1, 21):

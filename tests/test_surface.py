@@ -1,4 +1,4 @@
-"""The package's public surface, and the tableau objects kept out of it."""
+"""The package's public surface, and the names kept out of it."""
 
 import re
 from pathlib import Path
@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import symfusion
-from symfusion import altrep, errors, tableaux
+from symfusion import altrep, constructions, errors, tableaux
 
 import oracles
 
@@ -36,6 +36,17 @@ REMOVED = (
     "BoxOutsideDiagramError",
 )
 
+# The second and third encodings of the exact layer sums, and the parity wrapper;
+# the integer corner kernel constructions._scaled_sums and LayerSelection.from_delta
+# replace them.
+REMOVED_LAYER_SUMS = (
+    "canonical_subsets",
+    "_transition_measure",
+    "_box_sums",
+    "_scaled_weights",
+    "_single_layer_added_box",
+)
+
 TESTS = Path(__file__).resolve().parent
 
 
@@ -48,6 +59,12 @@ def test_all_names_resolve_once():
 @pytest.mark.parametrize("module", [symfusion, tableaux, altrep, errors], ids=lambda m: m.__name__)
 def test_object_layer_is_gone(module):
     assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", [symfusion, constructions], ids=lambda m: m.__name__)
+def test_one_encoding_of_the_layer_sums(module):
+    assert [name for name in REMOVED_LAYER_SUMS if hasattr(module, name)] == []
+    assert not set(REMOVED_LAYER_SUMS) & set(symfusion.__all__)
 
 
 def test_every_oracle_name_is_called_by_a_test():
