@@ -48,9 +48,10 @@ from .permutations import (
 from .symrep import branching_isometry, rep_apply, rep_matrix, right_apply_generator
 from .tableaux import (
     Partition,
+    corner_parts,
     dimension,
     is_symmetric,
-    partition_parts,
+    partition_corners,
     transpose,
     up_set,
 )
@@ -87,8 +88,6 @@ class LayerSelection:
 
     @classmethod
     def from_delta(cls, mu: Partition, delta: int) -> "LayerSelection":
-        if delta not in (0, 1):
-            raise ConstraintViolationError("delta must be 0 or 1")
         return cls(mu, tuple(range(len(up_set(mu)))[_parity(delta)]))
 
     @classmethod
@@ -123,7 +122,9 @@ class LayerSelection:
 
 
 def _parity(delta: int) -> slice:
-    """The positions of L_delta among the covers: the even 1-based ones for L_0, the odd for L_1."""
+    """The positions of L_delta among the covers, the even 1-based ones for L_0; delta is the int 0 or 1."""
+    if type(delta) is not int or delta not in (0, 1):
+        raise ConstraintViolationError("delta must be 0 or 1")
     return slice(1 - delta, None, 2)
 
 
@@ -146,18 +147,18 @@ def _scaled_sums(xs, ys, at):
     return v, vws, (sum(map(floordiv, vws, [x - y for x in at])) for y in ys)
 
 
-def _isoclinic(xs, ys) -> bool:
-    """Whether the sums s_q(L_0) alternate in sign with one magnitude, decided on the
-    integers V s_q up to the first box that breaks the pattern; s_1 < 0, as L_0 lies
-    below y_1, so s_q = (-1)^q beta with beta > 0.  Over all covers the w_k / (x_k - y_q)
-    sum to 0, so s(L_1) = -s(L_0): one test decides both."""
-    sums = _scaled_sums(xs, ys, xs[_parity(0)])[2]
-    previous = next(sums)
+def _isoclinic(xs, ys):
+    """The kernel's V, V w_k and V s_q over L_0 if the s_q(L_0) alternate in sign with one
+    magnitude, else None, decided on the integers V s_q up to the first box that breaks the
+    pattern.  s_1 < 0, as L_0 lies below y_1, so s_q = (-1)^q beta with beta > 0.  Over all
+    covers the w_k / (x_k - y_q) sum to 0, so s(L_1) = -s(L_0): one test decides both."""
+    v, vws, sums = _scaled_sums(xs, ys, xs[_parity(0)])
+    scaled = [next(sums)]
     for s in sums:
-        if s != -previous:
-            return False
-        previous = s
-    return True
+        if s != -scaled[-1]:
+            return None
+        scaled.append(s)
+    return v, vws, scaled
 
 
 def layer_sums(mu: Partition, layers: Sequence[Partition]) -> tuple[Fraction, ...]:
@@ -207,51 +208,49 @@ class ExactIsoclinicCertificate:
         return _fields_json(self, d_layers="d", d_mu="r")
 
 
-def isoclinic_certificate(mu: Partition, delta: int) -> ExactIsoclinicCertificate:
-    """Exact test of the sign-alternating layer-sum condition for L_delta."""
-    if delta not in (0, 1):
-        raise ConstraintViolationError("delta must be 0 or 1")
-    picks = _parity(delta)
-    xs, ys = _corners(mu.parts)
-    v, vws, scaled = _scaled_sums(xs, ys, xs[picks])
+def _parity_certificates(mu: Partition, v, vws, scaled, holds: bool) -> tuple[ExactIsoclinicCertificate, ...]:
+    """The records of L_0 and L_1 from the kernel's V, V w_k and V s_q over L_0.  The
+    covers' weights sum to 1 and their box sums to 0, so d(L_1) = n d_mu - d(L_0) and
+    s(L_1) = -s(L_0); beta and the closed form, symmetric under d_L <-> n d_mu - d_L,
+    are shared, and only alpha depends on the parity."""
+    n, d_mu = mu.n + 1, dimension(mu)
+    whole = n * d_mu
+    d_even = whole * sum(vws) // v  # d_lam = n d_mu w_lam exactly
     sums = tuple(Fraction(s, v) for s in scaled)
-    n = mu.n + 1
-    d_mu = dimension(mu)
-    # d_lam = n d_mu w_lam exactly
-    d_layers = n * d_mu * sum(vws) // v
-    predicted = Fraction(d_layers * (n * d_mu - d_layers), d_mu * d_mu * n * n * (n - 1))
-    # holds when every (-1)^(q + delta) s_q is one beta >= 0, which is then |s_1|
-    holds = _isoclinic(xs, ys)
+    predicted = Fraction(d_even * (whole - d_even), d_mu * d_mu * n * n * (n - 1))
+    # when it holds, every (-1)^(q + delta) s_q is one beta >= 0, which is then |s_1|
     beta = abs(sums[0]) if holds else None
     beta_squared = beta * beta if holds else None
-    alpha = Fraction(n * n * d_mu * d_mu, d_layers * d_layers) * beta_squared if holds else None
-    return ExactIsoclinicCertificate(
-        mu=mu,
-        delta=delta,
-        layers=tuple(lam for lam, _box in up_set(mu)[picks]),
-        s_values=sums,
-        holds=holds,
-        beta=beta,
-        beta_squared=beta_squared,
-        beta_squared_predicted=predicted,
-        d_layers=d_layers,
-        d_mu=d_mu,
-        n=n,
-        alpha=alpha,
+    covers = [lam for lam, _box in up_set(mu)]
+    return tuple(
+        ExactIsoclinicCertificate(
+            mu=mu, delta=delta, layers=tuple(covers[_parity(delta)]), s_values=s_values, holds=holds,
+            beta=beta, beta_squared=beta_squared, beta_squared_predicted=predicted,
+            d_layers=d_layers, d_mu=d_mu, n=n,
+            alpha=Fraction(whole * whole, d_layers * d_layers) * beta_squared if holds else None,
+        )
+        for delta, s_values, d_layers in ((0, sums, d_even), (1, tuple(-s for s in sums), whole - d_even))
     )
+
+
+def isoclinic_certificate(mu: Partition, delta: int) -> ExactIsoclinicCertificate:
+    """Exact test of the sign-alternating layer-sum condition for L_delta."""
+    _parity(delta)  # refuse a bad delta before any work
+    xs, ys = _corners(mu.parts)
+    hit = _isoclinic(xs, ys)
+    return _parity_certificates(mu, *(hit or _scaled_sums(xs, ys, xs[_parity(0)])), hit is not None)[delta]
 
 
 def search_isoclinic(max_n: int) -> list[ExactIsoclinicCertificate]:
     """Certificates for every isoclinic mu of every size below max_n, both deltas."""
-    if max_n < 2:
-        raise ConstraintViolationError("max_n must be >= 2")
+    if type(max_n) is not int or max_n < 2:
+        raise ConstraintViolationError("max_n must be an integer >= 2")
     results = []
     for n in range(2, max_n + 1):
-        for parts in partition_parts(n - 1):
-            # certificates only for the hits; both parities hold or neither does
-            if _isoclinic(*_corners(parts)):
-                mu = Partition(parts)
-                results += (isoclinic_certificate(mu, 0), isoclinic_certificate(mu, 1))
+        for xs, ys in partition_corners(n - 1):
+            # records only for the hits, both parities from the kernel call that found it
+            if hit := _isoclinic(xs, ys):
+                results += _parity_certificates(Partition(corner_parts(xs, ys)), *hit, True)
     return results
 
 
@@ -559,8 +558,7 @@ def alternating_parameters(a: int, c: int, delta: int):
     """
     if a < 1 or c < 2:
         raise ConstraintViolationError("need a >= 1 and c >= 2")
-    if delta not in (0, 1):
-        raise ConstraintViolationError("delta must be 0 or 1")
+    _parity(delta)  # refuse a bad delta before any work
     _d, r_inner, n, _alpha = single_layer_parameters("III", a, a, c)
     r = Fraction(r_inner, 2)
     if delta == 0:

@@ -12,7 +12,7 @@ quickly: ``dimension(Partition((7, 7, 4, 3, 3)))`` is 11,660,320,672).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial, prod
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
@@ -117,10 +117,7 @@ def hook_product(lam: Partition) -> int:
     """
     ell = len(lam)
     firsts = [part + ell - i for i, part in enumerate(lam.parts, start=1)]
-    den = 1
-    for li, lj in combinations(firsts, 2):
-        den *= li - lj
-    return prod(map(factorial, firsts)) // den
+    return prod(map(factorial, firsts)) // prod([li - lj for li, lj in combinations(firsts, 2)])
 
 
 def dimension(lam: Partition) -> int:
@@ -140,13 +137,8 @@ def removable_boxes(lam: Partition) -> tuple[Box, ...]:
 
     Their count equals the number of distinct parts of ``lam``.
     """
-    out = []
-    h = len(lam)
-    for i, part in enumerate(lam, start=1):
-        below = lam[i] if i < h else 0
-        if part > below:
-            out.append(Box(i, part))
-    return tuple(out)
+    below = lam.parts[1:] + (0,)
+    return tuple(Box(i, part) for i, (part, low) in enumerate(zip(lam, below), start=1) if part > low)
 
 
 def down_set(lam: Partition) -> tuple[tuple[Partition, Box], ...]:
@@ -167,34 +159,44 @@ def up_set(mu: Partition) -> tuple[tuple[Partition, Box], ...]:
     Ordered by descending superdiagonal of the added box; the count is one
     more than the number of distinct parts of ``mu``.
     """
-    parts = mu.parts
-    out = []
-    for i, part in enumerate(parts):
-        if i == 0 or parts[i - 1] > part:
-            grown = parts[:i] + (part + 1,) + parts[i + 1 :]
-            out.append((Partition(grown), Box(i + 1, part + 1)))
-    out.append((Partition(parts + (1,)), Box(len(parts) + 1, 1)))
-    return tuple(out)
+    parts = mu.parts + (0,)  # the 0 is the new row below
+    return tuple(
+        (Partition(p for p in parts[:i] + (part + 1,) + parts[i + 1 :] if p), Box(i + 1, part + 1))
+        for i, part in enumerate(parts) if i == 0 or parts[i - 1] > part
+    )
 
 
-def partition_parts(n: int) -> Iterator[tuple[int, ...]]:
-    """The parts of every partition of n once, in :func:`partitions_of` order."""
+def partition_corners(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every partition of n once, in :func:`partitions_of` order, as its corner contents (x in
+    :func:`up_set` order, y in :func:`removable_boxes` order), with no part tuple.  The walk
+    picks each distinct part p, then its multiplicity m, larger first; a block that starts at
+    0-based row i gives x = p - i and y = p - i - m, and the last x is -len."""
     if n < 1:
         raise NonPositivePartError("partitions are defined for n >= 1")
 
-    def gen(remaining: int, max_part: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for p in range(min(max_part, remaining), 0, -1):
-            yield from gen(remaining - p, p, prefix + (p,))
+    def walk(remaining, below, row, xs, ys):
+        for p in range(min(below, remaining), 1, -1):
+            x = p - row
+            for m in range(remaining // p, 0, -1):
+                if remaining > p * m:
+                    yield from walk(remaining - p * m, p - 1, row + m, xs + (x,), ys + (x - m,))
+                else:
+                    yield xs + (x, -row - m), ys + (x - m,)
+        # what is left is a column of ones
+        yield xs + (1 - row, -row - remaining), ys + (1 - row - remaining,)
 
-    yield from gen(n, n, ())
+    return walk(n, n, 0, (), ())
+
+
+def corner_parts(xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts with corner contents (xs, ys): x - y parts x + i for a block from row i."""
+    rows = accumulate([x - y for x, y in zip(xs, ys)], initial=0)
+    return tuple(x + i for x, y, i in zip(xs, ys, rows) for _ in range(x - y))
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """Every partition of n exactly once, in descending lexicographic order."""
-    return map(Partition, partition_parts(n))
+    return (Partition(corner_parts(xs, ys)) for xs, ys in partition_corners(n))
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,9 @@ The package reads Tab(lam) only as the arrays :func:`symfusion.tableaux.tableau_
 and :func:`symfusion.tableaux.tableau_contents`.  This module keeps the
 textbook picture beside them, a validated grid of entries with its box map,
 so the tests can state each array, index and sign by its definition on
-tableaux and compare.
+tableaux and compare.  It also keeps the part-by-part partition generator
+that the package's corner walk :func:`symfusion.tableaux.partition_corners`
+replaced.
 """
 
 from __future__ import annotations
@@ -174,6 +176,20 @@ def reference_permutation_sign(T: StandardTableau, reference: StandardTableau) -
         for src, dst in zip(ref_row, t_row):
             images[src - 1] = dst
     return Permutation(images).sign
+
+
+def partition_parts(n: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition of n once, in descending lexicographic order,
+    one part at a time: the largest part first, then the partitions of the rest."""
+
+    def gen(remaining: int, max_part: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield prefix
+            return
+        for p in range(min(max_part, remaining), 0, -1):
+            yield from gen(remaining - p, p, prefix + (p,))
+
+    yield from gen(n, n, ())
 
 
 def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:

@@ -306,12 +306,16 @@ class TestSearchAndTable:
         assert stdout.splitlines()[1].split()[-1] == "-"
 
     # exact integers and fractions only, so the bytes do not depend on the platform;
-    # the searches are the benchmark's record for N = 12..22, read here and never rewritten
+    # the searches are the benchmark's record for N = 12..22, read here and never rewritten.
+    # N = 30 was checked against the per-parity Fraction loop _two_certificate_search(30)
+    # (tests/test_constructions.py) before it was pinned.
     GOLDEN_SHA256 = {
         ("table", "sn", "--max-dim", "100000", "--json"):
             "5eff01ab10446d2bb9144cfcb54c4ab416a3def0edb2eb9f3320464c135afac6",
         ("table", "an", "--max-dim", "100000", "--json"):
             "44694eb93f14558a51167a779141fc1b38b503adc2eb49692ec5d4a2a34a9216",
+        ("search-isoclinic", "--max-n", "30"):
+            "1ff9f7c13d97cfd052b4682999c8c62b096ff72676c33c479c6d31ab3294fc3e",
         **{
             ("search-isoclinic", "--max-n", n): digest
             for n, digest in json.loads(SEARCH_DIGESTS.read_text())["sha256"].items()

@@ -35,7 +35,7 @@ from symfusion import (
     up_set,
 )
 import symfusion
-from symfusion import altrep, symrep
+from symfusion import altrep, symrep, tableaux
 from symfusion import constructions as cons
 from symfusion.constructions import (
     ExactIsoclinicCertificate,
@@ -60,9 +60,9 @@ from symfusion.errors import (
 )
 from symfusion.permutations import Permutation, transversal_an, transversal_sn
 from symfusion.symrep import branching_isometry, rep_apply
-from symfusion.tableaux import box_axial_distance, down_set, removable_boxes
+from symfusion.tableaux import box_axial_distance, corner_parts, down_set, partition_corners, removable_boxes
 
-from oracles import boxes, hook_length
+from oracles import boxes, hook_length, partition_parts
 
 TOL = 1e-9
 
@@ -414,6 +414,22 @@ class TestKerovTransitionMeasure:
         with pytest.raises(ConstraintViolationError):
             isoclinic_certificate(Partition((2, 2)), 2)
 
+    # a bool is an int to Python, but True must not become a record reading "delta": true
+    @pytest.mark.parametrize("delta", [True, False, 1.0, 0.0, 2, -1, "0", None])
+    @pytest.mark.parametrize("check", [
+        lambda delta: isoclinic_certificate(Partition((2, 2)), delta),
+        lambda delta: LayerSelection.from_delta(Partition((2, 2)), delta),
+        lambda delta: alternating_parameters(1, 2, delta),
+    ], ids=["isoclinic_certificate", "from_delta", "alternating_parameters"])
+    def test_delta_must_be_the_int_0_or_1(self, check, delta):
+        with pytest.raises(ConstraintViolationError):
+            check(delta)
+
+    @pytest.mark.parametrize("max_n", [3.5, 22.0, True, 1, 0, -4, "22", None])
+    def test_search_max_n_must_be_an_int_of_at_least_2(self, max_n):
+        with pytest.raises(ConstraintViolationError):
+            search_isoclinic(max_n)
+
 
 class TestSearch:
     def test_small_hits(self):
@@ -508,7 +524,7 @@ class TestCornerData:
                 for delta in (0, 1):
                     cert = isoclinic_certificate(mu, delta)
                     assert cert == _diagram_certificate(mu, delta), (mu, delta)
-                    assert cert.holds == _isoclinic(*_corners(mu.parts)), (mu, delta)
+                    assert cert.holds == (_isoclinic(*_corners(mu.parts)) is not None), (mu, delta)
                 # every cover in L_0 lies below y_1, so beta = -s_1(L_0) is positive
                 assert isoclinic_certificate(mu, 0).s_values[0] < 0, mu
 
@@ -522,15 +538,39 @@ class TestCornerData:
             assert _lines(found) == _lines(prefix), max_n
 
     def test_search_certifies_only_the_hits(self, monkeypatch):
-        real = cons.isoclinic_certificate
-        calls = []
-        monkeypatch.setattr(
-            cons, "isoclinic_certificate", lambda mu, delta: calls.append((mu.parts, delta)) or real(mu, delta)
-        )
+        # one record build per holding mu, in search order, fed by the kernel call that found it
+        real = cons._parity_certificates
+        calls, built = [], []
+
+        def spy(mu, v, vws, scaled, holds):
+            calls.append(mu.parts)
+            xs, ys = _corners(mu.parts)
+            assert holds and (v, vws, scaled) == _isoclinic(xs, ys), mu
+            built.extend(real(mu, v, vws, scaled, holds))
+            return built[-2:]
+
+        holding = [mu.parts for n in range(2, 19) for mu in partitions_of(n - 1) if _diagram_sums(mu, 0)[-1]]
+        monkeypatch.setattr(cons, "_parity_certificates", spy)
         found = search_isoclinic(18)
-        holding = [mu.parts for n in range(2, 19) for mu in partitions_of(n - 1) if real(mu, 0).holds]
-        assert calls == [(parts, delta) for parts in holding for delta in (0, 1)]
-        assert [(c.mu.parts, c.delta) for c in found] == calls
+        assert calls == holding
+        assert found == built
+        assert [(c.mu.parts, c.delta) for c in found] == [(parts, delta) for parts in holding for delta in (0, 1)]
+
+    def test_walk_matches_the_part_by_part_oracle_through_30(self):
+        counts = [1] + [0] * 30  # p(n), adding one part size at a time
+        for size in range(1, 31):
+            for total in range(size, 31):
+                counts[total] += counts[total - size]
+        for n in range(1, 31):
+            walked = list(partition_corners(n))
+            assert len(walked) == counts[n], n
+            parts = [corner_parts(xs, ys) for xs, ys in walked]
+            assert parts == list(partition_parts(n)), n
+            assert walked == [_corners(p) for p in parts], n
+            assert [mu.parts for mu in partitions_of(n)] == parts, n
+        assert len(walked) == 5604  # p(30)
+        # the package keeps one enumerator
+        assert not hasattr(tableaux, "partition_parts")
 
 
 class TestFamilies:
