@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 from operator import floordiv
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -422,7 +422,7 @@ def _layer_orbit(
     sel: LayerSelection,
     ts: Sequence[Permutation],
     compress: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[np.ndarray]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """The orbit pi_L(t) Psi_L, t in ts, of the weighted layer stack.
 
     Psi_L stacks sqrt(d_lam / d_L) Psi_{lam,mu} over sel's layers, and the
@@ -432,9 +432,9 @@ def _layer_orbit(
     C_{n-1} = pi_L(s_{n-1}) Psi_L and C_k = pi_L(s_k) C_{k+1} pi_mu(s_k): one
     generator each.  A t with t(n) = k < n gives C_k pi_mu(h) for
     h = (k n) t, which fixes n; the t fixing n acts on Psi_L directly.  ts
-    must satisfy t_k(n) = k.  Blocks come back in the order of ts, each
-    passed through ``compress`` as soon as it is built, so a compressing
-    caller never holds the whole uncompressed orbit.
+    must satisfy t_k(n) = k.  Yields (k - 1, block of t_k) for k = n, n - 1,
+    ..., 1, each block passed through ``compress`` as soon as it is built, so
+    a caller that stores each block as it comes never holds a block list.
     """
     mu = sel.mu
     n = mu.n + 1
@@ -442,8 +442,7 @@ def _layer_orbit(
     d_layers = sel.total_dimension
     psi = [np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, mu) for lam in layers]
     finish = compress or (lambda block: block)
-    blocks: list = [None] * n
-    blocks[n - 1] = finish(np.vstack([rep_apply(lam, ts[n - 1], P) for lam, P in zip(layers, psi)]))
+    yield n - 1, finish(np.vstack([rep_apply(lam, ts[n - 1], P) for lam, P in zip(layers, psi)]))
     C = psi
     for k in range(n - 1, 0, -1):
         s_k = Permutation.adjacent(n, k)
@@ -454,8 +453,7 @@ def _layer_orbit(
         h = Permutation.transposition(n, k, n) * ts[k - 1]
         if not h.is_identity:
             block = block @ rep_matrix(mu, Permutation(h.images[:-1]))
-        blocks[k - 1] = finish(block)
-    return blocks
+        yield k - 1, finish(block)
 
 
 def _orbit_ensemble(
@@ -468,10 +466,11 @@ def _orbit_ensemble(
     compress: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FusionEnsemble:
     """The tail every orbit builder shares: resolve the transversal, record it
-    last in ``meta``, build the layer orbit and validate its blocks."""
+    last in ``meta``, and write each orbit block into the synthesis array,
+    validated, as soon as it is built."""
     ts = _resolve_transversal(sel.mu.n + 1, transversal, even)
     meta["transversal"] = [t.cycle_string() for t in ts]
-    return FusionEnsemble.from_blocks(_layer_orbit(sel, ts, compress), field=field, tol=tol, meta=meta)
+    return FusionEnsemble._stacked(len(ts), _layer_orbit(sel, ts, compress), field, tol, meta)
 
 
 def single_layer_ensemble(
@@ -600,12 +599,12 @@ def decomposition_check(
     B_layers = np.hstack([altrep.layer_eigenbasis(mu, sel.partitions, eps) for eps in "+-"])
     B_mu = np.hstack([altrep.eigenspace_injection(mu, eps) for eps in "+-"])
     rows, cols = B_layers.shape[1] // 2, B_mu.shape[1] // 2
-    rotated = _layer_orbit(sel, ts, lambda thin: B_layers.conj().T @ thin @ B_mu)
-    if any(max(np.max(np.abs(R[:rows, cols:])), np.max(np.abs(R[rows:, :cols]))) > tol for R in rotated):
+    rotated = dict(_layer_orbit(sel, ts, lambda thin: B_layers.conj().T @ thin @ B_mu))
+    if any(max(np.max(np.abs(R[:rows, cols:])), np.max(np.abs(R[rows:, :cols]))) > tol for R in rotated.values()):
         return False
     field = altrep.field_for(mu)
     for half in (np.s_[:rows, :cols], np.s_[rows:, cols:]):
-        FusionEnsemble.from_blocks([R[half] for R in rotated], field=field, tol=tol)
+        FusionEnsemble.from_blocks([rotated[j][half] for j in range(len(ts))], field=field, tol=tol)
     return True
 
 

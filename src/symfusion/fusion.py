@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .permutations import Permutation
 from .tableaux import Partition
 
 DEFAULT_TOL = 1e-9
+_PANEL_ROWS = 1024  # the most rows of P that one tightness_residual product takes
 
 
 def _ct(A: np.ndarray) -> np.ndarray:
@@ -84,27 +85,33 @@ class FusionEnsemble:
         tol: float = DEFAULT_TOL,
         meta: Mapping[str, object] | None = None,
     ) -> "FusionEnsemble":
-        """Validate the field tag (None, "R" or "C"), block shapes, finiteness and
-        isometry (within ``tol``, max-entry norm), copying each block into its
-        column slice of the synthesis array; later changes to ``blocks`` do not
-        reach the ensemble."""
-        if not blocks:
-            raise DegenerateParametersError("an ensemble needs at least one block")
-        if field not in (None, "R", "C"):
-            raise EnsembleFormatError(f"field must be 'R' or 'C', got {field!r}")
+        """Copy the blocks into a new synthesis array and validate them there: the field
+        tag (None infers "C" from any nonzero imaginary part), shapes, finiteness and
+        isometry within ``tol`` (max-entry norm).  Later changes to ``blocks`` do not reach it."""
         arrays = [np.asarray(b) for b in blocks]
-        complex_entries = any(np.iscomplexobj(b) and np.imag(b).any() for b in arrays)
         if field is None:
-            field = "C" if complex_entries else "R"
-        if field == "R" and complex_entries:
-            raise NotIsometryError("field 'R' but blocks have complex entries")
-        if arrays[0].ndim != 2:
-            raise DegenerateParametersError(f"block 1 has shape {arrays[0].shape}, expected a d x r matrix")
-        d, r = arrays[0].shape
-        if not 1 <= r <= d:
-            raise DegenerateParametersError(f"need 1 <= r <= d, got r={r}, d={d}")
-        P = np.empty((d, r * len(arrays)), dtype=np.complex128 if field == "C" else np.float64)
-        for j, b in enumerate(arrays):
+            field = "C" if any(np.iscomplexobj(b) and np.imag(b).any() for b in arrays) else "R"
+        return cls._stacked(len(arrays), enumerate(arrays), field, tol, meta)
+
+    @classmethod
+    def _stacked(cls, n: int, pairs: Iterable[tuple[int, np.ndarray]], field: str, tol: float,
+                 meta: Mapping[str, object] | None) -> "FusionEnsemble":
+        """The one validation routine, for n blocks drawn as (0-based index, block) pairs, each
+        index once, in any order: allocate P at the first block's shape, copy each block into
+        its column slice and validate the slice before drawing the next, then make P read-only."""
+        if n < 1:
+            raise DegenerateParametersError("an ensemble needs at least one block")
+        if field not in ("R", "C"):
+            raise EnsembleFormatError(f"field must be 'R' or 'C', got {field!r}")
+        P = None
+        for j, b in pairs:
+            if field == "R" and np.iscomplexobj(b) and np.imag(b).any():
+                raise NotIsometryError("field 'R' but blocks have complex entries")
+            if P is None:
+                if b.ndim != 2 or not 1 <= b.shape[1] <= b.shape[0]:
+                    raise DegenerateParametersError(f"block {j + 1} has shape {b.shape}, expected d x r, 1 <= r <= d")
+                d, r = b.shape
+                P = np.empty((d, r * n), dtype=np.complex128 if field == "C" else np.float64)
             if b.shape != (d, r):
                 raise DegenerateParametersError(f"block {j + 1} has shape {b.shape}, expected {(d, r)}")
             view = P[:, j * r : (j + 1) * r]
@@ -115,7 +122,6 @@ class FusionEnsemble:
             if resid > tol:
                 raise NotIsometryError(f"block {j + 1} fails isometry: residual {resid:.3e} > {tol:.3e}")
         P.setflags(write=False)  # views taken from here on are read-only too
-        n = len(arrays)
         views = tuple(P[:, j * r : (j + 1) * r] for j in range(n))
         return cls(field=field, d=d, r=r, n=n, blocks=views, _P=P, meta=dict(meta or {}))
 
@@ -140,16 +146,27 @@ class FusionEnsemble:
 def fusion_frame_operator(e: FusionEnsemble) -> np.ndarray:
     """Sum of the subspace projections; d x d, self-adjoint PSD, trace rn.
 
-    One product P P* of the synthesis array P, a single syrk for real P."""
+    One product P P* of the synthesis array P: a syrk for real P, and a complex P is
+    conjugated whole first.  :func:`tightness_residual` forms it only up to one panel."""
     P = e.synthesis()
     return P @ _ct(P)
 
 
 def tightness_residual(e: FusionEnsemble) -> float:
-    """Max-entry distance of the frame operator from (rn/d) I, subtracted in place;
-    for a real operator the max is taken without an abs copy."""
-    S = fusion_frame_operator(e)
-    S.flat[:: e.d + 1] -= e.r * e.n / e.d
+    """Max-entry distance of P P* from (rn/d) I, over ceil(d / _PANEL_ROWS) row panels of
+    P of near-equal height: one product P_a P_b* per pair a <= b (P P* is self-adjoint).
+    One panel is the single product of :func:`fusion_frame_operator`, a complex P
+    conjugated whole; above that only one panel product and one conjugated panel live."""
+    P, m = e.synthesis(), -(-e.d // _PANEL_ROWS)
+    panels = [P[e.d * k // m : e.d * (k + 1) // m] for k in range(m)]
+    return max(_shifted_max(panels[a] @ _ct(panels[b]), e.r * e.n / e.d if a == b else None)
+               for b in range(m) for a in range(b + 1))
+
+
+def _shifted_max(S: np.ndarray, shift: float | None) -> float:
+    """max |S - shift I|, subtracted in place (S alone for None); a real max takes no abs copy."""
+    if shift is not None:
+        S.flat[:: len(S) + 1] -= shift
     return _max_abs(S) if np.iscomplexobj(S) else float(max(S.max(), -S.min()))
 
 
@@ -369,17 +386,15 @@ def naimark_complement(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> FusionEns
     """
     rn = e.r * e.n
     if e.d >= rn:
-        raise FullDimensionError("d = rn leaves nothing to complement")
+        raise FullDimensionError(f"d >= rn leaves nothing to complement: d = {e.d}, rn = {rn}")
     if not is_tight(e, tol):
         raise NotTightError(f"ensemble is not tight within {tol:.1e}")
     Q, _ = np.linalg.qr(_ct(e.synthesis()), mode="complete")
     Psi = np.sqrt(rn / (rn - e.d)) * _ct(Q[:, e.d :])
-    blocks = []
-    for j in range(e.n):
-        u, _s, vh = np.linalg.svd(Psi[:, j * e.r : (j + 1) * e.r], full_matrices=False)
-        blocks.append(u @ vh)
+    svds = (np.linalg.svd(Psi[:, j * e.r : (j + 1) * e.r], full_matrices=False) for j in range(e.n))
+    polar = ((j, u @ vh) for j, (u, _s, vh) in enumerate(svds))
     meta = {"construction": "naimark_complement", "of": dict(e.meta)}
-    return FusionEnsemble.from_blocks(blocks, field=e.field, tol=tol, meta=meta)
+    return FusionEnsemble._stacked(e.n, polar, e.field, tol, meta)
 
 
 def automorphism_witness(

@@ -602,7 +602,7 @@ class TestAlternatingBlocks:
         blocks = cons.alternating_ensemble(sel, eps, transversal=ts).blocks
         J_layers = object_layer_eigenbasis(mu, sel.partitions, eps)
         J_mu = object_eigenspace_injection(mu, eps)
-        orbit = cons._layer_orbit(sel, ts or cons.transversal_an(mu.n + 1))
+        orbit = [thin for _k, thin in sorted(cons._layer_orbit(sel, ts or cons.transversal_an(mu.n + 1)))]
         assert len(blocks) == len(orbit) == mu.n + 1
         for block, thin in zip(blocks, orbit):
             assert np.array_equal(block, J_layers.conj().T @ thin @ J_mu)

@@ -48,11 +48,13 @@ from symfusion.constructions import (
 from symfusion.errors import (
     BadTransversalError,
     ConstraintViolationError,
+    DegenerateParametersError,
     DivisibilityViolatedError,
     EmptySelectionError,
     EnsembleFormatError,
     InconsistentFamilyError,
     NotInDownSetError,
+    NotIsometryError,
     NotTransposeClosedError,
     ResourceLimitError,
     StepConstraintViolatedError,
@@ -982,6 +984,37 @@ class TestLayerOrbit:
         with pytest.raises(ResourceLimitError):
             build(LayerSelection.from_delta(Partition((3, 1, 1)), 1))
 
+
+    def test_orbit_is_written_into_one_synthesis_array(self):
+        # the orbit's blocks go straight into the ensemble's storage: no block
+        # list and no second copy of the d x rn array at the peak
+        import tracemalloc
+
+        lam, mu = Partition((5, 2, 1, 1, 1)), Partition((5, 1, 1, 1, 1))
+        e = single_layer_ensemble(lam, mu)  # warm the caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            single_layer_ensemble(lam, mu)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * e.synthesis().nbytes
+
+    @pytest.mark.parametrize("field, fault, error, message", [
+        ("X", lambda k, thin: thin, EnsembleFormatError, "field must be 'R' or 'C'"),
+        ("R", lambda k, thin: thin + 1e-3j * (k == 4), NotIsometryError, "complex entries"),
+        ("R", lambda k, thin: thin[:, : thin.shape[1] - (k == 4)], DegenerateParametersError, "block 5 has shape"),
+        ("R", lambda k, thin: thin * (np.nan if k == 4 else 1.0), NotIsometryError, "block 5 has a non-finite"),
+        ("R", lambda k, thin: thin * (2.0 if k == 4 else 1.0), NotIsometryError, "block 5 fails isometry"),
+    ])
+    def test_orbit_path_makes_every_block_check(self, field, fault, error, message):
+        # the orbit validates through the same routine as from_blocks; block 5 is spoiled
+        ts = transversal_sn(6)
+        calls = iter(range(5, -1, -1))  # the orbit builds the blocks of t_6, t_5, ..., t_1
+        with pytest.raises(error, match=message):
+            cons._orbit_ensemble(LayerSelection.from_delta(Partition((3, 1, 1)), 1), ts, {}, field, 1e-9,
+                                 compress=lambda thin: fault(next(calls), thin))
 
 class TestAlternatingParameters:
     def test_table_rows(self):

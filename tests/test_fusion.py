@@ -445,6 +445,39 @@ class TestInPlaceTightness:
         assert tightness_residual(e) == eye_difference_residual(e)
 
 
+# d above the panel height of tightness_residual, so it takes several panel products
+PANELLED_CASES = {"real_1500": (1500, 300, 7, 3), "complex_1300": (1300, 200, 9, 3, True)}
+
+
+@pytest.fixture(scope="module", params=list(PANELLED_CASES))
+def panelled(request):
+    return request.param, FusionEnsemble.from_blocks(random_orthonormal_blocks(*PANELLED_CASES[request.param]))
+
+
+class TestPanelledTightness:
+    def test_equals_the_eye_difference_formula(self, panelled):
+        import symfusion.fusion as fusion
+
+        _case, e = panelled
+        assert e.d > fusion._PANEL_ROWS
+        assert tightness_residual(e) == eye_difference_residual(e)
+
+    def test_allocates_less_than_the_frame_operator(self, panelled):
+        import tracemalloc
+
+        case, e = panelled
+        tightness_residual(e)  # warm up any lazy numpy state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tightness_residual(e)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the real one holds one panel product; the complex one also the conjugate of one panel
+        bound = {"real_1500": 0.6, "complex_1300": 1.3}[case]
+        assert peak <= bound * e.d * e.d * e.synthesis().itemsize
+
 STACKED_CASES = {
     **{case: builder for case, (_, builder) in EQUIVALENCE_CASES.items()},
     "real_iii_1_1_4": lambda: single_layer_ensemble(Partition((5, 2, 1, 1, 1)), Partition((5, 1, 1, 1, 1))),
@@ -639,6 +672,11 @@ class TestNaimark:
     def test_full_dimension_rejected(self):
         with pytest.raises(FullDimensionError):
             naimark_complement(orthogonal_tiling(6, 2))
+
+    def test_more_than_full_dimension_names_both_sizes(self):
+        e = FusionEnsemble.from_blocks(random_orthonormal_blocks(5, 2, 2, 1))
+        with pytest.raises(FullDimensionError, match="d >= rn leaves nothing to complement: d = 5, rn = 4"):
+            naimark_complement(e)
 
     def test_not_tight_rejected(self):
         b = np.zeros((5, 2))
