@@ -9,9 +9,11 @@ split multi-layer constructions in half.
 
 On the word arrays of :mod:`tableaux` the associator is three arrays over
 Tab(lam): the index T, the partner T' (an entry's row in T' is its column in
-T) and the phase i^m sgn(g_T) (an inversion parity of reading words).  Every
-eigenbasis builder scatters from them.  Tab_*(nu), the half of Tab(nu) that
-indexes an eigenspace basis, is the set of words with the entry 2 in row 0.
+T) and the phase i^m sgn(g_T) (an inversion parity of reading words).  A
+w-basis J is applied only as the signed gather of :func:`gather`, J* M =
+(M[index] + conj(phase) M[partner]) / sqrt(2); a dense basis is that gather
+applied to an identity.  Tab_*(nu), the half of Tab(nu) that indexes an
+eigenspace basis, is the set of words with the entry 2 in row 0.
 
 Reference tableaux: the base point is the row superstandard tableau of the
 "small" symmetric shape (even number of distinct parts); shapes covering it
@@ -144,14 +146,17 @@ def _stars(nu: Partition) -> np.ndarray:
     return np.flatnonzero(tableau_words(nu)[:, 1] == 0)
 
 
-def _w_basis(rows: int, index: np.ndarray, partner: np.ndarray, phase: np.ndarray, m: int) -> np.ndarray:
-    """Column c is (e_index[c] + phase[c] e_partner[c]) / sqrt(2); complex when m is odd."""
-    J = np.zeros((rows, len(index)), dtype=complex if m % 2 else float)
-    cols = np.arange(len(index))
-    inv = 1.0 / np.sqrt(2.0)
-    J[index, cols] += inv
-    J[partner, cols] += phase * inv
-    return J
+def gather(basis: tuple[np.ndarray, np.ndarray, np.ndarray], M: np.ndarray) -> np.ndarray:
+    """J* M for the w-basis J = (index, partner, phase), whose column c is
+    (e_index[c] + phase[c] e_partner[c]) / sqrt(2): row c of the result is
+    (M[index[c]] + conj(phase[c]) M[partner[c]]) / sqrt(2)."""
+    index, partner, phase = basis
+    return (M[index] + np.conj(phase)[:, None] * M[partner]) * (1.0 / np.sqrt(2.0))
+
+
+def _dense(basis: tuple[np.ndarray, np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+    """J itself, the adjoint of the gather of the rows x rows identity; complex when the phases are."""
+    return gather(basis, np.eye(rows)).conj().T
 
 
 def associator_unitary(nu: Partition) -> np.ndarray:
@@ -166,17 +171,21 @@ def associator_unitary(nu: Partition) -> np.ndarray:
     return U
 
 
+def _injection_basis(nu: Partition, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, partner, phase) of the columns of :func:`eigenspace_injection`."""
+    sign = _eps_sign(eps)
+    phase = sign * i_power(half_offdiagonal_count(nu)) * _sign_vector(nu, None)
+    stars = _stars(nu)
+    return stars, _transpose_index(nu)[stars], phase[stars]
+
+
 def eigenspace_injection(nu: Partition, eps) -> np.ndarray:
     """Isometry whose columns are the eigenbasis w_T = (v_T + eps i^m sgn(g_T) v_{T'})/sqrt(2).
 
     Columns are indexed by Tab_*(nu); the matrix maps the eps-eigenspace
     coordinates into the ambient Tab(nu) basis.
     """
-    sign = _eps_sign(eps)
-    m = half_offdiagonal_count(nu)
-    phase = sign * i_power(m) * _sign_vector(nu, None)
-    stars = _stars(nu)
-    return _w_basis(dimension(nu), stars, _transpose_index(nu)[stars], phase[stars], m)
+    return _dense(_injection_basis(nu, eps), dimension(nu))
 
 
 def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
@@ -192,21 +201,19 @@ def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
         raise TooSmallError("eigenspace generator matrices require n >= 5")
     if not 2 <= k <= nu.n - 1:
         raise IndexOutOfRangeError(f"k = {k} outside 2..{nu.n - 1}")
-    sign = _eps_sign(eps)
+    stars, transposed, phase = _injection_basis(nu, eps)
     m = half_offdiagonal_count(nu)
-    stars = _stars(nu)
     if k >= 3:
         M = adjacent_transposition_matrix(nu, k)[np.ix_(stars, stars)]
         return M if m % 2 == 0 else M.astype(complex)
     diag, off, partner = _generator_action(nu, 2)
-    phase = sign * i_power(m) * _sign_vector(nu, None)
     # s_2 T' is standard exactly when |D_T(3,2)| >= 2, i.e. off > 0, and lies in Tab_*
     moves = off[stars] > 0
-    targets = np.searchsorted(stars, partner[_transpose_index(nu)[stars[moves]]])
+    targets = np.searchsorted(stars, partner[transposed[moves]])
     cols = np.arange(len(stars))
     M = np.zeros((len(stars), len(stars)), dtype=complex if m % 2 else float)
     M[cols, cols] = diag[stars]
-    M[targets, cols[moves]] = (phase[stars] * off[stars])[moves]
+    M[targets, cols[moves]] = (phase * off[stars])[moves]
     return M
 
 
@@ -274,11 +281,8 @@ def pair_branching_isometry(lam: Partition, mu: Partition, eps) -> np.ndarray:
     if lam == transpose(lam):
         raise SymmetricLambdaError("pair branching needs a non-symmetric shape")
     offset = down_offset(lam, mu)  # R^lam is row offset + (index of R in Tab(mu))
-    sign = _eps_sign(eps)
-    m = half_offdiagonal_count(mu)
-    phase = sign * i_power(m) * _sign_vector(mu, None)
-    stars = _stars(mu)
-    return _w_basis(dimension(lam), offset + stars, offset + _transpose_index(mu)[stars], phase[stars], m)
+    index, partner, phase = _injection_basis(mu, eps)
+    return _dense((offset + index, offset + partner, phase), dimension(lam))
 
 
 def symmetric_branching_isometry(nu: Partition, mu: Partition, eps) -> np.ndarray:
@@ -301,19 +305,10 @@ def symmetric_branching_isometry(nu: Partition, mu: Partition, eps) -> np.ndarra
     return Psi
 
 
-def layer_eigenbasis(mu: Partition, layers: tuple[Partition, ...], eps) -> np.ndarray:
-    """Orthonormal basis of the eps-eigenspace of a transpose-closed layer sum.
-
-    Returns the (sum of layer dimensions) x (half that) matrix whose columns
-    express the w-basis in the concatenated Tab(lam) coordinates, lam running
-    over ``layers`` in their given order.  The symmetric layer (if present)
-    contributes Tab_* columns; each transpose pair contributes Tab(lam)
-    columns for its first-listed member.
-    """
+def _layer_basis(mu: Partition, layers: tuple[Partition, ...], eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, partner, phase) of the columns of :func:`layer_eigenbasis`."""
     _check_family_mu(mu)
-    sign = _eps_sign(eps)
-    m = half_offdiagonal_count(mu)
-    factor = sign * i_power(m)
+    factor = _eps_sign(eps) * i_power(half_offdiagonal_count(mu))
     starts = list(accumulate(map(dimension, layers), initial=0))
     offsets = dict(zip(layers, starts))
     empty = np.zeros(0, dtype=np.int64)
@@ -330,5 +325,16 @@ def layer_eigenbasis(mu: Partition, layers: tuple[Partition, ...], eps) -> np.nd
             continue
         phase = factor * _sign_vector(lam, mu)
         columns.append((offsets[lam] + t, offsets[lam_t] + _transpose_index(lam)[t], phase[t]))
-    index, partner, phase = (np.concatenate(part) for part in zip(*columns))
-    return _w_basis(starts[-1], index, partner, phase, m)
+    return tuple(np.concatenate(part) for part in zip(*columns))
+
+
+def layer_eigenbasis(mu: Partition, layers: tuple[Partition, ...], eps) -> np.ndarray:
+    """Orthonormal basis of the eps-eigenspace of a transpose-closed layer sum.
+
+    Returns the (sum of layer dimensions) x (half that) matrix whose columns
+    express the w-basis in the concatenated Tab(lam) coordinates, lam running
+    over ``layers`` in their given order.  The symmetric layer (if present)
+    contributes Tab_* columns; each transpose pair contributes Tab(lam)
+    columns for its first-listed member.
+    """
+    return _dense(_layer_basis(mu, layers, eps), sum(map(dimension, layers)))

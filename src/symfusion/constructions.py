@@ -30,15 +30,13 @@ from .errors import (
     InconsistentFamilyError,
     NotInDownSetError,
     NotIsometryError,
-    NotSymmetricError,
     NotTransposeClosedError,
     NotUnitaryError,
-    OddDistinctPartsError,
     ResourceLimitError,
     StepConstraintViolatedError,
     TrivialSubspaceError,
 )
-from .fusion import DEFAULT_TOL, FusionEnsemble, _fields_json
+from .fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, _fields_json
 from .permutations import (
     Permutation,
     transversal_an,
@@ -50,7 +48,6 @@ from .tableaux import (
     Partition,
     corner_parts,
     dimension,
-    is_symmetric,
     partition_corners,
     transpose,
     up_set,
@@ -79,10 +76,9 @@ class LayerSelection:
         covers = up_set(self.mu)
         if not self.indices:
             raise EmptySelectionError("layer selection must be nonempty")
-        if any(not 0 <= i < len(covers) for i in self.indices):
-            raise ConstraintViolationError(
-                f"layer indices must lie in 0..{len(covers) - 1}"
-            )
+        # ints only, as for delta: True is an int to Python and would read as position 1
+        if any(type(i) is not int or not 0 <= i < len(covers) for i in self.indices):
+            raise ConstraintViolationError(f"layer indices must be ints in 0..{len(covers) - 1}")
         if len(set(self.indices)) != len(self.indices):
             raise ConstraintViolationError("layer indices must be distinct")
 
@@ -418,42 +414,34 @@ def _check_cap(d: int, max_dim: int) -> None:
         )
 
 
-def _layer_orbit(
-    sel: LayerSelection,
-    ts: Sequence[Permutation],
-    compress: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
+def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tuple[int, np.ndarray]]:
     """The orbit pi_L(t) Psi_L, t in ts, of the weighted layer stack.
 
     Psi_L stacks sqrt(d_lam / d_L) Psi_{lam,mu} over sel's layers, and the
     direct-sum representation pi_L acts on it layer by layer.  Since
     (k n) = s_k (k+1 n) s_k and Psi_L intertwines pi_mu with pi_L restricted
-    to S_{n-1}, the blocks C_k = pi_L((k n)) Psi_L follow from
+    to S_{n-1}, the blocks C_k = pi_L((k n)) Psi_L follow from C_n = Psi_L,
     C_{n-1} = pi_L(s_{n-1}) Psi_L and C_k = pi_L(s_k) C_{k+1} pi_mu(s_k): one
-    generator each.  A t with t(n) = k < n gives C_k pi_mu(h) for
-    h = (k n) t, which fixes n; the t fixing n acts on Psi_L directly.  ts
-    must satisfy t_k(n) = k.  Yields (k - 1, block of t_k) for k = n, n - 1,
-    ..., 1, each block passed through ``compress`` as soon as it is built, so
-    a caller that stores each block as it comes never holds a block list.
+    generator each.  A t with t(n) = k gives C_k pi_mu(h) for h = (k n) t,
+    which fixes n.  ts must satisfy t_k(n) = k.  Yields (k - 1, block of t_k)
+    for k = n, n - 1, ..., 1, each as soon as it is built, so a caller that
+    stores each block as it comes never holds a block list.
     """
     mu = sel.mu
     n = mu.n + 1
     layers = sel.partitions
     d_layers = sel.total_dimension
-    psi = [np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, mu) for lam in layers]
-    finish = compress or (lambda block: block)
-    yield n - 1, finish(np.vstack([rep_apply(lam, ts[n - 1], P) for lam, P in zip(layers, psi)]))
-    C = psi
-    for k in range(n - 1, 0, -1):
-        s_k = Permutation.adjacent(n, k)
-        C = [rep_apply(lam, s_k, M) for lam, M in zip(layers, C)]
+    C = [np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, mu) for lam in layers]
+    for k in range(n, 0, -1):
+        if k < n:
+            C = [rep_apply(lam, Permutation.adjacent(n, k), M) for lam, M in zip(layers, C)]
         if k < n - 1:
             C = [right_apply_generator(mu, k, M) for M in C]
         block = np.vstack(C)
         h = Permutation.transposition(n, k, n) * ts[k - 1]
         if not h.is_identity:
             block = block @ rep_matrix(mu, Permutation(h.images[:-1]))
-        yield k - 1, finish(block)
+        yield k - 1, block
 
 
 def _orbit_ensemble(
@@ -463,14 +451,15 @@ def _orbit_ensemble(
     field: str,
     tol: float,
     even: bool = False,
-    compress: Callable[[np.ndarray], np.ndarray] | None = None,
+    compress: Callable[[np.ndarray], np.ndarray] = lambda block: block,
 ) -> FusionEnsemble:
     """The tail every orbit builder shares: resolve the transversal, record it
-    last in ``meta``, and write each orbit block into the synthesis array,
-    validated, as soon as it is built."""
+    last in ``meta``, and write each orbit block, passed through ``compress``,
+    into the synthesis array, validated, as soon as it is built."""
     ts = _resolve_transversal(sel.mu.n + 1, transversal, even)
     meta["transversal"] = [t.cycle_string() for t in ts]
-    return FusionEnsemble._stacked(len(ts), _layer_orbit(sel, ts, compress), field, tol, meta)
+    pairs = ((j, compress(block)) for j, block in _layer_orbit(sel, ts))
+    return FusionEnsemble._stacked(len(ts), pairs, field, tol, meta)
 
 
 def single_layer_ensemble(
@@ -509,14 +498,19 @@ def multi_layer_ensemble(
     return _orbit_ensemble(sel, transversal, meta, "R", tol)
 
 
+def _compression(sel: LayerSelection, signs) -> Callable[[np.ndarray], np.ndarray]:
+    """block -> J_L* block J_mu by two signed gathers (block J_mu is the adjoint of J_mu* block*),
+    where J_L and J_mu hold the w-bases of the eigenspaces in ``signs`` side by side."""
+    mu, layers = sel.mu, sel.partitions
+    J_layers = tuple(map(np.concatenate, zip(*(altrep._layer_basis(mu, layers, eps) for eps in signs))))
+    J_mu = tuple(map(np.concatenate, zip(*(altrep._injection_basis(mu, eps) for eps in signs))))
+    return lambda block: altrep.gather(J_layers, altrep.gather(J_mu, block.conj().T).conj().T)
+
+
 def _check_alternating_selection(sel: LayerSelection) -> None:
-    mu = sel.mu
-    if not is_symmetric(mu):
-        raise NotSymmetricError(f"{mu!r} is not symmetric")
-    if len(set(mu.parts)) % 2:
-        raise OddDistinctPartsError(f"{mu!r} must have an even number of distinct parts")
+    altrep._check_family_mu(sel.mu)
     layers = sel.partitions
-    if len(layers) == len(up_set(mu)):
+    if len(layers) == len(up_set(sel.mu)):
         raise ConstraintViolationError("layer selection must be a proper subset")
     layer_set = set(layers)
     if any(transpose(lam) not in layer_set for lam in layers):
@@ -540,12 +534,10 @@ def alternating_ensemble(
     _check_alternating_selection(sel)
     mu = sel.mu
     _check_cap(sel.total_dimension // 2, max_dim)
-    J_layers = altrep.layer_eigenbasis(mu, sel.partitions, eps)
-    J_mu = altrep.eigenspace_injection(mu, eps)
     meta = {"construction": "alternating", "mu": str(mu), "layers": [str(l) for l in sel.partitions],
             "delta": sel.delta, "epsilon": "+" if altrep._eps_sign(eps) == 1 else "-"}
     return _orbit_ensemble(sel, transversal, meta, altrep.field_for(mu), tol, even=True,
-                           compress=lambda thin: J_layers.conj().T @ thin @ J_mu)
+                           compress=_compression(sel, (eps,)))
 
 
 def alternating_parameters(a: int, c: int, delta: int):
@@ -587,19 +579,20 @@ def decomposition_check(
     """Verify the eigenbasis change block-diagonalizes every stacked isometry.
 
     Builds the S_n multi-layer orbit once with an even transversal and rotates
-    each block by the two-eigenspace bases B_L = [J_+ J_-] and B_mu on both
-    sides.  The check passes when every rotated block is block-diagonal within
-    ``tol``; its diagonal blocks are the two alternating halves' blocks, which
-    must each form a valid ensemble.
+    each block to B_L* block B_mu by two signed gathers, where B = [J_+ J_-]
+    pairs the two eigenspace w-bases on each side.  The check passes when
+    every rotated block is block-diagonal within ``tol``; its diagonal blocks
+    are the two alternating halves' blocks, which must each form a valid
+    ensemble.
     """
     _check_alternating_selection(sel)
+    _check_tolerance(tol)  # at NaN the off-diagonal test below would pass every block
     mu = sel.mu
     _check_cap(sel.total_dimension, max_dim)
     ts = _resolve_transversal(mu.n + 1, transversal, even=True)
-    B_layers = np.hstack([altrep.layer_eigenbasis(mu, sel.partitions, eps) for eps in "+-"])
-    B_mu = np.hstack([altrep.eigenspace_injection(mu, eps) for eps in "+-"])
-    rows, cols = B_layers.shape[1] // 2, B_mu.shape[1] // 2
-    rotated = dict(_layer_orbit(sel, ts, lambda thin: B_layers.conj().T @ thin @ B_mu))
+    compress = _compression(sel, "+-")  # the - halves of the bases negate the + halves' phases
+    rows, cols = sel.total_dimension // 2, dimension(mu) // 2
+    rotated = {j: compress(block) for j, block in _layer_orbit(sel, ts)}
     if any(max(np.max(np.abs(R[:rows, cols:])), np.max(np.abs(R[rows:, :cols]))) > tol for R in rotated.values()):
         return False
     field = altrep.field_for(mu)

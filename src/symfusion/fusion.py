@@ -99,6 +99,7 @@ class FusionEnsemble:
         """The one validation routine, for n blocks drawn as (0-based index, block) pairs, each
         index once, in any order: allocate P at the first block's shape, copy each block into
         its column slice and validate the slice before drawing the next, then make P read-only."""
+        _check_tolerance(tol)
         if n < 1:
             raise DegenerateParametersError("an ensemble needs at least one block")
         if field not in ("R", "C"):
@@ -404,6 +405,7 @@ def automorphism_witness(
     tol: float = DEFAULT_TOL,
 ) -> bool:
     """True iff U Phi_j Phi_j* U* equals the projection of subspace sigma(j) for all j."""
+    tol = _check_tolerance(tol)
     U = np.asarray(U)
     if U.shape != (e.d, e.d) or _max_abs(_ct(U) @ U - np.eye(e.d)) > max(tol, 1e-8):
         raise NotUnitaryError("U must be a d x d unitary")

@@ -29,9 +29,6 @@ from .errors import IndexOutOfRangeError, SizeMismatchError
 from .permutations import Permutation, permutation_word
 from .tableaux import Partition, dimension, down_offset, tableau_contents, tableau_words
 
-DEFAULT_TOL = 1e-9
-
-
 @lru_cache(maxsize=1024)
 def _generator_action(lam: Partition, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse description (diag, off, partner) of pi_lam(s_k) in the canonical basis.

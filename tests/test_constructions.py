@@ -427,6 +427,13 @@ class TestKerovTransitionMeasure:
         with pytest.raises(ConstraintViolationError):
             check(delta)
 
+    # the same for layer positions: True would read as position 1 (L_0 over (3, 1)), and a
+    # float or a string must not end in a bare TypeError
+    @pytest.mark.parametrize("indices", [(True,), (False, 1), (0.0,), (1.5,), ("0",), (None,), (3,), (-1,)])
+    def test_layer_indices_must_be_ints_in_range(self, indices):
+        with pytest.raises(ConstraintViolationError, match="ints in 0..2"):
+            LayerSelection(Partition((3, 1)), indices)
+
     @pytest.mark.parametrize("max_n", [3.5, 22.0, True, 1, 0, -4, "22", None])
     def test_search_max_n_must_be_an_int_of_at_least_2(self, max_n):
         with pytest.raises(ConstraintViolationError):
@@ -779,7 +786,7 @@ class TestAlternating:
 
     @pytest.mark.parametrize("mu, delta", [((3, 1, 1), 0), ((3, 1, 1), 1), ((4, 1, 1, 1), 1)])
     def test_decomposition_check_builds_one_orbit(self, monkeypatch, mu, delta):
-        # one rep_apply per transversal element and layer: the orbit is built once
+        # one rep_apply per generator step and layer: the orbit is built once
         calls = []
         real_rep_apply = symfusion.constructions.rep_apply
 
@@ -790,8 +797,7 @@ class TestAlternating:
         monkeypatch.setattr(symfusion.constructions, "rep_apply", counting_rep_apply)
         sel = LayerSelection.from_delta(Partition(mu), delta)
         assert decomposition_check(sel)
-        n = sel.mu.n + 1
-        assert len(calls) == n * len(sel.partitions)
+        assert len(calls) == sel.mu.n * len(sel.partitions)
 
     def test_complex_epsilon_pair_agrees(self):
         sel = LayerSelection.from_delta(Partition((4, 1, 1, 1)), 1)
@@ -936,8 +942,9 @@ class TestLayerOrbit:
     @pytest.mark.parametrize("tkind", TRANSVERSAL_KINDS)
     @pytest.mark.parametrize("kind, lam, mu, layers", [ORBIT_CASES[i] for i in (2, 5, 6, 11)])
     def test_generators_act_only_inside_rep_apply(self, monkeypatch, kind, lam, mu, layers, tkind):
-        # the benchmark tracer's invariants: n |L| rep_apply calls from the
-        # orbit builder, and every apply_generator nested in some rep_apply
+        # the benchmark tracer's invariants: (n - 1) |L| rep_apply calls from the
+        # orbit builder, one per generator step, and every apply_generator
+        # nested in some rep_apply
         calls = []
         depth = [0]
         outside = []
@@ -965,7 +972,7 @@ class TestLayerOrbit:
         monkeypatch.setattr(symfusion.constructions, "rep_apply", counted_rep_apply)
         sel, _ts, build = _orbit_case(kind, lam, mu, layers, tkind)
         build()
-        assert len(calls) == (sel.mu.n + 1) * len(sel.partitions)
+        assert len(calls) == sel.mu.n * len(sel.partitions)
         assert outside == []
 
     @pytest.mark.parametrize("build", [
@@ -979,10 +986,22 @@ class TestLayerOrbit:
             raise AssertionError("a matrix was built before the cap refused")
 
         monkeypatch.setattr(symfusion.constructions, "branching_isometry", unbuilt)
-        monkeypatch.setattr(altrep, "layer_eigenbasis", unbuilt)
-        monkeypatch.setattr(altrep, "eigenspace_injection", unbuilt)
+        monkeypatch.setattr(altrep, "_layer_basis", unbuilt)
+        monkeypatch.setattr(altrep, "_injection_basis", unbuilt)
         with pytest.raises(ResourceLimitError):
             build(LayerSelection.from_delta(Partition((3, 1, 1)), 1))
+
+    @pytest.mark.parametrize("mu, delta", [((3, 1, 1), 0), ((4, 1, 1, 1), 1)])
+    def test_alternating_builds_form_no_dense_eigenbasis(self, monkeypatch, mu, delta):
+        # the halves are compressed by signed gathers on the basis arrays alone
+        def dense(*args):
+            raise AssertionError("a dense eigenbasis was formed")
+
+        monkeypatch.setattr(altrep, "layer_eigenbasis", dense)
+        monkeypatch.setattr(altrep, "eigenspace_injection", dense)
+        sel = LayerSelection.from_delta(Partition(mu), delta)
+        assert certify(alternating_ensemble(sel, "-")).classification == "EITFF"
+        assert decomposition_check(sel)
 
 
     def test_orbit_is_written_into_one_synthesis_array(self):

@@ -26,6 +26,7 @@ from symfusion.constructions import (
     LayerSelection,
     alternating_ensemble,
     alternating_shapes,
+    decomposition_check,
     multi_layer_ensemble,
 )
 from symfusion.errors import (
@@ -590,6 +591,18 @@ class TestToleranceCheck:
         self.rejects(lambda: is_tight(eitff_5_2_5, tol))
         self.rejects(lambda: isoclinism_check(eitff_5_2_5, tol))
         self.rejects(lambda: naimark_complement(eitff_5_2_5, tol))
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_block_validation_and_automorphism_witness(self, eitff_5_2_5, tol):
+        # no residual exceeds a NaN or infinite tolerance: a column of norm 8.66 would pass
+        # as an isometry, and two orthogonal lines as images of each other
+        self.rejects(lambda: FusionEnsemble.from_blocks([5 * np.ones((3, 1)), np.ones((3, 1))], tol=tol))
+        self.rejects(lambda: automorphism_witness(eitff_5_2_5, np.eye(5), Permutation.adjacent(5, 1), tol))
+        lines = FusionEnsemble.from_blocks([np.eye(2)[:, :1], np.eye(2)[:, 1:]])
+        self.rejects(lambda: automorphism_witness(lines, np.eye(2), Permutation.parse("(1 2)", n=2), tol))
+        sel = LayerSelection.from_delta(Partition((3, 1, 1)), 0)
+        self.rejects(lambda: single_layer_ensemble(Partition((3, 2)), Partition((2, 2)), tol=tol))
+        self.rejects(lambda: decomposition_check(sel, tol=tol))
 
 
 class TestFusionGram:
