@@ -335,7 +335,12 @@ def main(argv: list[str] | None = None) -> int:
     except SymfusionError as exc:
         return _fail(exc, EXIT_USER)
     try:
-        return args.func(args, config)
+        code = args.func(args, config)
+        sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # e.g. `| head`: stop quietly, and let shutdown flush into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (SymfusionError, OSError) as exc:  # anything a subcommand did not map itself
         return _fail(exc, EXIT_USER)
 

@@ -43,11 +43,12 @@ from .permutations import (
     transversal_sn,
     validate_transversal,
 )
-from .symrep import branching_isometry, rep_apply, rep_matrix, right_apply_generator
+from .symrep import rep_apply, rep_matrix, right_apply_generator
 from .tableaux import (
     Partition,
     corner_parts,
     dimension,
+    down_offset,
     partition_corners,
     transpose,
     up_set,
@@ -414,7 +415,7 @@ def _check_cap(d: int, max_dim: int) -> None:
         )
 
 
-def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tuple[int, np.ndarray]]:
+def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """The orbit pi_L(t) Psi_L, t in ts, of the weighted layer stack.
 
     Psi_L stacks sqrt(d_lam / d_L) Psi_{lam,mu} over sel's layers, and the
@@ -423,25 +424,28 @@ def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tup
     to S_{n-1}, the blocks C_k = pi_L((k n)) Psi_L follow from C_n = Psi_L,
     C_{n-1} = pi_L(s_{n-1}) Psi_L and C_k = pi_L(s_k) C_{k+1} pi_mu(s_k): one
     generator each.  A t with t(n) = k gives C_k pi_mu(h) for h = (k n) t,
-    which fixes n.  ts must satisfy t_k(n) = k.  Yields (k - 1, block of t_k)
-    for k = n, n - 1, ..., 1, each as soon as it is built, so a caller that
-    stores each block as it comes never holds a block list.
+    which fixes n.  ts must satisfy t_k(n) = k.  Yields (k - 1, C_k, pi_mu(h)
+    or None for h = 1) for k = n, n - 1, ..., 1.  C_k lives in one of two d_L x r
+    working arrays, a row slice per layer, and the next step overwrites it.
     """
     mu = sel.mu
     n = mu.n + 1
     layers = sel.partitions
-    d_layers = sel.total_dimension
-    C = [np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, mu) for lam in layers]
+    d_layers, r = sel.total_dimension, dimension(mu)
+    C, spare = np.zeros((d_layers, r)), np.empty((d_layers, r))
+    starts = np.cumsum([0] + [dimension(lam) for lam in layers])
+    rows = [slice(start, stop) for start, stop in zip(starts, starts[1:])]
+    for lam, layer in zip(layers, rows):
+        np.fill_diagonal(C[layer][down_offset(lam, mu) :], np.sqrt(dimension(lam) / d_layers))
     for k in range(n, 0, -1):
         if k < n:
-            C = [rep_apply(lam, Permutation.adjacent(n, k), M) for lam, M in zip(layers, C)]
+            for lam, layer in zip(layers, rows):
+                rep_apply(lam, Permutation.adjacent(n, k), C[layer], out=spare[layer])
+            C, spare = spare, C
         if k < n - 1:
-            C = [right_apply_generator(mu, k, M) for M in C]
-        block = np.vstack(C)
+            right_apply_generator(mu, k, C, out=C)
         h = Permutation.transposition(n, k, n) * ts[k - 1]
-        if not h.is_identity:
-            block = block @ rep_matrix(mu, Permutation(h.images[:-1]))
-        yield k - 1, block
+        yield k - 1, C, None if h.is_identity else rep_matrix(mu, Permutation(h.images[:-1]))
 
 
 def _orbit_ensemble(
@@ -451,15 +455,17 @@ def _orbit_ensemble(
     field: str,
     tol: float,
     even: bool = False,
-    compress: Callable[[np.ndarray], np.ndarray] = lambda block: block,
+    compress: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FusionEnsemble:
     """The tail every orbit builder shares: resolve the transversal, record it
-    last in ``meta``, and write each orbit block, passed through ``compress``,
-    into the synthesis array, validated, as soon as it is built."""
+    last in ``meta``, and write each orbit block C R (through ``compress``, if
+    given) into the synthesis array, validated, as soon as it is built."""
     ts = _resolve_transversal(sel.mu.n + 1, transversal, even)
     meta["transversal"] = [t.cycle_string() for t in ts]
-    pairs = ((j, compress(block)) for j, block in _layer_orbit(sel, ts))
-    return FusionEnsemble._stacked(len(ts), pairs, field, tol, meta)
+    orbit = _layer_orbit(sel, ts)
+    if compress is not None:
+        orbit = ((j, compress(C if R is None else C @ R), None) for j, C, R in orbit)
+    return FusionEnsemble._stacked(len(ts), orbit, field, tol, meta)
 
 
 def single_layer_ensemble(
@@ -592,7 +598,7 @@ def decomposition_check(
     ts = _resolve_transversal(mu.n + 1, transversal, even=True)
     compress = _compression(sel, "+-")  # the - halves of the bases negate the + halves' phases
     rows, cols = sel.total_dimension // 2, dimension(mu) // 2
-    rotated = {j: compress(block) for j, block in _layer_orbit(sel, ts)}
+    rotated = {j: compress(C if R is None else C @ R) for j, C, R in _layer_orbit(sel, ts)}
     if any(max(np.max(np.abs(R[:rows, cols:])), np.max(np.abs(R[rows:, :cols]))) > tol for R in rotated.values()):
         return False
     field = altrep.field_for(mu)

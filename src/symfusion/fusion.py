@@ -91,21 +91,21 @@ class FusionEnsemble:
         arrays = [np.asarray(b) for b in blocks]
         if field is None:
             field = "C" if any(np.iscomplexobj(b) and np.imag(b).any() for b in arrays) else "R"
-        return cls._stacked(len(arrays), enumerate(arrays), field, tol, meta)
+        return cls._stacked(len(arrays), ((j, b, None) for j, b in enumerate(arrays)), field, tol, meta)
 
     @classmethod
-    def _stacked(cls, n: int, pairs: Iterable[tuple[int, np.ndarray]], field: str, tol: float,
-                 meta: Mapping[str, object] | None) -> "FusionEnsemble":
-        """The one validation routine, for n blocks drawn as (0-based index, block) pairs, each
-        index once, in any order: allocate P at the first block's shape, copy each block into
-        its column slice and validate the slice before drawing the next, then make P read-only."""
+    def _stacked(cls, n: int, triples: Iterable[tuple[int, np.ndarray, np.ndarray | None]], field: str,
+                 tol: float, meta: Mapping[str, object] | None) -> "FusionEnsemble":
+        """The one validation routine, for n blocks C R drawn as (0-based index, C, r x r R or None
+        for the identity) triples, each index once, in any order: allocate P at the first block's
+        shape, write each block into its column slice and validate it there, then make P read-only."""
         _check_tolerance(tol)
         if n < 1:
             raise DegenerateParametersError("an ensemble needs at least one block")
         if field not in ("R", "C"):
             raise EnsembleFormatError(f"field must be 'R' or 'C', got {field!r}")
         P = None
-        for j, b in pairs:
+        for j, b, R in triples:
             if field == "R" and np.iscomplexobj(b) and np.imag(b).any():
                 raise NotIsometryError("field 'R' but blocks have complex entries")
             if P is None:
@@ -116,7 +116,10 @@ class FusionEnsemble:
             if b.shape != (d, r):
                 raise DegenerateParametersError(f"block {j + 1} has shape {b.shape}, expected {(d, r)}")
             view = P[:, j * r : (j + 1) * r]
-            view[...] = b.real if field == "R" and np.iscomplexobj(b) else b
+            if R is None:
+                view[...] = b.real if field == "R" and np.iscomplexobj(b) else b
+            else:
+                np.matmul(b, R, out=view)
             if not np.isfinite(view).all():
                 raise NotIsometryError(f"block {j + 1} has a non-finite entry")
             resid = _max_abs(_ct(view) @ view - np.eye(r))
@@ -393,7 +396,7 @@ def naimark_complement(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> FusionEns
     Q, _ = np.linalg.qr(_ct(e.synthesis()), mode="complete")
     Psi = np.sqrt(rn / (rn - e.d)) * _ct(Q[:, e.d :])
     svds = (np.linalg.svd(Psi[:, j * e.r : (j + 1) * e.r], full_matrices=False) for j in range(e.n))
-    polar = ((j, u @ vh) for j, (u, _s, vh) in enumerate(svds))
+    polar = ((j, u, vh) for j, (u, _s, vh) in enumerate(svds))
     meta = {"construction": "naimark_complement", "of": dict(e.meta)}
     return FusionEnsemble._stacked(e.n, polar, e.field, tol, meta)
 

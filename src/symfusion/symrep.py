@@ -17,6 +17,12 @@ The tables behind those updates come from the array picture of Tab(lam)
 lexicographic sort.  The same table read on columns gives the right action
 M pi(s_k), which the orbit builder in :mod:`constructions` uses for its
 conjugation recursion.
+
+Each product takes an optional ``out`` and returns it (a new array when None),
+with every entry computed as in the out-of-place formula, bit for bit.  A left
+step gathers rows, so ``out`` must not overlap M, and ``rep_apply`` overwrites
+M as its second buffer; ``right_apply_generator`` may run in place (``out=M``).
+Besides ``out`` a step holds only a temporary of _CHUNK_ROWS rows.
 """
 
 from __future__ import annotations
@@ -67,39 +73,61 @@ def adjacent_transposition_matrix(lam: Partition, k: int) -> np.ndarray:
     return M
 
 
-def apply_generator(lam: Partition, k: int, M: np.ndarray) -> np.ndarray:
-    """Left-multiply M by pi_lam(s_k) in O(d * cols) using the sparse structure."""
+_CHUNK_ROWS = 64  # the most rows one generator step's temporary spans
+
+
+def apply_generator(lam: Partition, k: int, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Left-multiply M by pi_lam(s_k) in O(d * cols) using the sparse structure:
+    row t of the product is diag[t] M[t] + off[t] M[partner[t]]."""
     diag, off, partner = _generator_action(lam, k)
-    return diag[:, None] * M + off[:, None] * M[partner]
+    out = np.empty(M.shape, np.result_type(M, diag)) if out is None else out
+    np.take(M, partner, axis=0, out=out, mode="clip")  # mode="raise" would buffer a copy of out
+    out *= off[:, None]
+    for s in range(0, len(M), _CHUNK_ROWS):
+        out[s : s + _CHUNK_ROWS] += diag[s : s + _CHUNK_ROWS, None] * M[s : s + _CHUNK_ROWS]
+    return out
 
 
-def right_apply_generator(lam: Partition, k: int, M: np.ndarray) -> np.ndarray:
+def right_apply_generator(lam: Partition, k: int, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Right-multiply M by pi_lam(s_k), reading the same sparse table on columns.
 
     pi_lam(s_k) is symmetric, so column t of the product is
     diag[t] M[:, t] + off[t] M[:, partner[t]].
     """
     diag, off, partner = _generator_action(lam, k)
-    # np.take gathers columns faster than M[:, partner]
-    return M * diag + np.take(M, partner, axis=1) * off
+    out = np.empty(M.shape, np.result_type(M, diag)) if out is None else out
+    buffer = np.empty((min(len(M), _CHUNK_ROWS), len(diag)), out.dtype)
+    for s in range(0, len(M), _CHUNK_ROWS):
+        src, dst = M[s : s + _CHUNK_ROWS], out[s : s + _CHUNK_ROWS]
+        # np.take gathers columns faster than M[:, partner]
+        gathered = np.take(src, partner, axis=1, out=buffer[: len(src)], mode="clip")
+        np.multiply(src, diag, out=dst)
+        dst += np.multiply(gathered, off, out=gathered)
+    return out
 
 
-def rep_apply(lam: Partition, g: Permutation, M: np.ndarray) -> np.ndarray:
+def rep_apply(lam: Partition, g: Permutation, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """pi_lam(g) @ M without materializing pi_lam(g): for the word [k1, ..., km]
-    of g, left-multiply by pi_lam(s_km) first and pi_lam(s_k1) last."""
+    of g, left-multiply by pi_lam(s_km) first and pi_lam(s_k1) last, the
+    letters alternating between ``out`` and M."""
     if g.degree != lam.n:
         raise SizeMismatchError(f"permutation degree {g.degree} != |lam| = {lam.n}")
-    # M stays referenced to the end: freeing it mid-loop raised the peak RSS of
-    # a III(1,1,5) construct from 135 to 174 MB, by heap fragmentation
-    out = M
-    for k in reversed(permutation_word(g)):
-        out = apply_generator(lam, k, out)
+    word = permutation_word(g)
+    if out is None:  # a new out, and a copy of M for the second buffer
+        out = np.empty(M.shape, np.result_type(M, np.float64))
+        M = M.astype(out.dtype) if len(word) > 1 else M
+    src = M
+    for k in reversed(word):
+        src = apply_generator(lam, k, src, out=M if src is out else out)
+    if src is not out:  # an even word ends in M
+        np.copyto(out, src)
     return out
 
 
 def rep_matrix(lam: Partition, g: Permutation) -> np.ndarray:
-    """Orthogonal matrix of pi_lam(g) in the canonical tableau basis."""
-    return rep_apply(lam, g, np.eye(dimension(lam)))
+    """Orthogonal matrix of pi_lam(g) in the canonical tableau basis, built on one pair of d x d buffers."""
+    eye = np.eye(dimension(lam))
+    return rep_apply(lam, g, eye, out=np.empty_like(eye))
 
 
 def branching_isometry(lam: Partition, mu: Partition) -> np.ndarray:
@@ -110,8 +138,4 @@ def branching_isometry(lam: Partition, mu: Partition) -> np.ndarray:
     vectors v_T with n in the removed box, contiguous rows at
     :func:`tableaux.down_offset`, so the matrix is a vertical [0; I; 0] block.
     """
-    offset = down_offset(lam, mu)
-    d_mu = dimension(mu)
-    Psi = np.zeros((dimension(lam), d_mu))
-    Psi[offset : offset + d_mu] = np.eye(d_mu)
-    return Psi
+    return np.eye(dimension(lam), dimension(mu), -down_offset(lam, mu))

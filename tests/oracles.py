@@ -6,7 +6,8 @@ textbook picture beside them, a validated grid of entries with its box map,
 so the tests can state each array, index and sign by its definition on
 tableaux and compare.  It also keeps the part-by-part partition generator
 that the package's corner walk :func:`symfusion.tableaux.partition_corners`
-replaced.
+replaced, and the out-of-place orbit builder that the package's working-array
+builder :func:`symfusion.constructions._layer_orbit` replaced.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from symfusion import altrep
-from symfusion.permutations import Permutation
-from symfusion.tableaux import Box, Partition, added_row, tableau_words, transpose
+from symfusion.permutations import Permutation, permutation_word
+from symfusion.symrep import _generator_action, branching_isometry
+from symfusion.tableaux import Box, Partition, added_row, dimension, tableau_words, transpose
 
 
 class NotStandardError(ValueError):
@@ -196,3 +200,41 @@ def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:
     """Tab_*(nu) as objects, at the package's canonical indices of it."""
     tableaux = enumerate_standard_tableaux(nu)
     return tuple(tableaux[i] for i in altrep._stars(nu))
+
+
+def _left_step(lam: Partition, k: int, M: np.ndarray) -> np.ndarray:
+    diag, off, partner = _generator_action(lam, k)
+    return diag[:, None] * M + off[:, None] * M[partner]
+
+
+def _right_step(lam: Partition, k: int, M: np.ndarray) -> np.ndarray:
+    diag, off, partner = _generator_action(lam, k)
+    return M * diag + np.take(M, partner, axis=1) * off
+
+
+def _word_apply(lam: Partition, g: Permutation, M: np.ndarray) -> np.ndarray:
+    for k in reversed(permutation_word(g)):
+        M = _left_step(lam, k, M)
+    return M
+
+
+def out_of_place_layer_orbit(sel, ts) -> Iterator[tuple[int, np.ndarray]]:
+    """The orbit pi_L(t_k) Psi_L of :func:`symfusion.constructions._layer_orbit`,
+    (k - 1, block) for k = n, ..., 1, with every generator step, the stacking
+    of the layers and the product by pi_mu(h) made as a new array: the
+    arithmetic the working-array builder must reproduce bit for bit."""
+    mu = sel.mu
+    n = mu.n + 1
+    layers = sel.partitions
+    d_layers = sel.total_dimension
+    C = [np.sqrt(dimension(lam) / d_layers) * branching_isometry(lam, mu) for lam in layers]
+    for k in range(n, 0, -1):
+        if k < n:
+            C = [_word_apply(lam, Permutation.adjacent(n, k), M) for lam, M in zip(layers, C)]
+        if k < n - 1:
+            C = [_right_step(mu, k, M) for M in C]
+        block = np.vstack(C)
+        h = Permutation.transposition(n, k, n) * ts[k - 1]
+        if not h.is_identity:
+            block = block @ _word_apply(mu, Permutation(h.images[:-1]), np.eye(dimension(mu)))
+        yield k - 1, block

@@ -602,7 +602,9 @@ class TestAlternatingBlocks:
         blocks = cons.alternating_ensemble(sel, eps, transversal=ts).blocks
         J_layers = object_layer_eigenbasis(mu, sel.partitions, eps)
         J_mu = object_eigenspace_injection(mu, eps)
-        orbit = [thin for _k, thin in sorted(cons._layer_orbit(sel, ts or cons.transversal_an(mu.n + 1)))]
+        # each (C, R) is multiplied out before the next step overwrites C
+        steps = cons._layer_orbit(sel, ts or cons.transversal_an(mu.n + 1))
+        orbit = [thin for _k, thin in sorted((k, C.copy() if R is None else C @ R) for k, C, R in steps)]
         assert len(blocks) == len(orbit) == mu.n + 1
         # the gathers sum each entry in another order than the dense products
         for block, thin in zip(blocks, orbit):

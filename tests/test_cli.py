@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +189,25 @@ class TestConstruct:
         code, stdout, _ = run(capsys, "construct", "generic", "--spec", str(path))
         assert code == 0
         assert "EITFF_R(2, 1, 3)" in stdout
+
+
+class TestClosedStdout:
+    def test_reader_gone_is_a_quiet_success(self):
+        # `symfusion construct ... --json | head -c 10`, with the reader gone before
+        # the first write: exit 0 and nothing on stderr, not even at shutdown
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "symfusion.cli", "construct", "alternating", "--mu", "4,1,1,1",
+                 "--delta", "1", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, b"")
 
 
 class TestCertify:

@@ -64,7 +64,7 @@ from symfusion.permutations import Permutation, transversal_an, transversal_sn
 from symfusion.symrep import branching_isometry, rep_apply
 from symfusion.tableaux import box_axial_distance, corner_parts, down_set, partition_corners, removable_boxes
 
-from oracles import boxes, hook_length, partition_parts
+from oracles import boxes, hook_length, out_of_place_layer_orbit, partition_parts
 
 TOL = 1e-9
 
@@ -790,9 +790,9 @@ class TestAlternating:
         calls = []
         real_rep_apply = symfusion.constructions.rep_apply
 
-        def counting_rep_apply(lam, g, M):
+        def counting_rep_apply(lam, g, M, **kwargs):
             calls.append(lam)
-            return real_rep_apply(lam, g, M)
+            return real_rep_apply(lam, g, M, **kwargs)
 
         monkeypatch.setattr(symfusion.constructions, "rep_apply", counting_rep_apply)
         sel = LayerSelection.from_delta(Partition(mu), delta)
@@ -940,6 +940,41 @@ class TestLayerOrbit:
             assert np.max(np.abs(mine - theirs)) <= 1e-12
 
     @pytest.mark.parametrize("tkind", TRANSVERSAL_KINDS)
+    @pytest.mark.parametrize("kind, lam, mu, layers", ORBIT_CASES)
+    def test_synthesis_is_bit_identical_to_the_out_of_place_orbit(self, kind, lam, mu, layers, tkind):
+        # the working arrays compute every entry with the operands and operations
+        # of the builder that made each product a new array
+        sel, ts, build = _orbit_case(kind, lam, mu, layers, tkind)
+        n = sel.mu.n + 1
+        if ts is None:
+            ts = transversal_an(n) if kind == "alternating" else transversal_sn(n)
+        compress = cons._compression(sel, ("+",)) if kind == "alternating" else (lambda block: block)
+        reference = dict((j, compress(block)) for j, block in out_of_place_layer_orbit(sel, ts))
+        assert np.array_equal(np.hstack(build()), np.hstack([reference[j] for j in range(n)]))
+
+    @pytest.mark.parametrize("tkind", TRANSVERSAL_KINDS)
+    @pytest.mark.parametrize("kind, lam, mu, layers", [
+        ("single", (5, 2, 1, 1, 1), (5, 1, 1, 1, 1), None),  # d = 448, r = 70
+        ("multi", None, (4, 4, 1), 1),  # two layers, d = 588, r = 84
+    ])
+    def test_build_allocates_at_most_three_blocks_beyond_the_synthesis_array(self, kind, lam, mu, layers, tkind):
+        # P, the two d_L x r working arrays, and temporaries of a row chunk or r x r
+        import tracemalloc
+
+        _sel, _ts, build = _orbit_case(kind, lam, mu, layers, tkind)
+        blocks = build()  # warm the caches
+        block, synthesis = blocks[0].nbytes, sum(b.nbytes for b in blocks)
+        del blocks
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= synthesis + 3 * block
+
+    @pytest.mark.parametrize("tkind", TRANSVERSAL_KINDS)
     @pytest.mark.parametrize("kind, lam, mu, layers", [ORBIT_CASES[i] for i in (2, 5, 6, 11)])
     def test_generators_act_only_inside_rep_apply(self, monkeypatch, kind, lam, mu, layers, tkind):
         # the benchmark tracer's invariants: (n - 1) |L| rep_apply calls from the
@@ -951,21 +986,21 @@ class TestLayerOrbit:
         real_rep_apply = symrep.rep_apply
         real_apply_generator = symrep.apply_generator
 
-        def tracked_rep_apply(lam_, g, M):
+        def tracked_rep_apply(lam_, g, M, **kwargs):
             depth[0] += 1
             try:
-                return real_rep_apply(lam_, g, M)
+                return real_rep_apply(lam_, g, M, **kwargs)
             finally:
                 depth[0] -= 1
 
-        def counted_rep_apply(lam_, g, M):
+        def counted_rep_apply(lam_, g, M, **kwargs):
             calls.append(lam_)
-            return tracked_rep_apply(lam_, g, M)
+            return tracked_rep_apply(lam_, g, M, **kwargs)
 
-        def checked_apply_generator(lam_, k, M):
+        def checked_apply_generator(lam_, k, M, **kwargs):
             if not depth[0]:
                 outside.append((lam_, k))
-            return real_apply_generator(lam_, k, M)
+            return real_apply_generator(lam_, k, M, **kwargs)
 
         monkeypatch.setattr(symrep, "rep_apply", tracked_rep_apply)
         monkeypatch.setattr(symrep, "apply_generator", checked_apply_generator)
@@ -985,7 +1020,7 @@ class TestLayerOrbit:
         def unbuilt(*args):
             raise AssertionError("a matrix was built before the cap refused")
 
-        monkeypatch.setattr(symfusion.constructions, "branching_isometry", unbuilt)
+        monkeypatch.setattr(symfusion.constructions, "_layer_orbit", unbuilt)
         monkeypatch.setattr(altrep, "_layer_basis", unbuilt)
         monkeypatch.setattr(altrep, "_injection_basis", unbuilt)
         with pytest.raises(ResourceLimitError):

@@ -12,7 +12,8 @@ from symfusion import (
     rep_matrix,
 )
 from symfusion.errors import IndexOutOfRangeError, NotInDownSetError, SizeMismatchError
-from symfusion.symrep import _generator_action, apply_generator, right_apply_generator
+from symfusion.permutations import permutation_word
+from symfusion.symrep import _generator_action, apply_generator, rep_apply, right_apply_generator
 
 from oracles import (
     apply_adjacent_transposition,
@@ -150,6 +151,41 @@ class TestGeneratorTables:
                 expected = M @ adjacent_transposition_matrix(lam, k)
                 np.testing.assert_allclose(right_apply_generator(lam, k, M), expected, atol=1e-14)
                 np.testing.assert_allclose(apply_generator(lam, k, M.T), expected.T, atol=1e-14)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_out_forms_equal_the_formulas_bit_for_bit(self, dtype):
+        # d = 90 and 150 rows span several row chunks; out= and out=None must agree
+        # exactly with the one-expression formulas, and only out= may write over M
+        rng = np.random.default_rng(3)
+        lam = Partition((4, 2, 1, 1))
+        d = dimension(lam)
+
+        def draw(shape):
+            return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if dtype is complex else 0)
+
+        def left(k, M):
+            diag, off, partner = _generator_action(lam, k)
+            return diag[:, None] * M + off[:, None] * M[partner]
+
+        M, W = draw((d, 7)), draw((150, d))
+        for k in range(1, lam.n):
+            diag, off, partner = _generator_action(lam, k)
+            right = W * diag + np.take(W, partner, axis=1) * off
+            assert np.array_equal(apply_generator(lam, k, M), left(k, M))
+            assert np.array_equal(apply_generator(lam, k, M, out=np.empty_like(M)), left(k, M))
+            assert np.array_equal(right_apply_generator(lam, k, W), right)
+            in_place = W.copy()
+            assert right_apply_generator(lam, k, in_place, out=in_place) is in_place
+            assert np.array_equal(in_place, right)
+        kept = M.copy()
+        for g in (Permutation.identity(8), Permutation.adjacent(8, 3), Permutation.parse("(1 2)(4 5)", n=8),
+                  Permutation.parse("(1 3)", n=8), Permutation(rng.permutation(8) + 1)):  # 0 to 3 letters, and more
+            expected = M
+            for k in reversed(permutation_word(g)):
+                expected = left(k, expected)
+            assert np.array_equal(rep_apply(lam, g, M), expected)
+            assert np.array_equal(M, kept)
+            assert np.array_equal(rep_apply(lam, g, M.copy(), out=np.empty_like(M)), expected)
 
 
 class TestRepMatrix:
