@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .tableaux import Partition
 
 DEFAULT_TOL = 1e-9
 _PANEL_ROWS = 1024  # the most rows of P that one tightness_residual product takes
+_HELPER_BYTES = 8 << 20  # the least synthesis array, in bytes, whose pair pass takes a helper thread
 
 
 def _ct(A: np.ndarray) -> np.ndarray:
@@ -120,10 +123,11 @@ class FusionEnsemble:
                 view[...] = b.real if field == "R" and np.iscomplexobj(b) else b
             else:
                 np.matmul(b, R, out=view)
-            if not np.isfinite(view).all():
+            with np.errstate(all="ignore"):  # a non-finite Gram is reported below, not warned of
+                resid = _shifted_max(_ct(view) @ view, 1.0)  # not finite iff the Gram is not
+            if not math.isfinite(resid) and not np.isfinite(view).all():
                 raise NotIsometryError(f"block {j + 1} has a non-finite entry")
-            resid = _max_abs(_ct(view) @ view - np.eye(r))
-            if resid > tol:
+            if not resid <= tol:  # an overflowing Gram of finite entries gives NaN
                 raise NotIsometryError(f"block {j + 1} fails isometry: residual {resid:.3e} > {tol:.3e}")
         P.setflags(write=False)  # views taken from here on are read-only too
         views = tuple(P[:, j * r : (j + 1) * r] for j in range(n))
@@ -226,30 +230,61 @@ def welch_alpha(d: int, r: int, n: int) -> float:
     return (r * n - d) / (d * (n - 1))
 
 
-def _pair_pass(e: FusionEnsemble, tol: float) -> dict:
-    """The report's pairwise fields from one cross-Gram and one SVD per pair i < j.
+def _helper_wanted(e: FusionEnsemble) -> bool:
+    """BLAS runs one thread (as OpenBLAS reads it at load), two CPUs are usable, P has _HELPER_BYTES."""
+    blas = next(filter(None, map(os.environ.get, ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))), None)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return e.synthesis().nbytes >= _HELPER_BYTES and blas == "1" and cpus >= 2
+
+
+def _pair_pass(e: FusionEnsemble, tol: float, first: Callable[[FusionEnsemble], object]) -> tuple[object, dict]:
+    """``first(e)`` and the report's pairwise fields, from one cross-Gram and one SVD per pair i < j.
 
     A pair with cosines s has parameter alpha = sum_k s_k^2 / r and residual
     max_k |s_k^2 - alpha|, the spectral norm of G*G - alpha I.  The ensemble is
     equi-isoclinic when every residual and the spread of the pair parameters are
     within ``tol``; it has a common chordal distance when the chordal spread is.
+
+    When :func:`_helper_wanted`, a daemon helper runs ``first`` (GEMMs release the GIL), then claims
+    pairs from the caller's iterator; cosines are reduced in pair order, so none depends on the
+    thread.  A failure in either thread stops both and is raised here, after the join.
     """
+    pairs = [(i, j) for i in range(1, e.n + 1) for j in range(i + 1, e.n + 1)]
+    cosines, claims, out, failed = [None] * len(pairs), iter(enumerate(pairs)), [], []
+
+    def work(lead: bool) -> None:
+        try:
+            if lead:
+                out.append(first(e))
+            for k, (i, j) in claims:  # each next() is atomic under the GIL
+                if failed:
+                    return
+                cosines[k] = _cosines(e, i, j)
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=work, args=(True,), daemon=True) if _helper_wanted(e) else None
+    if helper is not None:
+        helper.start()
+    work(helper is None)  # catches all, so the join below always runs
+    if helper is not None:
+        helper.join()
+    if failed:
+        raise failed[0]
     angles, spectrals, chordals, alphas, resids = [], [], [], [], []
-    for i in range(1, e.n + 1):
-        for j in range(i + 1, e.n + 1):
-            s = _cosines(e, i, j)
-            angles.append((i, j, tuple(float(a) for a in np.arccos(s))))
-            sp, ch = _distances(e.r, s)
-            spectrals.append(sp)
-            chordals.append(ch)
-            alphas.append(float(np.sum(s**2)) / e.r)
-            resids.append(float(np.max(np.abs(s**2 - alphas[-1]))))
+    for (i, j), s in zip(pairs, cosines):
+        angles.append((i, j, tuple(float(a) for a in np.arccos(s))))
+        sp, ch = _distances(e.r, s)
+        spectrals.append(sp)
+        chordals.append(ch)
+        alphas.append(float(np.sum(s**2)) / e.r)
+        resids.append(float(np.max(np.abs(s**2 - alphas[-1]))))
     if not alphas:
-        return {"principal_angles": (), **dict.fromkeys(
+        return out[0], {"principal_angles": (), **dict.fromkeys(
             ("spectral_min", "chordal_min", "common_chordal", "chordal_spread",
              "isoclinism_alpha", "isoclinism_residual", "alpha_spread"), None)}
     resid, a_spread, c_spread = max(resids), max(alphas) - min(alphas), max(chordals) - min(chordals)
-    return {
+    return out[0], {
         "principal_angles": tuple(angles),
         "spectral_min": min(spectrals),
         "chordal_min": min(chordals),
@@ -264,7 +299,7 @@ def _pair_pass(e: FusionEnsemble, tol: float) -> dict:
 def isoclinism_check(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> float | None:
     """Common isoclinism parameter if every pair's G*G is alpha I within ``tol``
     in the spectral norm and the pair parameters agree within ``tol``."""
-    return _pair_pass(e, _check_tolerance(tol))["isoclinism_alpha"]
+    return _pair_pass(e, _check_tolerance(tol), lambda _: None)[1]["isoclinism_alpha"]
 
 
 @dataclass(frozen=True)
@@ -330,11 +365,14 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
     tight.  Equality in the Lemmens-Seidel bound is reported for information
     only; it is never used to infer the classification.  ``tol`` must be
     finite and positive.
+
+    With BLAS at one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1), two usable CPUs
+    and P of at least 8 MiB, a helper thread takes the tightness residual and shares the pairs;
+    the report's bytes do not change.
     """
     tol = _check_tolerance(tol)
-    resid = tightness_residual(e)
+    resid, pairs = _pair_pass(e, tol, tightness_residual)
     tight = resid <= tol * max(1.0, e.r * e.n / e.d)
-    pairs = _pair_pass(e, tol)
     alpha = pairs["isoclinism_alpha"]
     w_spectral, w_chordal = welch_bounds(e.d, e.r, e.n) if e.n >= 2 else (None, None)
     w_alpha = welch_alpha(e.d, e.r, e.n) if e.n >= 2 else None

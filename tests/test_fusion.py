@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from symfusion.errors import (
     NotUnitaryError,
     SymfusionError,
 )
+from symfusion import fusion
 from symfusion.fusion import is_tight, random_orthonormal_blocks
 
 TOL = 1e-9
@@ -88,6 +92,13 @@ class TestEnsembleValidation:
         blocks[1][0, 0] = bad
         with pytest.raises(NotIsometryError, match="non-finite"):
             FusionEnsemble.from_blocks(blocks)
+
+    def test_rejects_a_finite_block_whose_gram_overflows(self):
+        # conj(z) z of z = 1e200 (1 + i) has imaginary part inf - inf = NaN, which the
+        # test "residual > tol" would pass
+        b = np.full((3, 2), 1e200 * (1 + 1j))
+        with pytest.raises(NotIsometryError, match="block 1 fails isometry: residual nan"):
+            FusionEnsemble.from_blocks([b])
 
     def test_rejects_non_finite_complex_block(self):
         b = np.eye(3, 2, dtype=complex)
@@ -428,6 +439,141 @@ class TestOnePassCertifier:
         certify(e)
         pairs = e.n * (e.n - 1) // 2
         assert counts == {"cross_gram": pairs, "svd": pairs}
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def open_helper_gate(monkeypatch, env: dict[str, str], cpus: set[int] | int | None, min_bytes: int | None = 0) -> None:
+    """Set the helper gate's inputs: the BLAS variables (all others unset), the CPUs the
+    process may use (a set is its affinity; an int or None is what os.cpu_count returns on
+    a platform with no sched_getaffinity) and the size constant (None keeps it)."""
+    for var in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    if isinstance(cpus, set):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if min_bytes is not None:
+        monkeypatch.setattr(fusion, "_HELPER_BYTES", min_bytes)
+
+
+@pytest.fixture
+def threads_made(monkeypatch):
+    """Every threading.Thread constructed while the test runs."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return made
+
+
+# name -> (classification, builder)
+HELPER_CASES = {
+    "real_eitff": EQUIVALENCE_CASES["real_eitff"],
+    "complex_eitff": EQUIVALENCE_CASES["complex_eitff"],
+    "random_none": EQUIVALENCE_CASES["random_none"],
+    "n_1": EQUIVALENCE_CASES["single_subspace"],
+    "n_2": ("NONE", lambda: isoclinic_pair(0.3)),
+}
+
+
+class TestHelperThread:
+    @pytest.mark.parametrize("case", list(HELPER_CASES))
+    def test_helper_on_equals_helper_off(self, monkeypatch, threads_made, case):
+        classification, build_case = HELPER_CASES[case]
+        e = build_case()
+        with monkeypatch.context() as m:
+            m.setattr(fusion, "_helper_wanted", lambda e: False)
+            off, off_alpha = certify(e), isoclinism_check(e)
+        assert threads_made == []
+        open_helper_gate(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, {0, 1})
+        on, on_alpha = certify(e), isoclinism_check(e)
+        assert len(threads_made) == 2 and all(t.daemon and not t.is_alive() for t in threads_made)
+        assert on.to_json() == off.to_json()
+        assert on.summary() == off.summary()
+        assert on_alpha == off_alpha
+        assert on.classification == classification
+
+    def test_every_pair_is_claimed_once_under_fast_thread_switches(self, monkeypatch, threads_made):
+        e = FusionEnsemble.from_blocks(random_orthonormal_blocks(12, 2, 24, 5))
+        with monkeypatch.context() as m:
+            m.setattr(fusion, "_helper_wanted", lambda e: False)
+            off = certify(e)
+        open_helper_gate(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, {0, 1})
+        claimed, lock, real_cosines = [], threading.Lock(), fusion._cosines
+
+        def recorded(e, i, j):
+            with lock:
+                claimed.append((i, j))
+            return real_cosines(e, i, j)
+
+        monkeypatch.setattr(fusion, "_cosines", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            on = certify(e)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads_made) == 1 and not threads_made[0].is_alive()
+        assert sorted(claimed) == [(i, j) for i in range(1, 25) for j in range(i + 1, 25)]
+        assert on.to_json() == off.to_json()
+
+    @pytest.mark.parametrize("broken", ["tightness_residual", "_cosines"])
+    def test_an_exception_in_either_thread_reaches_the_caller(self, monkeypatch, threads_made, broken):
+        e = HELPER_CASES["real_eitff"][1]()
+        baseline = threading.active_count()
+        open_helper_gate(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, {0, 1})
+
+        def fail(*args):
+            raise RuntimeError(f"{broken} failed")
+
+        monkeypatch.setattr(fusion, broken, fail)
+        with pytest.raises(RuntimeError, match=f"{broken} failed"):
+            certify(e)
+        assert len(threads_made) == 1 and not threads_made[0].is_alive()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize(
+        "env, cpus, min_bytes",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, None),  # P is below the size constant
+            ({}, {0, 1}, 0),  # BLAS picks its own thread count
+            ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1}, 0),
+            ({"OMP_NUM_THREADS": "2"}, {0, 1}, 0),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 0),  # OpenBLAS reads its own first
+            ({"OPENBLAS_NUM_THREADS": "1"}, {0}, 0),  # one CPU
+            ({"OPENBLAS_NUM_THREADS": "1"}, 1, 0),  # no sched_getaffinity: os.cpu_count
+            ({"OPENBLAS_NUM_THREADS": "1"}, None, 0),  # os.cpu_count cannot tell
+        ],
+    )
+    def test_gate_closed_starts_no_thread(self, monkeypatch, threads_made, env, cpus, min_bytes):
+        e = HELPER_CASES["real_eitff"][1]()
+        assert e.synthesis().nbytes < fusion._HELPER_BYTES
+        open_helper_gate(monkeypatch, env, cpus, min_bytes)
+        certify(e)
+        isoclinism_check(e)
+        assert threads_made == []
+
+    @pytest.mark.parametrize(
+        "env, cpus",
+        [
+            ({"OMP_NUM_THREADS": "1"}, {0, 1}),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, {0, 1, 2}),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2),  # no sched_getaffinity: os.cpu_count
+        ],
+    )
+    def test_gate_open_starts_one_helper(self, monkeypatch, threads_made, env, cpus):
+        open_helper_gate(monkeypatch, env, cpus)
+        certify(HELPER_CASES["real_eitff"][1]())
+        assert len(threads_made) == 1
 
 
 def eye_difference_residual(e: FusionEnsemble) -> float:
