@@ -329,8 +329,8 @@ class TestSearchAndTable:
 
     # exact integers and fractions only, so the bytes do not depend on the platform;
     # the searches are the benchmark's record for N = 12..22, read here and never rewritten.
-    # N = 30 was checked against the per-parity Fraction loop _two_certificate_search(30)
-    # (tests/test_constructions.py) before it was pinned.
+    # N = 30 and N = 34 (604 records) were checked against the per-parity Fraction loop
+    # _two_certificate_search (tests/test_constructions.py) before they were pinned.
     GOLDEN_SHA256 = {
         ("table", "sn", "--max-dim", "100000", "--json"):
             "5eff01ab10446d2bb9144cfcb54c4ab416a3def0edb2eb9f3320464c135afac6",
@@ -338,6 +338,8 @@ class TestSearchAndTable:
             "44694eb93f14558a51167a779141fc1b38b503adc2eb49692ec5d4a2a34a9216",
         ("search-isoclinic", "--max-n", "30"):
             "1ff9f7c13d97cfd052b4682999c8c62b096ff72676c33c479c6d31ab3294fc3e",
+        ("search-isoclinic", "--max-n", "34"):
+            "ece4f8b877aa45b34879f4794e8f5935c977bc46f5f87e546a13a7972d27cb33",
         **{
             ("search-isoclinic", "--max-n", n): digest
             for n, digest in json.loads(SEARCH_DIGESTS.read_text())["sha256"].items()
