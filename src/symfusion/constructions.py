@@ -125,6 +125,12 @@ def _parity(delta: int) -> slice:
     return slice(1 - delta, None, 2)
 
 
+def _ints(*values) -> None:
+    """Refuse a family or table parameter that is not an int (a bool or a float included)."""
+    if any(type(v) is not int for v in values):
+        raise ConstraintViolationError(f"family and table parameters must be ints, got {values!r}")
+
+
 def _corners(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Contents (x, y) of the addable and removable boxes, in the orders of :func:`up_set`
     and :func:`removable_boxes`: x = p - i where row i starts a new part, then -len, and
@@ -148,8 +154,20 @@ def _isoclinic(xs, ys):
     """The kernel's V, V w_k and V s_q over L_0 if the s_q(L_0) alternate in sign with one
     magnitude, else None, decided on the integers V s_q up to the first box that breaks the
     pattern.  s_1 < 0, as L_0 lies below y_1, so s_q = (-1)^q beta with beta > 0.  Over all
-    covers the w_k / (x_k - y_q) sum to 0, so s(L_1) = -s(L_0): one test decides both."""
-    v, vws, sums = _scaled_sums(xs, ys, xs[_parity(0)])
+    covers the w_k / (x_k - y_q) sum to 0, so s(L_1) = -s(L_0): one test decides both.
+
+    A float screen first rejects misses: f = s_1 + s_2 = sum_k t_k over L_0, each t_k =
+    w_k (2x_k - y_1 - y_2) / ((x_k - y_1)(x_k - y_2)) one correctly rounded int / int.  At f = 0
+    the float sum is at most about (|L_0| + 1) 2^-53 sum |t_k|, far below 1e-12 sum |t_k|, so it
+    rejects only true misses; w_k >= 1/n (d_lam >= d_mu) and contents in [-n, n] keep each nonzero
+    |t_k| in [1/(4n^3), 4n], so nothing overflows or underflows.  The integers decide every hit."""
+    at = xs[_parity(0)]
+    if len(ys) > 1:
+        y1, y2, *rest = ys
+        ts = [prod([x - y for y in rest]) * (2 * x - y1 - y2) / prod([x - z for z in xs if z != x]) for x in at]
+        if abs(sum(ts)) > 1e-12 * sum(map(abs, ts)):
+            return None
+    v, vws, sums = _scaled_sums(xs, ys, at)
     scaled = [next(sums)]
     for s in sums:
         if s != -scaled[-1]:
@@ -262,6 +280,7 @@ def three_part_family(a: int, f: int, h: int, b: int) -> tuple[Partition, ExactI
     of (a + h) f with 0 < b < h/2.  Then c = f + 2af/h, e = (a - b + h) f / b - c,
     g = h - b, and ((e+f+g)^a, (e+f)^b, e^c) is isoclinic.
     """
+    _ints(a, f, h, b)
     if a < 1 or f < 1 or a * f <= 1:
         raise StepConstraintViolatedError("need a, f >= 1 with a*f > 1")
     if h <= 2 or (2 * a * f) % h != 0:
@@ -283,6 +302,7 @@ def four_part_family(a: int, b: int, c: int) -> tuple[Partition, ExactIsoclinicC
 
     Returns ((a+b+c+e)^a, (a+b+c)^b, (a+b)^c, a^e) with its certificate.
     """
+    _ints(a, b, c)
     if a < 1 or b < 1 or c < 1:
         raise ConstraintViolationError("need a, b, c >= 1")
     if (b * b) % c != 0:
@@ -350,6 +370,7 @@ def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
     factorial product for r; type III uses n = ab + ac + bc + 1 and
     d = c^2 / ((a+c)(b+c)) r n.  alpha = (rn - d) / (d (n-1)) exactly.
     """
+    _ints(a, b, *([c] if kind == "III" else []))  # c is read by type III only
     if kind in ("I", "II"):
         if a < 2 or b < 1:
             raise ConstraintViolationError("types I and II need a >= 2, b >= 1")
@@ -359,7 +380,7 @@ def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
             r *= Fraction(factorial(k), factorial(k + b))
         d = Fraction(a, a + b) * r * n
     elif kind == "III":
-        if c is None or a < 1 or b < 1 or c < 2:
+        if a < 1 or b < 1 or c < 2:
             raise ConstraintViolationError("type III needs a, b >= 1 and c >= 2")
         n = a * b + a * c + b * c + 1
         r = Fraction(factorial(n - 1))
@@ -379,6 +400,7 @@ def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
 
 def single_layer_shapes(kind: str, a: int, b: int, c: int | None = None) -> tuple[Partition, Partition]:
     """(lam, mu) realizing a named family instance."""
+    _ints(a, b, *([c] if kind == "III" else []))  # c is read by type III only
     if kind == "I":
         mu = Partition((b,) * a)
         lam = Partition((b + 1,) + (b,) * (a - 1))
@@ -386,8 +408,6 @@ def single_layer_shapes(kind: str, a: int, b: int, c: int | None = None) -> tupl
         mu = Partition((a,) * b)
         lam = Partition((a,) * b + (1,))
     elif kind == "III":
-        if c is None:
-            raise ConstraintViolationError("type III needs c")
         mu = Partition((b + c,) * a + (b,) * c)
         lam = Partition((b + c,) * a + (b + 1,) + (b,) * (c - 1))
     else:
@@ -553,6 +573,7 @@ def alternating_parameters(a: int, c: int, delta: int):
     b = a, and d is c^2/(a+c)^2 rn for delta = 0 or a(a+2c)/(a+c)^2 rn for
     delta = 1.  The field is real exactly when a(a + 2c - 1)/2 is even.
     """
+    _ints(a, c)
     if a < 1 or c < 2:
         raise ConstraintViolationError("need a >= 1 and c >= 2")
     _parity(delta)  # refuse a bad delta before any work
@@ -573,6 +594,7 @@ def alternating_parameters(a: int, c: int, delta: int):
 
 def alternating_shapes(a: int, c: int) -> Partition:
     """The symmetric two-distinct-part mu = ((a+c)^a, a^c) behind the family."""
+    _ints(a, c)
     return Partition((a + c,) * a + (a,) * c)
 
 
@@ -698,6 +720,7 @@ def sn_table(max_dim: int) -> list[TableRow]:
     Enumerates type I with 2 <= a <= b (the smaller-d member of each Naimark
     pair) and type III with a <= b, c >= 2; sorted by d.
     """
+    _ints(max_dim)
     def row(kind, a, b, c=None):
         d, r, n, alpha = single_layer_parameters(kind, a, b, c)
         return [TableRow("R", d, r, n, alpha, kind, a, b, c, None)] if d <= max_dim else []
@@ -712,6 +735,7 @@ def an_table(max_dim: int) -> list[TableRow]:
 
     One row per (a, c), taking the delta with the smaller d; sorted by d.
     """
+    _ints(max_dim)
     def row(a, c):
         (field, d, r, n, alpha), delta = min(
             ((alternating_parameters(a, c, delta), delta) for delta in (0, 1)), key=lambda item: item[0][1]

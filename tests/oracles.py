@@ -7,7 +7,9 @@ so the tests can state each array, index and sign by its definition on
 tableaux and compare.  It also keeps the part-by-part partition generator
 that the package's corner walk :func:`symfusion.tableaux.partition_corners`
 replaced, and the out-of-place orbit builder that the package's working-array
-builder :func:`symfusion.constructions._layer_orbit` replaced.
+builder :func:`symfusion.constructions._layer_orbit` replaced, and the
+isoclinic test without the float screen that now guards
+:func:`symfusion.constructions._isoclinic`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from symfusion import altrep
+from symfusion.constructions import _scaled_sums
 from symfusion.permutations import Permutation, permutation_word
 from symfusion.symrep import _generator_action, branching_isometry
 from symfusion.tableaux import Box, Partition, added_row, dimension, tableau_words, transpose
@@ -194,6 +197,19 @@ def partition_parts(n: int) -> Iterator[tuple[int, ...]]:
             yield from gen(remaining - p, p, prefix + (p,))
 
     yield from gen(n, n, ())
+
+
+def unscreened_isoclinic(xs, ys):
+    """:func:`symfusion.constructions._isoclinic` decided on the integers alone: the
+    kernel's V, V w_k and V s_q over L_0 if the s_q alternate in sign with one
+    magnitude, else None, with every mu running the kernel."""
+    v, vws, sums = _scaled_sums(xs, ys, xs[1::2])
+    scaled = [next(sums)]
+    for s in sums:
+        if s != -scaled[-1]:
+            return None
+        scaled.append(s)
+    return v, vws, scaled
 
 
 def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:

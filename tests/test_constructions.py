@@ -64,7 +64,7 @@ from symfusion.permutations import Permutation, transversal_an, transversal_sn
 from symfusion.symrep import branching_isometry, rep_apply
 from symfusion.tableaux import box_axial_distance, corner_parts, down_set, partition_corners, removable_boxes
 
-from oracles import boxes, hook_length, out_of_place_layer_orbit, partition_parts
+from oracles import boxes, hook_length, out_of_place_layer_orbit, partition_parts, unscreened_isoclinic
 
 TOL = 1e-9
 
@@ -580,6 +580,56 @@ class TestCornerData:
         assert len(walked) == 5604  # p(30)
         # the package keeps one enumerator
         assert not hasattr(tableaux, "partition_parts")
+
+
+class TestMissScreen:
+    """The float screen of s_1 + s_2 in :func:`_isoclinic` rejects only true misses."""
+
+    def test_screened_kernel_matches_the_integer_kernel_through_33(self):
+        for total in range(1, 34):
+            for xs, ys in partition_corners(total):
+                assert _isoclinic(xs, ys) == unscreened_isoclinic(xs, ys), (xs, ys)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_dilations_of_the_hits_through_15_pass_the_screen(self, t):
+        # each box of mu becomes a t x t square: every content is multiplied by t, and
+        # the verdict and the weight of L_0 are unchanged
+        hits = [c.mu for c in search_isoclinic(16) if c.delta == 0]
+        assert len(hits) == 84
+        for mu in hits:
+            v, vws, _ = _isoclinic(*_corners(mu.parts))
+            dilated = tuple(p * t for p in mu.parts for _ in range(t))
+            hit = _isoclinic(*_corners(dilated))
+            assert hit is not None, (mu, t)
+            assert Fraction(sum(hit[1]), hit[0]) == Fraction(sum(vws), v), (mu, t)
+
+    def test_screen_leaves_few_partitions_to_the_kernel_through_21(self, monkeypatch):
+        real, calls = cons._scaled_sums, []
+        monkeypatch.setattr(cons, "_scaled_sums", lambda *args: calls.append(args) or real(*args))
+        hits = len(search_isoclinic(22)) // 2
+        assert sum(1 for n in range(1, 22) for _ in partition_corners(n)) == 3505
+        assert hits <= len(calls) <= 200  # 166 measured: a no-op screen would let all 3505 through
+
+
+class TestNonIntParameters:
+    # a float, a bool or a string where an int belongs: without the shared type(x) is int
+    # check these raise a raw TypeError, report a wrong recipe step, or read True as 1
+    CASES = {
+        alternating_parameters: [(1, 4.0, 1), (True, 4, 1), ("1", 4, 1)],
+        single_layer_parameters: [("I", 2.0, 2), ("I", 2, True), ("III", 1, 1, 2.5), ("III", 1, 1)],
+        single_layer_shapes: [("I", 2, 2.5), ("II", True, 2), ("III", 1, 1, 2.0), ("III", 1, 1)],
+        three_part_family: [(2, 1.5, 3, 1), (2, 1, 4, True)],
+        four_part_family: [(1, 2.0, 2), (True, 1, 1)],
+        alternating_shapes: [(1, 2.5), (1.0, 2)],
+        sn_table: [(True,), (100.0,)],
+        an_table: [(2.5,), (False,)],
+    }
+
+    @pytest.mark.parametrize("fn", CASES, ids=lambda fn: fn.__name__)
+    def test_non_int_parameters_are_refused(self, fn):
+        for args in self.CASES[fn]:
+            with pytest.raises(ConstraintViolationError, match="must be ints"):
+                fn(*args)
 
 
 class TestFamilies:
