@@ -211,8 +211,9 @@ def cmd_certify(args, config) -> int:
 
 
 def cmd_search(args, config) -> int:
-    for cert in cons.search_isoclinic(args.max_n):
-        print(json.dumps(cert.to_json_dict(), sort_keys=True))
+    # json.dumps' bytes from one encoder for every line; a record holds no container twice
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+    sys.stdout.write("".join(encode(cert.to_json_dict()) + "\n" for cert in cons.search_isoclinic(args.max_n)))
     return EXIT_OK
 
 

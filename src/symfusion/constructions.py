@@ -156,14 +156,18 @@ def _isoclinic(xs, ys):
     pattern.  s_1 < 0, as L_0 lies below y_1, so s_q = (-1)^q beta with beta > 0.  Over all
     covers the w_k / (x_k - y_q) sum to 0, so s(L_1) = -s(L_0): one test decides both.
 
-    A float screen first rejects misses: f = s_1 + s_2 = sum_k t_k over L_0, each t_k =
+    First a sign test: t_2 below has the sign of y_1 + y_2 - 2x_2 and each later pick of L_0 lies below
+    y_2, so its t_k < 0; f = 0 needs 2x_2 < y_1 + y_2 if c >= 3, 2x_2 = y_1 + y_2 if c = 2 (L_0 = {x_2}).
+    A float screen then rejects misses: f = s_1 + s_2 = sum_k t_k over L_0, each t_k =
     w_k (2x_k - y_1 - y_2) / ((x_k - y_1)(x_k - y_2)) one correctly rounded int / int.  At f = 0
     the float sum is at most about (|L_0| + 1) 2^-53 sum |t_k|, far below 1e-12 sum |t_k|, so it
     rejects only true misses; w_k >= 1/n (d_lam >= d_mu) and contents in [-n, n] keep each nonzero
     |t_k| in [1/(4n^3), 4n], so nothing overflows or underflows.  The integers decide every hit."""
-    at = xs[_parity(0)]
+    at = xs[1::2]  # L_0, as xs[_parity(0)]
     if len(ys) > 1:
         y1, y2, *rest = ys
+        if (2 * xs[1] >= y1 + y2) if rest else (2 * xs[1] != y1 + y2):
+            return None
         ts = [prod([x - y for y in rest]) * (2 * x - y1 - y2) / prod([x - z for z in xs if z != x]) for x in at]
         if abs(sum(ts)) > 1e-12 * sum(map(abs, ts)):
             return None
@@ -220,29 +224,32 @@ class ExactIsoclinicCertificate:
         return (self.d_layers, self.d_mu, self.n) if self.holds else None
 
     def to_json_dict(self) -> dict:
-        return _fields_json(self, d_layers="d", d_mu="r")
+        """One key per field, d_layers as d and d_mu as r; fractions and partitions are strings."""
+        text = lambda value: None if value is None else str(value)
+        return {"mu": str(self.mu), "delta": self.delta, "layers": list(map(str, self.layers)),
+                "s_values": list(map(str, self.s_values)), "holds": self.holds, "beta": text(self.beta),
+                "beta_squared": text(self.beta_squared), "beta_squared_predicted": str(self.beta_squared_predicted),
+                "d": self.d_layers, "r": self.d_mu, "n": self.n, "alpha": text(self.alpha)}
 
 
 def _parity_certificates(mu: Partition, v, vws, scaled, holds: bool) -> tuple[ExactIsoclinicCertificate, ...]:
     """The records of L_0 and L_1 from the kernel's V, V w_k and V s_q over L_0.  The
     covers' weights sum to 1 and their box sums to 0, so d(L_1) = n d_mu - d(L_0) and
     s(L_1) = -s(L_0); beta and the closed form, symmetric under d_L <-> n d_mu - d_L,
-    are shared, and only alpha depends on the parity."""
+    are shared, and only alpha = (n d_mu beta / d_L)^2 depends on the parity."""
     n, d_mu = mu.n + 1, dimension(mu)
     whole = n * d_mu
     d_even = whole * sum(vws) // v  # d_lam = n d_mu w_lam exactly
-    sums = tuple(Fraction(s, v) for s in scaled)
     predicted = Fraction(d_even * (whole - d_even), d_mu * d_mu * n * n * (n - 1))
-    # when it holds, every (-1)^(q + delta) s_q is one beta >= 0, which is then |s_1|
-    beta = abs(sums[0]) if holds else None
-    beta_squared = beta * beta if holds else None
-    covers = [lam for lam, _box in up_set(mu)]
+    beta = Fraction(-scaled[0], v) if holds else None  # then s_q = (-1)^q beta: one Fraction gives all
+    sums = ((-beta, beta) * len(scaled))[: len(scaled)] if holds else tuple(Fraction(s, v) for s in scaled)
+    covers = tuple(lam for lam, _box in up_set(mu))
     return tuple(
         ExactIsoclinicCertificate(
-            mu=mu, delta=delta, layers=tuple(covers[_parity(delta)]), s_values=s_values, holds=holds,
-            beta=beta, beta_squared=beta_squared, beta_squared_predicted=predicted,
+            mu=mu, delta=delta, layers=covers[_parity(delta)], s_values=s_values, holds=holds,
+            beta=beta, beta_squared=beta**2 if holds else None, beta_squared_predicted=predicted,
             d_layers=d_layers, d_mu=d_mu, n=n,
-            alpha=Fraction(whole * whole, d_layers * d_layers) * beta_squared if holds else None,
+            alpha=Fraction((whole * beta.numerator) ** 2, (d_layers * beta.denominator) ** 2) if holds else None,
         )
         for delta, s_values, d_layers in ((0, sums, d_even), (1, tuple(-s for s in sums), whole - d_even))
     )
@@ -265,7 +272,7 @@ def search_isoclinic(max_n: int) -> list[ExactIsoclinicCertificate]:
         for xs, ys in partition_corners(n - 1):
             # records only for the hits, both parities from the kernel call that found it
             if hit := _isoclinic(xs, ys):
-                results += _parity_certificates(Partition(corner_parts(xs, ys)), *hit, True)
+                results += _parity_certificates(Partition._unchecked(corner_parts(xs, ys), n - 1), *hit, True)
     return results
 
 
@@ -363,6 +370,17 @@ def _single_layer(lam: Partition, mu: Partition) -> LayerSelection:
     return sel
 
 
+def _family_range(kind: str, a: int, b: int, c: int | None) -> None:
+    """Refuse a single-layer family instance outside its range, for its parameters and shapes alike."""
+    _ints(a, b, *([c] if kind == "III" else []))  # c is read by type III only
+    if kind not in ("I", "II", "III"):
+        raise ConstraintViolationError(f"unknown family kind {kind!r}")
+    if kind != "III" and (a < 2 or b < 1):
+        raise ConstraintViolationError("types I and II need a >= 2, b >= 1")
+    if kind == "III" and (a < 1 or b < 1 or c < 2):
+        raise ConstraintViolationError("type III needs a, b >= 1 and c >= 2")
+
+
 def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
     """Exact (d, r, n, alpha) for a named single-layer family.
 
@@ -370,18 +388,14 @@ def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
     factorial product for r; type III uses n = ab + ac + bc + 1 and
     d = c^2 / ((a+c)(b+c)) r n.  alpha = (rn - d) / (d (n-1)) exactly.
     """
-    _ints(a, b, *([c] if kind == "III" else []))  # c is read by type III only
+    _family_range(kind, a, b, c)
     if kind in ("I", "II"):
-        if a < 2 or b < 1:
-            raise ConstraintViolationError("types I and II need a >= 2, b >= 1")
         n = a * b + 1
         r = Fraction(factorial(a * b))
         for k in range(a):
             r *= Fraction(factorial(k), factorial(k + b))
         d = Fraction(a, a + b) * r * n
-    elif kind == "III":
-        if a < 1 or b < 1 or c < 2:
-            raise ConstraintViolationError("type III needs a, b >= 1 and c >= 2")
+    else:
         n = a * b + a * c + b * c + 1
         r = Fraction(factorial(n - 1))
         for k in range(c):
@@ -389,8 +403,6 @@ def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
         for ell in range(a):
             r *= Fraction(factorial(2 * c + ell), factorial(2 * c + b + ell))
         d = Fraction(c * c, (a + c) * (b + c)) * r * n
-    else:
-        raise ConstraintViolationError(f"unknown family kind {kind!r}")
     if r.denominator != 1 or d.denominator != 1:
         raise InconsistentFamilyError("family formulas must produce integers")
     d_i, r_i = int(d), int(r)
@@ -400,18 +412,16 @@ def single_layer_parameters(kind: str, a: int, b: int, c: int | None = None):
 
 def single_layer_shapes(kind: str, a: int, b: int, c: int | None = None) -> tuple[Partition, Partition]:
     """(lam, mu) realizing a named family instance."""
-    _ints(a, b, *([c] if kind == "III" else []))  # c is read by type III only
+    _family_range(kind, a, b, c)
     if kind == "I":
         mu = Partition((b,) * a)
         lam = Partition((b + 1,) + (b,) * (a - 1))
     elif kind == "II":
         mu = Partition((a,) * b)
         lam = Partition((a,) * b + (1,))
-    elif kind == "III":
+    else:
         mu = Partition((b + c,) * a + (b,) * c)
         lam = Partition((b + c,) * a + (b + 1,) + (b,) * (c - 1))
-    else:
-        raise ConstraintViolationError(f"unknown family kind {kind!r}")
     return lam, mu
 
 
@@ -573,11 +583,8 @@ def alternating_parameters(a: int, c: int, delta: int):
     b = a, and d is c^2/(a+c)^2 rn for delta = 0 or a(a+2c)/(a+c)^2 rn for
     delta = 1.  The field is real exactly when a(a + 2c - 1)/2 is even.
     """
-    _ints(a, c)
-    if a < 1 or c < 2:
-        raise ConstraintViolationError("need a >= 1 and c >= 2")
     _parity(delta)  # refuse a bad delta before any work
-    _d, r_inner, n, _alpha = single_layer_parameters("III", a, a, c)
+    _d, r_inner, n, _alpha = single_layer_parameters("III", a, a, c)  # its range at b = a: a >= 1, c >= 2
     r = Fraction(r_inner, 2)
     if delta == 0:
         d = Fraction(c * c, (a + c) ** 2) * r * n
@@ -594,7 +601,7 @@ def alternating_parameters(a: int, c: int, delta: int):
 
 def alternating_shapes(a: int, c: int) -> Partition:
     """The symmetric two-distinct-part mu = ((a+c)^a, a^c) behind the family."""
-    _ints(a, c)
+    _family_range("III", a, a, c)
     return Partition((a + c,) * a + (a,) * c)
 
 

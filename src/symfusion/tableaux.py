@@ -61,6 +61,13 @@ class Partition:
         self.parts = pts
         self.n = sum(pts)
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...], n: int) -> "Partition":
+        """The partition with ``parts``, already a nonincreasing tuple of positive ints summing to n."""
+        lam = object.__new__(cls)
+        lam.parts, lam.n = parts, n
+        return lam
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 
@@ -159,9 +166,9 @@ def up_set(mu: Partition) -> tuple[tuple[Partition, Box], ...]:
     Ordered by descending superdiagonal of the added box; the count is one
     more than the number of distinct parts of ``mu``.
     """
-    parts = mu.parts + (0,)  # the 0 is the new row below
+    parts = mu.parts + (0,)  # the 0 is the new row below, dropped from every cover
     return tuple(
-        (Partition(p for p in parts[:i] + (part + 1,) + parts[i + 1 :] if p), Box(i + 1, part + 1))
+        (Partition._unchecked(parts[:i] + (part + 1,) + parts[i + 1 : -1], mu.n + 1), Box(i + 1, part + 1))
         for i, part in enumerate(parts) if i == 0 or parts[i - 1] > part
     )
 

@@ -7,23 +7,26 @@ so the tests can state each array, index and sign by its definition on
 tableaux and compare.  It also keeps the part-by-part partition generator
 that the package's corner walk :func:`symfusion.tableaux.partition_corners`
 replaced, and the out-of-place orbit builder that the package's working-array
-builder :func:`symfusion.constructions._layer_orbit` replaced, and the
-isoclinic test without the float screen that now guards
-:func:`symfusion.constructions._isoclinic`.
+builder :func:`symfusion.constructions._layer_orbit` replaced, the
+isoclinic test without the sign test and the float screen that now guard
+:func:`symfusion.constructions._isoclinic`, and the record builder and the
+generic field-by-field JSON encoding that the one-pass certificate records replaced.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from symfusion import altrep
-from symfusion.constructions import _scaled_sums
+from symfusion.constructions import ExactIsoclinicCertificate, _parity, _scaled_sums
+from symfusion.fusion import _fields_json
 from symfusion.permutations import Permutation, permutation_word
 from symfusion.symrep import _generator_action, branching_isometry
-from symfusion.tableaux import Box, Partition, added_row, dimension, tableau_words, transpose
+from symfusion.tableaux import Box, Partition, added_row, dimension, tableau_words, transpose, up_set
 
 
 class NotStandardError(ValueError):
@@ -210,6 +213,34 @@ def unscreened_isoclinic(xs, ys):
             return None
         scaled.append(s)
     return v, vws, scaled
+
+
+def parity_certificates(mu: Partition, v, vws, scaled, holds: bool) -> tuple[ExactIsoclinicCertificate, ...]:
+    """The records of L_0 and L_1 from the kernel's V, V w_k and V s_q over L_0, each
+    sum its own Fraction and alpha = (n d_mu / d_L)^2 beta^2 as a product of Fractions."""
+    n, d_mu = mu.n + 1, dimension(mu)
+    whole = n * d_mu
+    d_even = whole * sum(vws) // v  # d_lam = n d_mu w_lam exactly
+    sums = tuple(Fraction(s, v) for s in scaled)
+    predicted = Fraction(d_even * (whole - d_even), d_mu * d_mu * n * n * (n - 1))
+    # when it holds, every (-1)^(q + delta) s_q is one beta >= 0, which is then |s_1|
+    beta = abs(sums[0]) if holds else None
+    beta_squared = beta * beta if holds else None
+    covers = [lam for lam, _box in up_set(mu)]
+    return tuple(
+        ExactIsoclinicCertificate(
+            mu=mu, delta=delta, layers=tuple(covers[_parity(delta)]), s_values=s_values, holds=holds,
+            beta=beta, beta_squared=beta_squared, beta_squared_predicted=predicted,
+            d_layers=d_layers, d_mu=d_mu, n=n,
+            alpha=Fraction(whole * whole, d_layers * d_layers) * beta_squared if holds else None,
+        )
+        for delta, s_values, d_layers in ((0, sums, d_even), (1, tuple(-s for s in sums), whole - d_even))
+    )
+
+
+def certificate_json(cert: ExactIsoclinicCertificate) -> dict:
+    """The record as a JSON object by the generic dataclass encoding, d_layers named d and d_mu named r."""
+    return _fields_json(cert, d_layers="d", d_mu="r")
 
 
 def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:

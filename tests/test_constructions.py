@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -64,7 +65,15 @@ from symfusion.permutations import Permutation, transversal_an, transversal_sn
 from symfusion.symrep import branching_isometry, rep_apply
 from symfusion.tableaux import box_axial_distance, corner_parts, down_set, partition_corners, removable_boxes
 
-from oracles import boxes, hook_length, out_of_place_layer_orbit, partition_parts, unscreened_isoclinic
+from oracles import (
+    boxes,
+    certificate_json,
+    hook_length,
+    out_of_place_layer_orbit,
+    parity_certificates,
+    partition_parts,
+    unscreened_isoclinic,
+)
 
 TOL = 1e-9
 
@@ -609,6 +618,92 @@ class TestMissScreen:
         hits = len(search_isoclinic(22)) // 2
         assert sum(1 for n in range(1, 22) for _ in partition_corners(n)) == 3505
         assert hits <= len(calls) <= 200  # 166 measured: a no-op screen would let all 3505 through
+
+
+class TestSignTest:
+    """The integer sign test in :func:`_isoclinic` runs before the float screen's first product."""
+
+    def test_sign_test_rejects_half_the_multi_corner_partitions_through_21(self, monkeypatch):
+        real, products = cons.prod, []
+        monkeypatch.setattr(cons, "prod", lambda *args: products.append(args) or real(*args))
+        multi = rejected = 0
+        for total in range(1, 22):
+            for xs, ys in partition_corners(total):
+                if len(ys) < 2:
+                    continue
+                multi += 1
+                products.clear()
+                hit = _isoclinic(xs, ys)
+                if not products:  # refused with no product formed
+                    rejected += 1
+                    assert hit is None and unscreened_isoclinic(xs, ys) is None, (xs, ys)
+        assert (rejected, multi) == (1718, 3435)
+
+
+def _certificate_fields(cert):
+    """Each field's name, value and type: a Fraction where an int was, or the reverse, differs."""
+    return [(f.name, getattr(cert, f.name), type(getattr(cert, f.name))) for f in dataclasses.fields(cert)]
+
+
+def _oracle_records(mu):
+    """Both parity records of mu from the record-builder oracle, fed by the unscreened kernel."""
+    xs, ys = _corners(mu.parts)
+    hit = unscreened_isoclinic(xs, ys)
+    return parity_certificates(mu, *(hit or _scaled_sums(xs, ys, xs[1::2])), hit is not None)
+
+
+class TestOnePassRecords:
+    """The records built from one beta and encoded directly match the per-sum Fraction
+    builder and the generic field-by-field JSON encoding they replaced."""
+
+    def test_certificates_match_the_record_oracle_through_16(self):
+        verdicts = set()
+        for total in range(1, 17):
+            for mu in partitions_of(total):
+                for delta, expected in enumerate(_oracle_records(mu)):
+                    cert = isoclinic_certificate(mu, delta)
+                    assert _certificate_fields(cert) == _certificate_fields(expected), (mu, delta)
+                    assert list(cert.to_json_dict().items()) == list(certificate_json(expected).items()), (mu, delta)
+                    verdicts.add(cert.holds)
+        assert verdicts == {True, False}
+
+    def test_search_matches_the_record_oracle_through_26(self):
+        expected = [
+            cert
+            for n in range(2, 27)
+            for xs, ys in partition_corners(n - 1)
+            if unscreened_isoclinic(xs, ys) is not None
+            for cert in _oracle_records(Partition(corner_parts(xs, ys)))
+        ]
+        found = search_isoclinic(26)
+        assert len(found) == len(expected) == 378
+        assert [_certificate_fields(c) for c in found] == [_certificate_fields(c) for c in expected]
+        assert [list(c.to_json_dict().items()) for c in found] == [list(certificate_json(c).items()) for c in expected]
+
+
+class TestFamilyRanges:
+    """Each shapes function refuses exactly what its parameters function refuses, with the same error."""
+
+    @pytest.mark.parametrize("shapes, parameters, args", [
+        (single_layer_shapes, single_layer_parameters, ("I", 1, 2)),
+        (single_layer_shapes, single_layer_parameters, ("I", 0, 2)),
+        (single_layer_shapes, single_layer_parameters, ("II", 1, 3)),
+        (single_layer_shapes, single_layer_parameters, ("III", 1, 1, 1)),
+        (single_layer_shapes, single_layer_parameters, ("IV", 2, 2)),
+        (alternating_shapes, lambda a, c: alternating_parameters(a, c, 0), (1, 1)),
+    ])
+    def test_shapes_refuse_what_the_parameters_refuse(self, shapes, parameters, args):
+        with pytest.raises(ConstraintViolationError) as refused:
+            parameters(*args)
+        with pytest.raises(ConstraintViolationError) as refused_shapes:
+            shapes(*args)
+        assert str(refused_shapes.value) == str(refused.value)
+
+    @pytest.mark.parametrize("args", [("I", 2, 1), ("II", 2, 1), ("III", 1, 1, 2)])
+    def test_shapes_at_the_range_edge_match_their_parameters(self, args):
+        lam, mu = single_layer_shapes(*args)
+        d, r, n, _alpha = single_layer_parameters(*args)
+        assert (dimension(lam), dimension(mu), lam.n) == (d, r, n)
 
 
 class TestNonIntParameters:

@@ -171,6 +171,15 @@ class TestUpDownSets:
     def test_up_set_count(self, mu):
         assert len(up_set(mu)) == len(set(mu.parts)) + 1
 
+    def test_unvalidated_covers_are_valid_partitions_through_14(self):
+        # up_set builds each cover from mu's parts without re-validating them
+        for n in range(1, 15):
+            for mu in partitions_of(n):
+                for lam, box in up_set(mu):
+                    checked = Partition(lam.parts)  # raises unless positive and nonincreasing
+                    assert type(lam.parts) is tuple and lam.n == checked.n == n + 1, (mu, lam)
+                    assert lam.parts[box.row - 1] == box.col, (mu, lam)
+
     def test_up_set_dimension_identity(self):
         # sum of cover dimensions equals n * dim(mu), mu of size n-1
         for n in range(2, 11):
