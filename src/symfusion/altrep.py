@@ -12,8 +12,9 @@ Tab(lam): the index T, the partner T' (an entry's row in T' is its column in
 T) and the phase i^m sgn(g_T) (an inversion parity of reading words).  A
 w-basis J is applied only as the signed gather of :func:`gather`, J* M =
 (M[index] + conj(phase) M[partner]) / sqrt(2); a dense basis is that gather
-applied to an identity.  Tab_*(nu), the half of Tab(nu) that indexes an
-eigenspace basis, is the set of words with the entry 2 in row 0.
+applied to an identity, and rho_eps(g) = J* pi(g) J takes pi(g) from the one
+sparse S_n action :func:`symrep.rep_apply`.  Tab_*(nu), the half of Tab(nu)
+that indexes an eigenspace basis, is the set of words with the entry 2 in row 0.
 
 Reference tableaux: the base point is the row superstandard tableau of the
 "small" symmetric shape (even number of distinct parts); shapes covering it
@@ -39,8 +40,8 @@ from .errors import (
     SymmetricLambdaError,
     TooSmallError,
 )
-from .permutations import Permutation, permutation_word
-from .symrep import _generator_action, adjacent_transposition_matrix
+from .permutations import Permutation
+from .symrep import rep_apply
 from .tableaux import (
     Box,
     Partition,
@@ -159,23 +160,26 @@ def _dense(basis: tuple[np.ndarray, np.ndarray, np.ndarray], rows: int) -> np.nd
     return gather(basis, np.eye(rows)).conj().T
 
 
+def _involution(basis: tuple[np.ndarray, np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+    """The self-adjoint involution of a triple (index, partner, phase): e_index[c]
+    goes to phase[c] e_partner[c] and back with conj(phase[c]); eps U on an eps triple."""
+    index, partner, phase = basis
+    U = np.zeros((rows, rows), dtype=np.result_type(phase, float))
+    U[partner, index] = phase
+    U[index, partner] = np.conj(phase)
+    return U
+
+
 def associator_unitary(nu: Partition) -> np.ndarray:
     """The self-adjoint involution sending v_T to i^m sgn(g_T) v_{T'} on Tab(nu)."""
-    m = half_offdiagonal_count(nu)
-    factor = i_power(m)
-    signs = _sign_vector(nu, None)
-    tr = _transpose_index(nu)  # nu symmetric: Tab(nu') = Tab(nu)
-    d = dimension(nu)
-    U = np.zeros((d, d), dtype=complex if m % 2 else float)
-    U[tr, np.arange(d)] = factor * signs
-    return U
+    return _involution(_injection_basis(nu, 1), dimension(nu))
 
 
 def _injection_basis(nu: Partition, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(index, partner, phase) of the columns of :func:`eigenspace_injection`."""
     sign = _eps_sign(eps)
-    phase = sign * i_power(half_offdiagonal_count(nu)) * _sign_vector(nu, None)
     stars = _stars(nu)
+    phase = sign * i_power(half_offdiagonal_count(nu)) * _sign_vector(nu, None)
     return stars, _transpose_index(nu)[stars], phase[stars]
 
 
@@ -201,47 +205,24 @@ def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
         raise TooSmallError("eigenspace generator matrices require n >= 5")
     if not 2 <= k <= nu.n - 1:
         raise IndexOutOfRangeError(f"k = {k} outside 2..{nu.n - 1}")
-    stars, transposed, phase = _injection_basis(nu, eps)
-    m = half_offdiagonal_count(nu)
-    if k >= 3:
-        M = adjacent_transposition_matrix(nu, k)[np.ix_(stars, stars)]
-        return M if m % 2 == 0 else M.astype(complex)
-    diag, off, partner = _generator_action(nu, 2)
-    # s_2 T' is standard exactly when |D_T(3,2)| >= 2, i.e. off > 0, and lies in Tab_*
-    moves = off[stars] > 0
-    targets = np.searchsorted(stars, partner[transposed[moves]])
-    cols = np.arange(len(stars))
-    M = np.zeros((len(stars), len(stars)), dtype=complex if m % 2 else float)
-    M[cols, cols] = diag[stars]
-    M[targets, cols[moves]] = (phase * off[stars])[moves]
-    return M
+    return an_rep_matrix(nu, eps, Permutation.adjacent(nu.n, 1) * Permutation.adjacent(nu.n, k))
 
 
 def an_rep_matrix(nu: Partition, eps, g: Permutation) -> np.ndarray:
-    """Eigenspace representation at an even permutation g.
+    """Eigenspace representation at an even permutation g: J* pi_nu(g) J.
 
-    The adjacent word of g is paired into factors s_a s_b = (s_1 s_a)^-1 (s_1 s_b),
-    each evaluated through :func:`an_generator_matrix`.
+    sqrt(2) J, the Tab_* columns of 1 + U_eps, holds exactly 1 and the phase;
+    pi_nu(g) acts on it by sparse generator steps and its rows are gathered as
+    in :func:`gather`, so one halving remains and g = 1 gives the identity.
     """
-    _eps_sign(eps)
+    basis = index, partner, phase = _injection_basis(nu, eps)
     if g.degree != nu.n:
         raise ShapeMismatchError(f"permutation degree {g.degree} != |nu| = {nu.n}")
-    word = permutation_word(g)
-    if len(word) % 2:
+    if not g.is_even:
         raise OddPermutationError("an_rep_matrix requires an even permutation")
-    m = half_offdiagonal_count(nu)
-    ds = len(_stars(nu))
-    out = np.eye(ds, dtype=complex if m % 2 else float)
-    for a, b in zip(word[0::2], word[1::2]):
-        if a == b:
-            continue
-        piece = np.eye(ds, dtype=out.dtype)
-        if a != 1:
-            piece = an_generator_matrix(nu, eps, a).conj().T
-        if b != 1:
-            piece = piece @ an_generator_matrix(nu, eps, b)
-        out = out @ piece
-    return out
+    d = dimension(nu)
+    image = rep_apply(nu, g, (np.eye(d) + _involution(basis, d))[:, index])
+    return (image[index] + np.conj(phase)[:, None] * image[partner]) * 0.5
 
 
 def _check_family_mu(mu: Partition) -> None:
@@ -257,17 +238,8 @@ def pair_associator_unitary(mu: Partition) -> np.ndarray:
     Maps v_T (T of shape lam) to i^m sgn(g_T) v_{T'} (shape lam'); commutes
     with the even part of the direct-sum representation.
     """
-    _check_family_mu(mu)
-    m = half_offdiagonal_count(mu)
-    factor = i_power(m)
-    layers = [lam for lam, _ in up_set(mu)]
-    starts = list(accumulate(map(dimension, layers), initial=0))
-    offsets = dict(zip(layers, starts))
-    U = np.zeros((starts[-1], starts[-1]), dtype=complex if m % 2 else float)
-    for lam in layers:
-        src = offsets[lam] + np.arange(dimension(lam))
-        U[offsets[transpose(lam)] + _transpose_index(lam), src] = factor * _sign_vector(lam, mu)
-    return U
+    layers = tuple(lam for lam, _ in up_set(mu))
+    return _involution(_layer_basis(mu, layers, 1), sum(map(dimension, layers)))
 
 
 def pair_branching_isometry(lam: Partition, mu: Partition, eps) -> np.ndarray:

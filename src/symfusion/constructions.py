@@ -77,6 +77,8 @@ class LayerSelection:
         covers = up_set(self.mu)
         if not self.indices:
             raise EmptySelectionError("layer selection must be nonempty")
+        # a list would leave the selection unhashable and unequal to its tuple twin
+        object.__setattr__(self, "indices", tuple(self.indices))
         # ints only, as for delta: True is an int to Python and would read as position 1
         if any(type(i) is not int or not 0 <= i < len(covers) for i in self.indices):
             raise ConstraintViolationError(f"layer indices must be ints in 0..{len(covers) - 1}")
@@ -438,6 +440,8 @@ def _resolve_transversal(
 
 
 def _check_cap(d: int, max_dim: int) -> None:
+    if type(max_dim) is not int or max_dim < 0:  # a bool or a float is no cap either
+        raise ConstraintViolationError(f"max_dim must be an int >= 0, got {max_dim!r}")
     if d > max_dim:
         raise ResourceLimitError(
             f"construction dimension {d} exceeds the cap {max_dim}; "
@@ -665,10 +669,9 @@ def generic_orbit_ensemble(
             raise NotUnitaryError(f"generator {name!r} is not unitary")
         mats[name] = G
     W = np.asarray(isometry, dtype=complex if field == "C" else None)
-    if d is None:
-        d = W.shape[0]
-    if W.ndim != 2 or W.shape[0] != d:
+    if W.ndim != 2 or d not in (None, W.shape[0]):
         raise NotIsometryError("isometry must be d x r")
+    d = W.shape[0]
     if np.max(np.abs(W.conj().T @ W - np.eye(W.shape[1]))) > max(tol, 1e-8):
         raise NotIsometryError("isometry columns are not orthonormal")
     if not isinstance(transversal_words, (list, tuple)) or not all(

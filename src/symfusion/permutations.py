@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .errors import BadTransversalError, ParseError, SizeMismatchError, TooSmallError
+from .errors import BadTransversalError, IndexOutOfRangeError, ParseError, SizeMismatchError, TooSmallError
 
 
 class Permutation:
@@ -104,6 +104,8 @@ class Permutation:
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise IndexOutOfRangeError(f"transposition ({a} {b}) has a point outside 1..{n}")
         imgs = list(range(1, n + 1))
         imgs[a - 1], imgs[b - 1] = imgs[b - 1], imgs[a - 1]
         return cls(imgs)
@@ -136,6 +138,8 @@ class Permutation:
             cycles = []
             for group in re.findall(r"\(([^()]*)\)", text):
                 pts = _parse_ints(re.split(r"[,\s]+", group.strip()), text)
+                if min(pts, default=1) < 1 or len(set(pts)) < len(pts):
+                    raise ParseError(f"cycle ({group.strip()}) in {text!r} needs distinct positive points")
                 if pts:
                     cycles.append(pts)
             top = max((max(c) for c in cycles), default=0)

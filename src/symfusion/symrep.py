@@ -64,13 +64,7 @@ def _generator_action(lam: Partition, k: int) -> tuple[np.ndarray, np.ndarray, n
 
 def adjacent_transposition_matrix(lam: Partition, k: int) -> np.ndarray:
     """Dense matrix of pi_lam(s_k): symmetric, orthogonal, an involution."""
-    diag, off, partner = _generator_action(lam, k)
-    d = len(diag)
-    M = np.zeros((d, d))
-    idx = np.arange(d)
-    M[idx, idx] = diag
-    M[partner, idx] += off
-    return M
+    return apply_generator(lam, k, np.eye(dimension(lam)))
 
 
 _CHUNK_ROWS = 64  # the most rows one generator step's temporary spans

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from symfusion.altrep import (
 )
 from symfusion.errors import (
     ConstraintViolationError,
+    DegenerateShapeError,
     NotSymmetricError,
     OddDistinctPartsError,
     OddPermutationError,
@@ -220,6 +223,24 @@ class TestGeneratorMatrices:
         for c, T in enumerate(tab_star(nu)):
             assert abs(M[c, c] - 1.0 / axial_distance(T, 3, 2)) < TOL
 
+    @pytest.mark.parametrize("nu", [Partition((3, 2, 1)), Partition((4, 1, 1, 1)), Partition((3, 3, 2))])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_k_2_off_diagonal_entries(self, nu, eps):
+        # column T: 1/D on the diagonal, eps i^m sgn(g_T) sqrt(1 - 1/D^2) at s_2 T' (D = D_T(3,2)), nothing else
+        m = half_offdiagonal_count(nu)
+        stars = tab_star(nu)
+        row = {T: c for c, T in enumerate(stars)}
+        signs, index = oracle_signs(nu, None), tableau_index(nu)
+        expected = np.zeros((len(stars), len(stars)), dtype=complex)
+        for c, T in enumerate(stars):
+            D = axial_distance(T, 3, 2)
+            expected[c, c] = 1.0 / D
+            moved = apply_adjacent_transposition(transpose_tableau(T), 2)
+            if moved is not None:
+                expected[row[moved], c] = eps * i_power(m) * signs[index[T]] * np.sqrt(1 - 1 / D**2)
+        assert np.count_nonzero(expected - np.diag(np.diag(expected)))
+        np.testing.assert_allclose(an_generator_matrix(nu, eps, 2), expected, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("nu", [Partition((3, 2, 1)), Partition((4, 1, 1, 1))])
     @pytest.mark.parametrize("eps", ["+", "-"])
     def test_unitarity_and_conjugation_oracle(self, nu, eps):
@@ -257,6 +278,26 @@ class TestAnRep:
             h = random_even(6, rng)
             lhs = an_rep_matrix(nu, "+", g) @ an_rep_matrix(nu, "+", h)
             np.testing.assert_allclose(lhs, an_rep_matrix(nu, "+", g * h), atol=TOL)
+
+    @pytest.mark.parametrize("nu", [Partition((2, 1)), Partition((2, 2))])
+    def test_below_five_boxes(self, nu):
+        # the compression needs no generator matrix, so A_3 and A_4 act too
+        n = nu.n
+        evens = [g for g in map(Permutation, permutations(range(1, n + 1))) if g.is_even]
+        for eps in ("+", "-"):
+            J = eigenspace_injection(nu, eps)
+            for g in evens:
+                rho = an_rep_matrix(nu, eps, g)
+                np.testing.assert_allclose(J @ rho, rep_matrix(nu, g).astype(J.dtype) @ J, atol=TOL)
+                for h in evens:
+                    np.testing.assert_allclose(rho @ an_rep_matrix(nu, eps, h), an_rep_matrix(nu, eps, g * h), atol=TOL)
+
+    def test_single_box_is_degenerate(self):
+        nu = Partition((1,))
+        for build in (associator_unitary, lambda nu: eigenspace_injection(nu, "+"),
+                      lambda nu: an_rep_matrix(nu, "+", Permutation.identity(1))):
+            with pytest.raises(DegenerateShapeError):
+                build(nu)
 
     def test_intertwines_injection(self):
         nu = Partition((3, 2, 1))
@@ -552,6 +593,36 @@ def object_eigenspace_injection(nu: Partition, eps: int) -> np.ndarray:
         J[index[T], c] = 1 / np.sqrt(2.0)
         J[index[transpose_tableau(T)], c] += eps * i_power(m) * signs[index[T]] * (1 / np.sqrt(2.0))
     return J
+
+
+def object_associator(layers, mu: Partition | None = None) -> np.ndarray:
+    """The associator on the sum of ``layers`` as a loop over tableau objects:
+    U[T', T] = i^m sgn(g_T), signs from the family reference over mu when given."""
+    m = half_offdiagonal_count(layers[0] if mu is None else mu)
+    offsets = dict(zip(layers, np.cumsum([0] + [dimension(lam) for lam in layers]).tolist()))
+    total = sum(dimension(lam) for lam in layers)
+    U = np.zeros((total, total), dtype=complex if m % 2 else float)
+    for lam in layers:
+        lam_t = transpose(lam)
+        index, index_t, signs = tableau_index(lam), tableau_index(lam_t), oracle_signs(lam, mu)
+        for T in enumerate_standard_tableaux(lam):
+            U[offsets[lam_t] + index_t[transpose_tableau(T)], offsets[lam] + index[T]] = i_power(m) * signs[index[T]]
+    return U
+
+
+class TestAssociatorEntries:
+    @pytest.mark.parametrize("nu", [(2, 1), (3, 2, 1), (4, 1, 1, 1), (3, 3, 2)])
+    def test_associator_equals_object_loop(self, nu):
+        nu = Partition(nu)
+        U, expected = associator_unitary(nu), object_associator((nu,))
+        assert U.dtype == expected.dtype and np.array_equal(U, expected)
+
+    @pytest.mark.parametrize("mu", [(3, 1, 1), (4, 1, 1, 1), (5, 1, 1, 1, 1)])
+    def test_pair_associator_equals_object_loop(self, mu):
+        mu = Partition(mu)
+        U = pair_associator_unitary(mu)
+        expected = object_associator(tuple(lam for lam, _ in up_set(mu)), mu)
+        assert U.dtype == expected.dtype and np.array_equal(U, expected)
 
 
 def object_layer_eigenbasis(mu: Partition, layers, eps: int) -> np.ndarray:

@@ -371,6 +371,18 @@ class TestBadInput:
         assert code == 2
         assert json.loads(stderr)["error"] == "ParseError"
 
+    # "(1 1)(1 5)" would otherwise read as a valid t_1 = (1 5), the stray cycle dropped
+    @pytest.mark.parametrize("first", ["(1 1)(1 5)", "(0 2)(1 5)", "(1 5 1)", "(-1 5)"])
+    def test_repeated_or_non_positive_transversal_point_is_user_error(self, tmp_path, capsys, first):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps([first, "(2 5)", "(3 5)", "(4 5)", "()"]))
+        code, _, stderr = run(
+            capsys, "construct", "single-layer", "--lambda", "3,2", "--mu", "2,2",
+            "--transversal", f"@{spec}",
+        )
+        assert code == 2
+        assert json.loads(stderr)["error"] == "ParseError"
+
     def test_transversal_file_of_non_strings_is_user_error(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps([1, 2, 3, 4, 5]))

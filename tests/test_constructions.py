@@ -443,6 +443,14 @@ class TestKerovTransitionMeasure:
         with pytest.raises(ConstraintViolationError, match="ints in 0..2"):
             LayerSelection(Partition((3, 1)), indices)
 
+    def test_layer_indices_given_as_a_list_are_stored_as_a_tuple(self):
+        mu = Partition((3, 1, 1))
+        listed, tupled = LayerSelection(mu, [0, 2]), LayerSelection(mu, (0, 2))
+        assert listed.indices == (0, 2) and listed == tupled and hash(listed) == hash(tupled)
+        assert listed.delta == tupled.delta == 1
+        for meta in (multi_layer_ensemble(listed).meta, alternating_ensemble(listed, "+").meta):
+            assert meta["delta"] == 1
+
     @pytest.mark.parametrize("max_n", [3.5, 22.0, True, 1, 0, -4, "22", None])
     def test_search_max_n_must_be_an_int_of_at_least_2(self, max_n):
         with pytest.raises(ConstraintViolationError):
@@ -1171,6 +1179,18 @@ class TestLayerOrbit:
         with pytest.raises(ResourceLimitError):
             build(LayerSelection.from_delta(Partition((3, 1, 1)), 1))
 
+    @pytest.mark.parametrize("cap", [None, 99.5, 100.0, True, "100", -1])
+    @pytest.mark.parametrize("build", [
+        lambda sel, cap: single_layer_ensemble(Partition((3, 2, 1)), Partition((3, 1, 1)), max_dim=cap),
+        lambda sel, cap: multi_layer_ensemble(sel, max_dim=cap),
+        lambda sel, cap: alternating_ensemble(sel, "+", max_dim=cap),
+        lambda sel, cap: decomposition_check(sel, max_dim=cap),
+    ])
+    def test_cap_must_be_an_int_of_at_least_0(self, build, cap):
+        # a negative cap is a caller's mistake, not a resource refusal
+        with pytest.raises(ConstraintViolationError, match="max_dim"):
+            build(LayerSelection.from_delta(Partition((3, 1, 1)), 1), cap)
+
     @pytest.mark.parametrize("mu, delta", [((3, 1, 1), 0), ((4, 1, 1, 1), 1)])
     def test_alternating_builds_form_no_dense_eigenbasis(self, monkeypatch, mu, delta):
         # the halves are compressed by signed gathers on the basis arrays alone
@@ -1308,6 +1328,10 @@ class TestGenericOrbit:
             generic_orbit_ensemble({"g": np.ones((2, 2))}, [[]], np.eye(2))
         with pytest.raises(NotIsometryError):
             generic_orbit_ensemble({"g": np.eye(2)}, [[]], np.ones((2, 2)))
+        for isometry in (5, [1.0, 0.0], np.zeros((1, 1, 1))):  # not a matrix, with or without generators
+            for generators in ({}, {"g": np.eye(2)}):
+                with pytest.raises(NotIsometryError, match="d x r"):
+                    generic_orbit_ensemble(generators, [[]], isometry)
 
     @pytest.mark.parametrize("words", [5, None, "g", ["g"], [[], 3], [["g", 2]]])
     def test_rejects_malformed_words(self, words):

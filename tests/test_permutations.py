@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from symfusion import Permutation, permutation_word, transversal_an, transversal_sn
 from symfusion.errors import (
     BadTransversalError,
+    IndexOutOfRangeError,
     ParseError,
     SizeMismatchError,
     SymfusionError,
@@ -37,6 +38,30 @@ class TestPermutation:
             with pytest.raises(ParseError) as info:
                 Permutation.parse(text)
             assert isinstance(info.value, SymfusionError)
+
+    @pytest.mark.parametrize("text, n", [("(1 1)", None), ("(1 2)(3 3)", None), ("(1 2 1)", 4),
+                                         ("(2 -1)", 3), ("(0 1)", 3), ("(1 2)(0)", 3)])
+    def test_parse_rejects_repeated_or_non_positive_points(self, text, n):
+        with pytest.raises(ParseError):
+            Permutation.parse(text, n=n)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Permutation.adjacent(5, 0),
+        lambda: Permutation.adjacent(5, 5),
+        lambda: Permutation.adjacent(5, -1),
+        lambda: Permutation.transposition(4, 0, 2),
+        lambda: Permutation.transposition(4, 2, -1),
+        lambda: Permutation.transposition(4, 5, 1),
+    ])
+    def test_points_outside_1_to_n_are_refused(self, make):
+        with pytest.raises(IndexOutOfRangeError):
+            make()
+
+    def test_points_inside_1_to_n_are_accepted(self):
+        assert Permutation.adjacent(5, 1) == Permutation.parse("(1 2)", n=5)
+        assert Permutation.adjacent(5, 4) == Permutation.parse("(4 5)", n=5)
+        assert Permutation.transposition(4, 4, 1) == Permutation.parse("(1 4)", n=4)
+        assert Permutation.transposition(4, 2, 2).is_identity
 
     def test_cycle_string_round_trip(self):
         g = Permutation.parse("(1 6)(2 4 5)", n=6)

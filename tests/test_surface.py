@@ -47,6 +47,10 @@ REMOVED_LAYER_SUMS = (
     "_single_layer_added_box",
 )
 
+# The second encoding of the A_n representation: the generator table, the dense
+# pi(s_k) and the word products; altrep derives rho = J* pi(g) J through symrep.rep_apply.
+REMOVED_AN_PATHS = ("_generator_action", "adjacent_transposition_matrix", "permutation_word")
+
 TESTS = Path(__file__).resolve().parent
 
 
@@ -65,6 +69,10 @@ def test_object_layer_is_gone(module):
 def test_one_encoding_of_the_layer_sums(module):
     assert [name for name in REMOVED_LAYER_SUMS if hasattr(module, name)] == []
     assert not set(REMOVED_LAYER_SUMS) & set(symfusion.__all__)
+
+
+def test_one_encoding_of_the_an_representation():
+    assert [name for name in REMOVED_AN_PATHS if hasattr(altrep, name)] == []
 
 
 def test_every_oracle_name_is_called_by_a_test():
