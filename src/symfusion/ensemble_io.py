@@ -6,20 +6,30 @@ compact one-line JSON by the C encoder.  The format round-trips float64
 exactly (JSON floats are written with repr precision, -0.0 included), so
 certification of a saved ensemble is bit-identical to the in-memory path.
 Files written indented by earlier versions load to the same blocks.
+
+A file is read one grid at a time, each grid becoming an array as soon as the
+C scanner has read it, so the whole file never exists as nested lists.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from .errors import EnsembleFormatError
 from .fusion import DEFAULT_TOL, FusionEnsemble
+
+_DECODER = json.JSONDecoder()
+_WS = json.decoder.WHITESPACE.match
+# "{" or "," and a key without escapes, up to its value; any other text is left to json.loads
+_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
+_END = re.compile(r"[ \t\n\r]*}[ \t\n\r]*\Z")
 
 
 def _encode_matrix(M: np.ndarray, field: str) -> list:
@@ -29,12 +39,16 @@ def _encode_matrix(M: np.ndarray, field: str) -> list:
 def _decode_matrix(rows: list, field: str, where: str) -> np.ndarray:
     """Every entry must be a JSON number, or in a complex grid an [re, im] pair."""
     try:
-        if field == "C":
-            rows = [[v if type(v) is list else [v, 0.0] for v in row] for row in rows]
-            cells = list(chain.from_iterable(rows))
+        cells = list(chain.from_iterable(rows))
+        kinds = set(map(type, cells))
+        if field == "C" and list in kinds:
+            if kinds != {list}:  # a plain number among [re, im] pairs is real
+                rows = [[v if type(v) is list else [v, 0.0] for v in row] for row in rows]
+                cells = list(chain.from_iterable(rows))
             if set(map(len, cells)) - {2}:
                 raise ValueError("complex entries must be [re, im] pairs")
-        kinds = set(map(type, chain.from_iterable(cells if field == "C" else rows))) - {int, float}
+            kinds = set(map(type, chain.from_iterable(cells)))
+        kinds -= {int, float}
         if kinds:
             raise ValueError(f"entries must be numbers, found {sorted(k.__name__ for k in kinds)}")
         M = np.array(rows, dtype=float)
@@ -52,33 +66,6 @@ def to_json_dict(e: FusionEnsemble) -> dict:
         "isometries": [_encode_matrix(b, e.field) for b in e.blocks],
         "metadata": dict(e.meta),
     }
-
-
-def from_json_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FusionEnsemble:
-    try:
-        field, d, r, n, raw = (data[key] for key in ("field", "d", "r", "n", "isometries"))
-        meta = data.get("metadata", {})
-    except (KeyError, TypeError) as exc:
-        raise EnsembleFormatError(f"missing or malformed ensemble fields: {exc}") from exc
-    if field not in ("R", "C"):
-        raise EnsembleFormatError(f"field must be 'R' or 'C', got {field!r}")
-    if not all(type(v) is int for v in (d, r, n)):
-        raise EnsembleFormatError(f"d, r and n must be integers, got {(d, r, n)}")
-    if not isinstance(raw, list) or len(raw) != n:
-        found = len(raw) if isinstance(raw, list) else type(raw).__name__
-        raise EnsembleFormatError(f"expected a list of {n} isometries, found {found}")
-    if not isinstance(meta, dict):
-        raise EnsembleFormatError(f"metadata must be a JSON object, got {meta!r}")
-    blocks = []
-    for j, rows in enumerate(raw, start=1):
-        M = _decode_matrix(rows, field, f"isometry {j}")
-        if M.shape != (d, r):
-            raise EnsembleFormatError(f"isometry {j} has shape {M.shape}, expected {(d, r)}")
-        blocks.append(M)
-    try:
-        return FusionEnsemble.from_blocks(blocks, field=field, tol=tol, meta=meta)
-    except ValueError as exc:
-        raise EnsembleFormatError(str(exc)) from exc
 
 
 def save_ensemble(e: FusionEnsemble, path: str | Path) -> None:
@@ -100,8 +87,66 @@ def read_json(path: str | Path):
         raise EnsembleFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _scan_grids(text: str, i: int, field: object) -> tuple[list, int]:
+    """The JSON array at text[i] and the index past it, each grid decoded under ``field`` as
+    soon as it is scanned; one that fails stays a list, decoded again where it is reported."""
+    grids, i = [], _WS(text, i + 1).end()
+    while grids or not text.startswith("]", i):  # an item follows "[" or ","
+        rows, i = _DECODER.raw_decode(text, i)
+        with suppress(EnsembleFormatError):
+            rows = _decode_matrix(rows, field, "")
+        grids.append(rows)
+        i = _WS(text, i).end()
+        if not text.startswith(",", i):
+            break
+        i = _WS(text, i + 1).end()
+    if not text.startswith("]", i):
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+    return grids, i + 1
+
+
 def load_ensemble(path: str | Path, tol: float = DEFAULT_TOL) -> FusionEnsemble:
-    return from_json_dict(read_json(path), tol=tol)
+    """Walk the file's top-level object member by member (the last duplicate key wins, as in
+    ``json.loads``), decoding each grid under the "field" read so far as it is scanned."""
+    data, at, used, i = {}, None, None, 0
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        while (m := _MEMBER.match(text, i)) and m[1] == ("," if data else "{"):
+            key, i = m[2], m.end()
+            if key == "isometries" and text.startswith("[", i):
+                at, used = i, data.get("field")
+                data[key], i = _scan_grids(text, i, used)
+            else:
+                data[key], i = _DECODER.raw_decode(text, i)
+        if not (data and _END.match(text, i)):  # raises json's own error, or parses what the
+            data, at = json.loads(text), None  # walk does not take: no object, an escaped key
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, runaway nesting
+        raise EnsembleFormatError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        field, d, r, n, grids = (data[key] for key in ("field", "d", "r", "n", "isometries"))
+        meta = data.get("metadata", {})
+    except (KeyError, TypeError) as exc:
+        raise EnsembleFormatError(f"missing or malformed ensemble fields: {exc}") from exc
+    if field not in ("R", "C"):
+        raise EnsembleFormatError(f"field must be 'R' or 'C', got {field!r}")
+    if not all(type(v) is int for v in (d, r, n)):
+        raise EnsembleFormatError(f"d, r and n must be integers, got {(d, r, n)}")
+    if not isinstance(grids, list) or len(grids) != n:
+        found = len(grids) if isinstance(grids, list) else type(grids).__name__
+        raise EnsembleFormatError(f"expected a list of {n} isometries, found {found}")
+    if not isinstance(meta, dict):
+        raise EnsembleFormatError(f"metadata must be a JSON object, got {meta!r}")
+    if at is not None and field != used:  # "isometries" came before "field", or "field" twice
+        grids = _scan_grids(text, at, field)[0]
+    del text  # before the ensemble's array is allocated
+    for j, M in enumerate(grids, start=1):
+        M = grids[j - 1] = M if isinstance(M, np.ndarray) else _decode_matrix(M, field, f"isometry {j}")
+        if M.shape != (d, r):
+            raise EnsembleFormatError(f"isometry {j} has shape {M.shape}, expected {(d, r)}")
+    try:
+        return FusionEnsemble.from_blocks(grids, field=field, tol=tol, meta=meta)
+    except ValueError as exc:
+        raise EnsembleFormatError(str(exc)) from exc
 
 
 def save_synthesis_csv(e: FusionEnsemble, path: str | Path) -> None:

@@ -419,21 +419,28 @@ def fusion_gram(e: FusionEnsemble) -> np.ndarray:
 def naimark_complement(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> FusionEnsemble:
     """A TFF(rn - d, r, n) whose fusion Gram is rn/(rn-d) (I - (d/rn) Phi* Phi).
 
-    Requires a tight ensemble with d < rn.  Tightness makes the columns of
-    Phi* orthogonal with equal norms, so a complete QR of Phi* (rn x d) gives
-    an orthonormal basis Q_perp of their complement, and the complement's
-    synthesis matrix is sqrt(rn/(rn-d)) Q_perp*; no rn x rn Gram is formed.
-    Each block is then re-orthonormalized (polar projection), which absorbs
-    the drift of an input that is tight only within ``tol``.
+    Requires a tight ensemble with d < rn.  Tightness makes the columns of Phi*
+    (rn x d) orthogonal with equal norms, so the Householder reflectors of its QR,
+    applied to [0; I_{rn-d}], give an orthonormal basis X of their complement, and
+    sqrt(rn/(rn-d)) X* is the complement's synthesis matrix; no rn x rn Q or Gram is
+    formed.  Each block is then re-orthonormalized (polar projection, blind to the
+    scale), which absorbs the drift of an input that is tight only within ``tol``.
     """
     rn = e.r * e.n
     if e.d >= rn:
         raise FullDimensionError(f"d >= rn leaves nothing to complement: d = {e.d}, rn = {rn}")
     if not is_tight(e, tol):
         raise NotTightError(f"ensemble is not tight within {tol:.1e}")
-    Q, _ = np.linalg.qr(_ct(e.synthesis()), mode="complete")
-    Psi = np.sqrt(rn / (rn - e.d)) * _ct(Q[:, e.d :])
-    svds = (np.linalg.svd(Psi[:, j * e.r : (j + 1) * e.r], full_matrices=False) for j in range(e.n))
+    h, tau = np.linalg.qr(_ct(e.synthesis()), mode="raw")  # h[i, i + 1:] is reflector i's tail
+    X = np.eye(rn, rn - e.d, -e.d, dtype=h.dtype)  # [0; I_{rn-d}]
+    for b in reversed(range(0, e.d, 64)):  # reflectors b .. b + 63 as I - V T V*, V = Vt.T
+        Vt = np.triu(h[b : b + 64, b:], 1)
+        np.fill_diagonal(Vt, 1)
+        G, T = Vt.conj() @ Vt.T, np.diag(tau[b : b + 64])
+        for c in range(1, len(T)):  # LAPACK's dlarft recurrence, which never divides by tau
+            T[:c, c] = -T[c, c] * (T[:c, :c] @ G[:c, c])
+        X[b:] -= Vt.T @ (T @ (Vt.conj() @ X[b:]))
+    svds = (np.linalg.svd(_ct(X[j * e.r : (j + 1) * e.r]), full_matrices=False) for j in range(e.n))
     polar = ((j, u, vh) for j, (u, _s, vh) in enumerate(svds))
     meta = {"construction": "naimark_complement", "of": dict(e.meta)}
     return FusionEnsemble._stacked(e.n, polar, e.field, tol, meta)

@@ -120,6 +120,10 @@ class Permutation:
         """Compose the given cycles; the rightmost cycle acts first."""
         result = cls.identity(n)
         for cyc in cycles:
+            if len(set(cyc)) < len(cyc):
+                raise ParseError(f"cycle {tuple(cyc)} repeats a point")
+            if not all(1 <= x <= n for x in cyc):
+                raise IndexOutOfRangeError(f"cycle {tuple(cyc)} has a point outside 1..{n}")
             imgs = list(range(1, n + 1))
             for i, x in enumerate(cyc):
                 imgs[x - 1] = cyc[(i + 1) % len(cyc)]

@@ -8,6 +8,7 @@ import pytest
 from symfusion import FusionEnsemble, Partition, load_ensemble, save_ensemble, single_layer_ensemble
 from symfusion.constructions import LayerSelection, alternating_ensemble, alternating_shapes
 from symfusion.ensemble_io import to_json_dict
+from symfusion.errors import EnsembleFormatError
 from symfusion.fusion import random_orthonormal_blocks
 
 
@@ -80,6 +81,87 @@ def test_save_encodes_one_block_at_a_time(tmp_path):
             tracemalloc.stop()
     whole, streamed = peaks
     assert streamed <= 0.3 * whole
+
+
+def test_load_decodes_one_grid_at_a_time(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "e.json"
+    save_ensemble(FusionEnsemble.from_blocks(random_orthonormal_blocks(200, 10, 10, 1)), path)
+    peaks = []
+    for read in (lambda: json.loads(path.read_text(encoding="utf-8")), lambda: load_ensemble(path)):
+        tracemalloc.start()
+        try:
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    tree, streamed = peaks  # the text alone is about two thirds of the tree's peak
+    assert streamed <= 0.8 * tree
+
+
+TRICKY_META = {"note": 'not a member: "isometries": [[[1, 0]]], "field": "R"'}
+
+
+def written(e: FusionEnsemble, way: str, path) -> None:
+    data = to_json_dict(e)
+    if way == "save_ensemble":
+        save_ensemble(e, path)
+    elif way == "indented":
+        path.write_text(json.dumps(data, indent=2))
+    elif way == "keys_reversed":  # "isometries" before "field"
+        path.write_text(json.dumps(dict(reversed(data.items()))))
+    elif way == "duplicate_d":  # the last of duplicate keys wins
+        path.write_text('{"d": ' + str(e.d + 1) + ", " + json.dumps(data)[1:])
+    else:  # "metadata_first": the text "isometries" occurs first inside a string
+        meta = data.pop("metadata")
+        path.write_text(json.dumps({"metadata": meta, **data}))
+
+
+@pytest.mark.parametrize("way", ["save_ensemble", "indented", "keys_reversed", "duplicate_d", "metadata_first"])
+def test_every_layout_of_one_ensemble_loads_identically(tmp_path, way):
+    e = FusionEnsemble.from_blocks(random_orthonormal_blocks(6, 2, 3, 5, True), meta=TRICKY_META)
+    path = tmp_path / "e.json"
+    written(e, way, path)
+    assert_identical(e, load_ensemble(path))
+
+
+def test_last_duplicate_field_decides_how_the_grids_read(tmp_path):
+    # complex grids with zero imaginary parts, re-tagged "R" by a later "field" key
+    blocks = [b.astype(complex) for b in random_orthonormal_blocks(4, 2, 2, 3)]
+    path = tmp_path / "e.json"
+    save_ensemble(FusionEnsemble.from_blocks(blocks, field="C"), path)
+    path.write_text(path.read_text()[:-1] + ', "field": "R"}')
+    with pytest.raises(EnsembleFormatError, match="isometry 1: entries must be numbers"):
+        load_ensemble(path)
+
+
+def test_grid_errors_are_reported_after_the_other_members(tmp_path):
+    data = to_json_dict(CASES["real_random"]())
+    data["isometries"][0][0][0] = "x"
+    del data["n"]
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(EnsembleFormatError, match="missing or malformed ensemble fields"):
+        load_ensemble(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "[" + text + "]",
+    lambda text: text + " {}",
+    lambda text: text.replace("[[[", "[[[NaN, ", 1),
+    lambda text: text.replace(', "d"', ' {"d"', 1),
+], ids=["top_level_array", "extra_data", "nan_literal", "brace_for_comma"])
+def test_malformed_file_is_exit_2(tmp_path, capsys, edit):
+    from symfusion.cli import main
+
+    path = tmp_path / "e.json"
+    save_ensemble(CASES["complex_random"](), path)
+    path.write_text(edit(path.read_text()))
+    assert main(["certify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "EnsembleFormatError"
 
 
 @pytest.mark.parametrize("case", list(CASES))

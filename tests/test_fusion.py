@@ -798,6 +798,8 @@ COMPLEMENT_CASES = {
     "multi_5_1_1_1_1_delta_1_random_transversal": lambda: multi_layer_ensemble(
         LayerSelection.from_delta(Partition((5, 1, 1, 1, 1)), 1), transversal=random_transversal(10, 2024)
     ),
+    # d = 448 is seven whole blocks of reflectors
+    "real_iii_1_1_4": lambda: single_layer_ensemble(Partition((5, 2, 1, 1, 1)), Partition((5, 1, 1, 1, 1))),
 }
 
 
@@ -851,6 +853,17 @@ class TestNaimark:
 
         monkeypatch.setattr(fusion, "fusion_gram", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        comp = naimark_complement(eitff_16_6_6)
+        assert (comp.d, comp.r, comp.n) == (20, 6, 6)
+
+    def test_no_complete_qr(self, monkeypatch, eitff_16_6_6):
+        qr = np.linalg.qr
+
+        def no_complete(a, mode="reduced"):
+            assert mode != "complete", "naimark_complement must not form the rn x rn Q"
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", no_complete)
         comp = naimark_complement(eitff_16_6_6)
         assert (comp.d, comp.r, comp.n) == (20, 6, 6)
 

@@ -57,6 +57,17 @@ class TestPermutation:
         with pytest.raises(IndexOutOfRangeError):
             make()
 
+    @pytest.mark.parametrize("cycles, error", [
+        ([(1, 1)], ParseError),
+        ([(1, 2), (3, 4, 3)], ParseError),
+        ([(0, 1)], IndexOutOfRangeError),
+        ([(2, 6)], IndexOutOfRangeError),
+        ([(1, 2), (-1, 3)], IndexOutOfRangeError),
+    ])
+    def test_from_cycles_refuses_repeated_or_outside_points(self, cycles, error):
+        with pytest.raises(error):
+            Permutation.from_cycles(5, cycles)
+
     def test_points_inside_1_to_n_are_accepted(self):
         assert Permutation.adjacent(5, 1) == Permutation.parse("(1 2)", n=5)
         assert Permutation.adjacent(5, 4) == Permutation.parse("(4 5)", n=5)
