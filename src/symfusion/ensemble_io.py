@@ -2,10 +2,12 @@
 
 Real entries are plain numbers; complex entries are [re, im] pairs, and a
 plain number in a complex matrix is read as real.  Files are written as
-compact one-line JSON by the C encoder.  The format round-trips float64
-exactly (JSON floats are written with repr precision, -0.0 included), so
-certification of a saved ensemble is bit-identical to the in-memory path.
-Files written indented by earlier versions load to the same blocks.
+compact one-line JSON, byte for byte as ``json.dumps`` would write them: orjson
+formats the floats, and the few that it spells differently from ``repr`` are
+spliced in as ``repr`` spells them.  The format round-trips float64 exactly
+(JSON floats are written with repr precision, -0.0 included), so certification
+of a saved ensemble is bit-identical to the in-memory path.  Files written
+indented by earlier versions load to the same blocks.
 
 A file is read one grid at a time, each grid becoming an array as soon as the
 C scanner has read it, so the whole file never exists as nested lists.
@@ -13,7 +15,6 @@ C scanner has read it, so the whole file never exists as nested lists.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from contextlib import suppress
@@ -32,8 +33,24 @@ _MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:
 _END = re.compile(r"[ \t\n\r]*}[ \t\n\r]*\Z")
 
 
-def _encode_matrix(M: np.ndarray, field: str) -> list:
-    return np.stack([M.real, M.imag], -1).tolist() if field == "C" else M.tolist()
+def _float_text(A: np.ndarray) -> bytes:
+    """orjson's compact JSON text of the float64 array A, each number spelled as ``repr``
+    spells it.  orjson differs only on 1e-9 <= |x| < 1e-4 (0.00001 for 1e-05, 1e-9 for
+    1e-09) and on |x| >= 1e16 (1e16 for 1e+16); below 1e-9 both write a two-digit or longer
+    exponent.  Those entries go in as NaN, come out as null, and are replaced by their repr."""
+    import orjson
+
+    a = np.abs(A)
+    odd = (a >= 1e16) | ((a < 1e-4) & (a >= 1e-9))
+    grid = np.ascontiguousarray(np.where(odd, np.nan, A))
+    parts = orjson.dumps(grid, option=orjson.OPT_SERIALIZE_NUMPY).split(b"null")
+    spelled = [repr(v).encode() for v in A[odd].tolist()]
+    return b"".join(chain.from_iterable(zip(parts, spelled))) + parts[-1]
+
+
+def _json_grid(M: np.ndarray, field: str) -> bytes:
+    """``json.dumps`` of the entry grid of M, as bytes; in "C" each entry is [re, im]."""
+    return _float_text(np.stack([M.real, M.imag], -1) if field == "C" else M).replace(b",", b", ")
 
 
 def _decode_matrix(rows: list, field: str, where: str) -> np.ndarray:
@@ -57,26 +74,15 @@ def _decode_matrix(rows: list, field: str, where: str) -> np.ndarray:
     return M.view(complex)[..., 0] if field == "C" and M.ndim == 3 else M
 
 
-def to_json_dict(e: FusionEnsemble) -> dict:
-    return {
-        "field": e.field,
-        "d": e.d,
-        "r": e.r,
-        "n": e.n,
-        "isometries": [_encode_matrix(b, e.field) for b in e.blocks],
-        "metadata": dict(e.meta),
-    }
-
-
 def save_ensemble(e: FusionEnsemble, path: str | Path) -> None:
-    """Write the bytes of ``json.dumps(to_json_dict(e))``, encoding one block at a time."""
+    """Write the bytes of ``json.dumps`` of the file's object, encoding one block at a time."""
     head = json.dumps({"field": e.field, "d": e.d, "r": e.r, "n": e.n})[:-1]
     tail = json.dumps(dict(e.meta))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + ', "isometries": [')
+    with open(path, "wb") as fh:
+        fh.write(f'{head}, "isometries": ['.encode())
         for j, b in enumerate(e.blocks):
-            fh.write((", " if j else "") + json.dumps(_encode_matrix(b, e.field)))
-        fh.write('], "metadata": ' + tail + "}")
+            fh.write((b", " if j else b"") + _json_grid(b, e.field))
+        fh.write(f'], "metadata": {tail}}}'.encode())
 
 
 def read_json(path: str | Path):
@@ -153,7 +159,8 @@ def save_synthesis_csv(e: FusionEnsemble, path: str | Path) -> None:
     """Write the d x rn synthesis matrix as CSV.  Real ensembles only."""
     if e.field != "R":
         raise EnsembleFormatError("CSV export is offered for real ensembles only")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in e.synthesis():
-            writer.writerow([repr(float(v)) for v in row])
+    P = e.synthesis()
+    step = max(1, 2**16 // P.shape[1])  # rows per chunk of about 64K numbers
+    with open(path, "wb") as fh:
+        for i in range(0, e.d, step):  # each row: the numbers joined by ",", then CRLF
+            fh.write(_float_text(P[i : i + step])[2:-2].replace(b"],[", b"\r\n") + b"\r\n")

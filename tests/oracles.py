@@ -11,10 +11,14 @@ builder :func:`symfusion.constructions._layer_orbit` replaced, the
 isoclinic test without the sign test and the float screen that now guard
 :func:`symfusion.constructions._isoclinic`, and the record builder and the
 generic field-by-field JSON encoding that the one-pass certificate records replaced.
+Last, it keeps the ensemble file as nested lists for ``json.dumps`` and the synthesis
+CSV through ``csv.writer``: the bytes that the package's float text must reproduce.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -23,7 +27,7 @@ import numpy as np
 
 from symfusion import altrep
 from symfusion.constructions import ExactIsoclinicCertificate, _parity, _scaled_sums
-from symfusion.fusion import _fields_json
+from symfusion.fusion import FusionEnsemble, _fields_json
 from symfusion.permutations import Permutation, permutation_word
 from symfusion.symrep import _generator_action, branching_isometry
 from symfusion.tableaux import Box, Partition, added_row, dimension, tableau_words, transpose, up_set
@@ -285,3 +289,26 @@ def out_of_place_layer_orbit(sel, ts) -> Iterator[tuple[int, np.ndarray]]:
         if not h.is_identity:
             block = block @ _word_apply(mu, Permutation(h.images[:-1]), np.eye(dimension(mu)))
         yield k - 1, block
+
+
+def _encode_matrix(M: np.ndarray, field: str) -> list:
+    return np.stack([M.real, M.imag], -1).tolist() if field == "C" else M.tolist()
+
+
+def to_json_dict(e: FusionEnsemble) -> dict:
+    """The ensemble file's object: ``json.dumps`` of it is the file's text."""
+    return {
+        "field": e.field,
+        "d": e.d,
+        "r": e.r,
+        "n": e.n,
+        "isometries": [_encode_matrix(b, e.field) for b in e.blocks],
+        "metadata": dict(e.meta),
+    }
+
+
+def synthesis_csv(P: np.ndarray) -> bytes:
+    """The synthesis CSV as ``csv.writer`` writes the ``repr`` of each entry."""
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows([repr(float(v)) for v in row] for row in P)
+    return fh.getvalue().encode()

@@ -12,7 +12,9 @@ import pytest
 from symfusion import Partition, certify, errors, load_ensemble, single_layer_ensemble
 from symfusion import constructions as cons
 from symfusion.cli import main
-from symfusion.ensemble_io import save_ensemble, to_json_dict
+from symfusion.ensemble_io import save_ensemble
+
+from oracles import synthesis_csv, to_json_dict
 
 
 SEARCH_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "search_sha256.json"
@@ -104,6 +106,7 @@ class TestConstruct:
         assert code == 0
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 5 and len(rows[0].split(",")) == 10
+        assert out.read_bytes() == synthesis_csv(single_layer_ensemble(Partition((3, 2)), Partition((2, 2))).synthesis())
 
     def test_csv_reads_back_bit_identical(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
@@ -191,12 +194,24 @@ class TestConstruct:
         assert "EITFF_R(2, 1, 3)" in stdout
 
 
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_importing_the_cli_leaves_orjson_unloaded():
+    # only a save imports the float encoder, so no command pays for it at startup
+    code = "import sys, symfusion.cli; print('orjson' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
+
 class TestClosedStdout:
     def test_reader_gone_is_a_quiet_success(self):
         # `symfusion construct ... --json | head -c 10`, with the reader gone before
         # the first write: exit 0 and nothing on stderr, not even at shutdown
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = src_env()
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

@@ -1,15 +1,18 @@
 """Ensemble files: exact save/load round trips, the compact layout and old indented files."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from symfusion import FusionEnsemble, Partition, load_ensemble, save_ensemble, single_layer_ensemble
 from symfusion.constructions import LayerSelection, alternating_ensemble, alternating_shapes
-from symfusion.ensemble_io import to_json_dict
+from symfusion.ensemble_io import _json_grid, save_synthesis_csv
 from symfusion.errors import EnsembleFormatError
-from symfusion.fusion import random_orthonormal_blocks
+from symfusion.fusion import naimark_complement, random_orthonormal_blocks
+
+from oracles import _encode_matrix, synthesis_csv, to_json_dict
 
 
 def signed_zero_ensemble(field: str) -> FusionEnsemble:
@@ -186,3 +189,83 @@ def test_plain_numbers_in_a_complex_grid_read_as_real(tmp_path):
     again = tmp_path / "again.json"
     save_ensemble(e, again)
     assert_identical(e, load_ensemble(again))
+
+
+# the float text: orjson's digits, with the entries it spells otherwise spelled by repr
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 1e-10, float(np.nextafter(1e-9, 0)), 1e-9, 1e-5, float(np.nextafter(1e-4, 0)),
+    1e-4, 1e15, float(np.nextafter(1e16, 0)), 1e16, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 0.1,
+]
+
+
+def log_uniform(shape, seed: int, low: float = -4, high: float = 16) -> np.ndarray:
+    """Signed values with log10 |x| uniform in [low, high)."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(low, high, shape)
+
+
+def edge_grids(seed: int) -> dict:
+    """Grids whose repr-spelled entries (1e-9 <= |x| < 1e-4 or |x| >= 1e16) sit first, last,
+    everywhere and nowhere, next to every edge value, integer-valued floats and random values."""
+    base = log_uniform((7, 5), seed)
+    first, last = base.copy(), base.copy()
+    first[0, 0], last[-1, -1] = 1e-5, -1e16
+    edges = np.resize(np.array(EDGE_VALUES), (5, 7)).T
+    return {
+        "nowhere": base,
+        "first": first,
+        "last": last,
+        "everywhere": log_uniform((7, 5), seed + 1, -9, -4),
+        "tiny": log_uniform((7, 5), seed + 4, -324, -9),
+        "huge": log_uniform((4, 3), seed + 2, 16, 308.2),
+        "edges": edges,
+        "integers": np.arange(-17.0, 18.0).reshape(5, 7) * 10.0 ** np.arange(7),
+        "one_by_one": np.array([[5e-324]]),
+        "wide_range": log_uniform((40, 50), seed + 3, -330, 308.2),
+    }
+
+
+@pytest.mark.parametrize("name", list(edge_grids(0)))
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_grid_text_is_json_dumps(name, field):
+    M = edge_grids(3)[name]
+    if field == "C":
+        M = M + 1j * np.roll(M[::-1], 1)
+    assert _json_grid(M, field) == json.dumps(_encode_matrix(M, field)).encode()
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_grid_text_of_column_views_is_json_dumps(field):
+    grids = edge_grids(5)
+    P = np.hstack([grids[k] for k in ("nowhere", "first", "last", "everywhere", "tiny", "edges")])  # 7 x 30
+    if field == "C":
+        P = P - 1j * P[::-1]
+    P.flags.writeable = False
+    for j in range(0, 30, 3):
+        view = P[:, j : j + 3]
+        assert not view.flags.c_contiguous
+        assert _json_grid(view, field) == json.dumps(_encode_matrix(view, field)).encode()
+
+
+def test_save_of_complements_is_json_dumps(tmp_path):
+    """A Naimark complement holds many roundoff-sized entries."""
+    for case in ("real_eitff", "complex_eitff"):
+        e = naimark_complement(CASES[case]())
+        path = tmp_path / "c.json"
+        save_ensemble(e, path)
+        assert path.read_bytes() == json.dumps(to_json_dict(e)).encode()
+        assert_identical(e, load_ensemble(path))
+
+
+def test_synthesis_csv_is_csv_writer_output(tmp_path):
+    """Rows are cut into chunks of about 64K numbers; 300 x 300 takes two."""
+    path = tmp_path / "e.csv"
+    grids = [*edge_grids(7).values(), np.array(EDGE_VALUES)[:, None], log_uniform((300, 300), 9, -10, 20)]
+    for P in grids:
+        save_synthesis_csv(SimpleNamespace(field="R", d=P.shape[0], synthesis=lambda: P), path)
+        assert path.read_bytes() == synthesis_csv(P)
+    e = CASES["real_random"]()
+    save_synthesis_csv(e, path)
+    assert path.read_bytes() == synthesis_csv(e.synthesis())
+
