@@ -1,9 +1,9 @@
 """Tight fusion frames with symmetric- and alternating-group symmetry.
 
 The package splits into combinatorics (partitions, and standard tableaux as
-word and content arrays), representation matrices for S_n and A_n, ensemble
-analysis against the Welch bounds, and the construction recipes plus their
-exact rational certificates.
+word and content arrays), the sparse S_n action and the A_n eigenspace bases
+built on it, ensemble analysis against the Welch bounds, and the construction
+recipes plus their exact rational certificates.
 """
 
 from .tableaux import (
@@ -24,26 +24,11 @@ from .permutations import (
     transversal_an,
     transversal_sn,
 )
-from .symrep import (
-    adjacent_transposition_matrix,
-    branching_isometry,
-    rep_apply,
-    rep_matrix,
-)
-from .altrep import (
-    associator_unitary,
-    an_generator_matrix,
-    an_rep_matrix,
-    eigenspace_injection,
-    field_for,
-    pair_associator_unitary,
-    pair_branching_isometry,
-    symmetric_branching_isometry,
-)
+from .symrep import rep_apply, rep_matrix
+from .altrep import field_for
 from .fusion import (
     CertificationReport,
     FusionEnsemble,
-    automorphism_witness,
     certify,
     cross_gram,
     fusion_frame_operator,
@@ -88,16 +73,10 @@ __all__ = [
     "CertificationReport",
     "LayerSelection",
     "ExactIsoclinicCertificate",
-    "adjacent_transposition_matrix",
     "alternating_ensemble",
     "alternating_parameters",
-    "an_generator_matrix",
-    "an_rep_matrix",
     "an_table",
-    "associator_unitary",
-    "automorphism_witness",
     "box_axial_distance",
-    "branching_isometry",
     "certify",
     "classify_single_layer",
     "cross_gram",
@@ -106,7 +85,6 @@ __all__ = [
     "dimension",
     "distance_condition",
     "down_set",
-    "eigenspace_injection",
     "field_for",
     "four_part_family",
     "fusion_frame_operator",
@@ -118,8 +96,6 @@ __all__ = [
     "load_ensemble",
     "multi_layer_ensemble",
     "naimark_complement",
-    "pair_associator_unitary",
-    "pair_branching_isometry",
     "pairwise_distances",
     "partitions_of",
     "permutation_word",
@@ -132,7 +108,6 @@ __all__ = [
     "single_layer_parameters",
     "single_layer_shapes",
     "sn_table",
-    "symmetric_branching_isometry",
     "three_part_family",
     "tightness_residual",
     "transpose",

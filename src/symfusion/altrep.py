@@ -11,10 +11,10 @@ On the word arrays of :mod:`tableaux` the associator is three arrays over
 Tab(lam): the index T, the partner T' (an entry's row in T' is its column in
 T) and the phase i^m sgn(g_T) (an inversion parity of reading words).  A
 w-basis J is applied only as the signed gather of :func:`gather`, J* M =
-(M[index] + conj(phase) M[partner]) / sqrt(2); a dense basis is that gather
-applied to an identity, and rho_eps(g) = J* pi(g) J takes pi(g) from the one
-sparse S_n action :func:`symrep.rep_apply`.  Tab_*(nu), the half of Tab(nu)
-that indexes an eigenspace basis, is the set of words with the entry 2 in row 0.
+(M[index] + conj(phase) M[partner]) / sqrt(2); no dense J, U or
+rho_eps(g) = J* pi(g) J is formed here (tests/oracles.py builds them from these
+arrays).  Tab_*(nu), the half of Tab(nu) that indexes an eigenspace basis, is
+the set of words with the entry 2 in row 0.
 
 Reference tableaux: the base point is the row superstandard tableau of the
 "small" symmetric shape (even number of distinct parts); shapes covering it
@@ -32,29 +32,21 @@ import numpy as np
 from .errors import (
     ConstraintViolationError,
     DegenerateShapeError,
-    IndexOutOfRangeError,
     NotSymmetricError,
     OddDistinctPartsError,
-    OddPermutationError,
     ShapeMismatchError,
-    SymmetricLambdaError,
-    TooSmallError,
 )
-from .permutations import Permutation
-from .symrep import rep_apply
 from .tableaux import (
     Box,
     Partition,
     added_row,
     diagonal_count,
     dimension,
-    down_offset,
     is_symmetric,
     remove_box,
     tableau_contents,
     tableau_words,
     transpose,
-    up_set,
 )
 
 Field = str  # "R" | "C"
@@ -155,74 +147,13 @@ def gather(basis: tuple[np.ndarray, np.ndarray, np.ndarray], M: np.ndarray) -> n
     return (M[index] + np.conj(phase)[:, None] * M[partner]) * (1.0 / np.sqrt(2.0))
 
 
-def _dense(basis: tuple[np.ndarray, np.ndarray, np.ndarray], rows: int) -> np.ndarray:
-    """J itself, the adjoint of the gather of the rows x rows identity; complex when the phases are."""
-    return gather(basis, np.eye(rows)).conj().T
-
-
-def _involution(basis: tuple[np.ndarray, np.ndarray, np.ndarray], rows: int) -> np.ndarray:
-    """The self-adjoint involution of a triple (index, partner, phase): e_index[c]
-    goes to phase[c] e_partner[c] and back with conj(phase[c]); eps U on an eps triple."""
-    index, partner, phase = basis
-    U = np.zeros((rows, rows), dtype=np.result_type(phase, float))
-    U[partner, index] = phase
-    U[index, partner] = np.conj(phase)
-    return U
-
-
-def associator_unitary(nu: Partition) -> np.ndarray:
-    """The self-adjoint involution sending v_T to i^m sgn(g_T) v_{T'} on Tab(nu)."""
-    return _involution(_injection_basis(nu, 1), dimension(nu))
-
-
 def _injection_basis(nu: Partition, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, partner, phase) of the columns of :func:`eigenspace_injection`."""
+    """(index, partner, phase) of the eps-eigenbasis w_T = (v_T + eps i^m sgn(g_T) v_{T'})/sqrt(2)
+    of the associator on Tab(nu), T running over Tab_*(nu)."""
     sign = _eps_sign(eps)
     stars = _stars(nu)
     phase = sign * i_power(half_offdiagonal_count(nu)) * _sign_vector(nu, None)
     return stars, _transpose_index(nu)[stars], phase[stars]
-
-
-def eigenspace_injection(nu: Partition, eps) -> np.ndarray:
-    """Isometry whose columns are the eigenbasis w_T = (v_T + eps i^m sgn(g_T) v_{T'})/sqrt(2).
-
-    Columns are indexed by Tab_*(nu); the matrix maps the eps-eigenspace
-    coordinates into the ambient Tab(nu) basis.
-    """
-    return _dense(_injection_basis(nu, eps), dimension(nu))
-
-
-def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
-    """Matrix of the eps-eigenspace representation at s_1 s_k, on the Tab_* basis.
-
-    For k >= 3 this is the Tab_* x Tab_* sub-block of pi_nu(s_k).  For k = 2
-    the diagonal holds 1/D_T(3,2) and the only off-diagonal entries sit at
-    (s_2 T', T) with value eps i^m sgn(g_T) sqrt(1 - 1/D_T(3,2)^2).
-    """
-    if not is_symmetric(nu):
-        raise NotSymmetricError(f"{nu!r} is not symmetric")
-    if nu.n < 5:
-        raise TooSmallError("eigenspace generator matrices require n >= 5")
-    if not 2 <= k <= nu.n - 1:
-        raise IndexOutOfRangeError(f"k = {k} outside 2..{nu.n - 1}")
-    return an_rep_matrix(nu, eps, Permutation.adjacent(nu.n, 1) * Permutation.adjacent(nu.n, k))
-
-
-def an_rep_matrix(nu: Partition, eps, g: Permutation) -> np.ndarray:
-    """Eigenspace representation at an even permutation g: J* pi_nu(g) J.
-
-    sqrt(2) J, the Tab_* columns of 1 + U_eps, holds exactly 1 and the phase;
-    pi_nu(g) acts on it by sparse generator steps and its rows are gathered as
-    in :func:`gather`, so one halving remains and g = 1 gives the identity.
-    """
-    basis = index, partner, phase = _injection_basis(nu, eps)
-    if g.degree != nu.n:
-        raise ShapeMismatchError(f"permutation degree {g.degree} != |nu| = {nu.n}")
-    if not g.is_even:
-        raise OddPermutationError("an_rep_matrix requires an even permutation")
-    d = dimension(nu)
-    image = rep_apply(nu, g, (np.eye(d) + _involution(basis, d))[:, index])
-    return (image[index] + np.conj(phase)[:, None] * image[partner]) * 0.5
 
 
 def _check_family_mu(mu: Partition) -> None:
@@ -232,53 +163,11 @@ def _check_family_mu(mu: Partition) -> None:
         raise OddDistinctPartsError(f"{mu!r} must have an even number of distinct parts")
 
 
-def pair_associator_unitary(mu: Partition) -> np.ndarray:
-    """Block-permuting involution on the direct sum over all shapes covering mu.
-
-    Maps v_T (T of shape lam) to i^m sgn(g_T) v_{T'} (shape lam'); commutes
-    with the even part of the direct-sum representation.
-    """
-    layers = tuple(lam for lam, _ in up_set(mu))
-    return _involution(_layer_basis(mu, layers, 1), sum(map(dimension, layers)))
-
-
-def pair_branching_isometry(lam: Partition, mu: Partition, eps) -> np.ndarray:
-    """Isometry from the mu eigenspace into the {lam, lam'} eigenspace, w-bases.
-
-    Rows are indexed by Tab(lam) (the eigenbasis of the pair space), columns by
-    Tab_*(mu).  Column R carries 1/sqrt(2) at R^lam and
-    eps i^m sgn(g_R)/sqrt(2) at (R')^lam.
-    """
-    _check_family_mu(mu)
-    if lam == transpose(lam):
-        raise SymmetricLambdaError("pair branching needs a non-symmetric shape")
-    offset = down_offset(lam, mu)  # R^lam is row offset + (index of R in Tab(mu))
-    index, partner, phase = _injection_basis(mu, eps)
-    return _dense((offset + index, offset + partner, phase), dimension(lam))
-
-
-def symmetric_branching_isometry(nu: Partition, mu: Partition, eps) -> np.ndarray:
-    """Isometry from the mu eigenspace into the nu eigenspace, Tab_* bases.
-
-    nu must be symmetric with an odd number of distinct parts and mu its
-    symmetric predecessor (nu minus the diagonal corner).  Embedding preserves
-    membership in Tab_*, so the matrix is a 0/1 column selector.
-    """
-    _eps_sign(eps)
-    if not is_symmetric(nu):
-        raise NotSymmetricError(f"{nu!r} is not symmetric")
-    _check_family_mu(mu)
-    offset = down_offset(nu, mu)
-    m = half_offdiagonal_count(mu)
-    nu_stars = _stars(nu)
-    mu_stars = _stars(mu)
-    Psi = np.zeros((len(nu_stars), len(mu_stars)), dtype=complex if m % 2 else float)
-    Psi[np.searchsorted(nu_stars, offset + mu_stars), np.arange(len(mu_stars))] = 1.0
-    return Psi
-
-
 def _layer_basis(mu: Partition, layers: tuple[Partition, ...], eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, partner, phase) of the columns of :func:`layer_eigenbasis`."""
+    """(index, partner, phase) of the eps-eigenbasis of a transpose-closed layer sum, in the
+    concatenated Tab(lam) coordinates of ``layers`` in their given order.  The symmetric
+    layer (if present) contributes Tab_* columns; each transpose pair contributes Tab(lam)
+    columns for its first-listed member."""
     _check_family_mu(mu)
     factor = _eps_sign(eps) * i_power(half_offdiagonal_count(mu))
     starts = list(accumulate(map(dimension, layers), initial=0))
@@ -298,15 +187,3 @@ def _layer_basis(mu: Partition, layers: tuple[Partition, ...], eps) -> tuple[np.
         phase = factor * _sign_vector(lam, mu)
         columns.append((offsets[lam] + t, offsets[lam_t] + _transpose_index(lam)[t], phase[t]))
     return tuple(np.concatenate(part) for part in zip(*columns))
-
-
-def layer_eigenbasis(mu: Partition, layers: tuple[Partition, ...], eps) -> np.ndarray:
-    """Orthonormal basis of the eps-eigenspace of a transpose-closed layer sum.
-
-    Returns the (sum of layer dimensions) x (half that) matrix whose columns
-    express the w-basis in the concatenated Tab(lam) coordinates, lam running
-    over ``layers`` in their given order.  The symmetric layer (if present)
-    contributes Tab_* columns; each transpose pair contributes Tab(lam)
-    columns for its first-listed member.
-    """
-    return _dense(_layer_basis(mu, layers, eps), sum(map(dimension, layers)))

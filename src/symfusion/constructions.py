@@ -43,7 +43,7 @@ from .permutations import (
     transversal_sn,
     validate_transversal,
 )
-from .symrep import rep_apply, rep_matrix, right_apply_generator
+from .symrep import apply_generator, rep_matrix, right_apply_generator
 from .tableaux import (
     Partition,
     corner_parts,
@@ -474,7 +474,7 @@ def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tup
     for k in range(n, 0, -1):
         if k < n:
             for lam, layer in zip(layers, rows):
-                rep_apply(lam, Permutation.adjacent(n, k), C[layer], out=spare[layer])
+                apply_generator(lam, k, C[layer], out=spare[layer])
             C, spare = spare, C
         if k < n - 1:
             right_apply_generator(mu, k, C, out=C)

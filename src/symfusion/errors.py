@@ -57,16 +57,8 @@ class DegenerateShapeError(SymfusionError, ValueError):
     """Shape is too degenerate for the operation (e.g. a single box)."""
 
 
-class OddPermutationError(SymfusionError, ValueError):
-    """Permutation is odd where an even one is required."""
-
-
 class OddDistinctPartsError(SymfusionError, ValueError):
     """Partition has an odd number of distinct parts where an even count is required."""
-
-
-class SymmetricLambdaError(SymfusionError, ValueError):
-    """Shape is symmetric where a non-symmetric one is required."""
 
 
 class BadTransversalError(SymfusionError, ValueError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field as dc_field, fields
@@ -26,9 +27,7 @@ from .errors import (
     IndexOutOfRangeError,
     NotIsometryError,
     NotTightError,
-    NotUnitaryError,
 )
-from .permutations import Permutation
 from .tableaux import Partition
 
 DEFAULT_TOL = 1e-9
@@ -45,10 +44,12 @@ def _max_abs(A: np.ndarray) -> float:
 
 
 def _check_tolerance(tol: float) -> float:
-    """``tol`` itself, once it is known to be finite and positive (NaN fails both)."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConstraintViolationError(f"tolerance must be finite and positive, got {tol}")
-    return tol
+    """``tol`` as a Python float, once it is known to be a real number (not a bool)
+    that is finite and positive (NaN fails both).  A numpy float would make every
+    verdict compared with it a numpy bool, which the JSON report cannot encode."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
+        raise ConstraintViolationError(f"tolerance must be a finite positive real number, got {tol!r}")
+    return float(tol)
 
 
 def _jsonable(value):
@@ -139,11 +140,6 @@ class FusionEnsemble:
         This is the ensemble's own read-only storage, not a copy: every block
         is a column view of it."""
         return self._P
-
-    def projection(self, j: int) -> np.ndarray:
-        """Orthogonal projection Phi_j Phi_j* onto the j-th subspace (1-based)."""
-        b = self._block(j)
-        return b @ _ct(b)
 
     def _block(self, j: int) -> np.ndarray:
         if not 1 <= j <= self.n:
@@ -444,26 +440,6 @@ def naimark_complement(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> FusionEns
     polar = ((j, u, vh) for j, (u, _s, vh) in enumerate(svds))
     meta = {"construction": "naimark_complement", "of": dict(e.meta)}
     return FusionEnsemble._stacked(e.n, polar, e.field, tol, meta)
-
-
-def automorphism_witness(
-    e: FusionEnsemble,
-    U: np.ndarray,
-    sigma: Permutation,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """True iff U Phi_j Phi_j* U* equals the projection of subspace sigma(j) for all j."""
-    tol = _check_tolerance(tol)
-    U = np.asarray(U)
-    if U.shape != (e.d, e.d) or _max_abs(_ct(U) @ U - np.eye(e.d)) > max(tol, 1e-8):
-        raise NotUnitaryError("U must be a d x d unitary")
-    if sigma.degree != e.n:
-        raise IndexOutOfRangeError(f"sigma must permute [{e.n}]")
-    for j in range(1, e.n + 1):
-        A = U @ e._block(j)
-        if _max_abs(A @ _ct(A) - e.projection(sigma(j))) > tol:
-            return False
-    return True
 
 
 def random_orthonormal_blocks(

@@ -11,6 +11,7 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import BadTransversalError, IndexOutOfRangeError, ParseError, SizeMismatchError, TooSmallError
+from .tableaux import _integer_entries
 
 
 class Permutation:
@@ -19,7 +20,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        imgs = tuple(int(x) for x in images)
+        imgs = _integer_entries(images, "permutation")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise SizeMismatchError(f"not a bijection of [{len(imgs)}]: {imgs}")
         self.images = imgs
@@ -185,12 +186,6 @@ def permutation_word(g: Permutation) -> list[int]:
                 changed = True
     swaps.reverse()
     return swaps
-
-
-def an_pair_generators(n: int) -> list[Permutation]:
-    """The products s_1 s_k, 2 <= k <= n-1, which generate A_n."""
-    s1 = Permutation.adjacent(n, 1)
-    return [s1 * Permutation.adjacent(n, k) for k in range(2, n)]
 
 
 def transversal_sn(n: int) -> list[Permutation]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, SizeMismatchError
 from .permutations import Permutation, permutation_word
-from .tableaux import Partition, dimension, down_offset, tableau_contents, tableau_words
+from .tableaux import Partition, dimension, tableau_contents, tableau_words
 
 @lru_cache(maxsize=1024)
 def _generator_action(lam: Partition, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,11 +60,6 @@ def _generator_action(lam: Partition, k: int) -> tuple[np.ndarray, np.ndarray, n
     for arr in (diag, off, partner):
         arr.setflags(write=False)
     return diag, off, partner
-
-
-def adjacent_transposition_matrix(lam: Partition, k: int) -> np.ndarray:
-    """Dense matrix of pi_lam(s_k): symmetric, orthogonal, an involution."""
-    return apply_generator(lam, k, np.eye(dimension(lam)))
 
 
 _CHUNK_ROWS = 64  # the most rows one generator step's temporary spans
@@ -123,13 +118,3 @@ def rep_matrix(lam: Partition, g: Permutation) -> np.ndarray:
     eye = np.eye(dimension(lam))
     return rep_apply(lam, g, eye, out=np.empty_like(eye))
 
-
-def branching_isometry(lam: Partition, mu: Partition) -> np.ndarray:
-    """The 0/1 isometry V_mu -> V_lam sending v_R to v_{R embedded in lam}.
-
-    Requires mu in the down set of lam.  Its image is the pi_mu-isotypic
-    component of the restriction of pi_lam to S_{n-1}: the span of basis
-    vectors v_T with n in the removed box, contiguous rows at
-    :func:`tableaux.down_offset`, so the matrix is a vertical [0; I; 0] block.
-    """
-    return np.eye(dimension(lam), dimension(mu), -down_offset(lam, mu))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import factorial, prod
-from operator import lt
+from operator import index, lt
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -45,13 +45,26 @@ def box_axial_distance(a: Box | tuple[int, int], b: Box | tuple[int, int]) -> in
     return (a[1] - a[0]) - (b[1] - b[0])
 
 
+def _integer_entries(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The entries as ints, read through ``operator.index``: ints and numpy integers
+    pass, while a bool (which ``index`` would read as 0 or 1), a float or a string
+    is a ParseError rather than truncated."""
+    entries = tuple(values)
+    if not any(isinstance(v, bool) for v in entries):
+        try:
+            return tuple(map(index, entries))
+        except TypeError:
+            pass
+    raise ParseError(f"{what} entries must be integers, got {entries!r}")
+
+
 class Partition:
     """A nonincreasing sequence of positive integers summing to n."""
 
     __slots__ = ("parts", "n")
 
     def __init__(self, parts: Iterable[int]):
-        pts = tuple(map(int, parts))
+        pts = _integer_entries(parts, "partition")
         if not pts:
             raise NonPositivePartError("a partition needs at least one part")
         if min(pts) < 1:

@@ -1,5 +1,6 @@
-"""Standard tableaux as objects: the tests' reference for the word arrays.
+"""The tests' reference implementations, which the package is checked against.
 
+First, standard tableaux as objects, the reference for the word arrays.
 The package reads Tab(lam) only as the arrays :func:`symfusion.tableaux.tableau_words`
 and :func:`symfusion.tableaux.tableau_contents`.  This module keeps the
 textbook picture beside them, a validated grid of entries with its box map,
@@ -11,8 +12,15 @@ builder :func:`symfusion.constructions._layer_orbit` replaced, the
 isoclinic test without the sign test and the float screen that now guard
 :func:`symfusion.constructions._isoclinic`, and the record builder and the
 generic field-by-field JSON encoding that the one-pass certificate records replaced.
-Last, it keeps the ensemble file as nested lists for ``json.dumps`` and the synthesis
+It keeps the ensemble file as nested lists for ``json.dumps`` and the synthesis
 CSV through ``csv.writer``: the bytes that the package's float text must reproduce.
+Last, it keeps the dense encoding of the representation objects that the package
+applies only sparsely: the associators, eigenspace injections, layer eigenbases,
+rho_eps(g) and branching isometries of :mod:`symfusion.altrep` as matrices built
+from its basis triples, :func:`symfusion.altrep.gather` and
+:func:`symfusion.symrep.rep_apply`; the dense pi(s_k) and branching isometry of
+:mod:`symfusion.symrep`; the generators s_1 s_k of A_n; and the automorphism
+witness with the subspace projections it compares.
 """
 
 from __future__ import annotations
@@ -26,11 +34,37 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from symfusion import altrep
+from symfusion.altrep import (
+    _check_family_mu,
+    _eps_sign,
+    _injection_basis,
+    _layer_basis,
+    _stars,
+    gather,
+    half_offdiagonal_count,
+)
 from symfusion.constructions import ExactIsoclinicCertificate, _parity, _scaled_sums
-from symfusion.fusion import FusionEnsemble, _fields_json
+from symfusion.errors import (
+    IndexOutOfRangeError,
+    NotSymmetricError,
+    NotUnitaryError,
+    ShapeMismatchError,
+    TooSmallError,
+)
+from symfusion.fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, _ct, _fields_json, _max_abs
 from symfusion.permutations import Permutation, permutation_word
-from symfusion.symrep import _generator_action, branching_isometry
-from symfusion.tableaux import Box, Partition, added_row, dimension, tableau_words, transpose, up_set
+from symfusion.symrep import _generator_action, apply_generator, rep_apply
+from symfusion.tableaux import (
+    Box,
+    Partition,
+    added_row,
+    dimension,
+    down_offset,
+    is_symmetric,
+    tableau_words,
+    transpose,
+    up_set,
+)
 
 
 class NotStandardError(ValueError):
@@ -39,6 +73,14 @@ class NotStandardError(ValueError):
 
 class BoxOutsideDiagramError(ValueError):
     """Referenced box does not lie in the Young diagram."""
+
+
+class OddPermutationError(ValueError):
+    """Permutation is odd where an even one is required."""
+
+
+class SymmetricLambdaError(ValueError):
+    """Shape is symmetric where a non-symmetric one is required."""
 
 
 class StandardTableau:
@@ -250,7 +292,7 @@ def certificate_json(cert: ExactIsoclinicCertificate) -> dict:
 def tab_star(nu: Partition) -> tuple[StandardTableau, ...]:
     """Tab_*(nu) as objects, at the package's canonical indices of it."""
     tableaux = enumerate_standard_tableaux(nu)
-    return tuple(tableaux[i] for i in altrep._stars(nu))
+    return tuple(tableaux[i] for i in _stars(nu))
 
 
 def _left_step(lam: Partition, k: int, M: np.ndarray) -> np.ndarray:
@@ -312,3 +354,170 @@ def synthesis_csv(P: np.ndarray) -> bytes:
     fh = io.StringIO(newline="")
     csv.writer(fh).writerows([repr(float(v)) for v in row] for row in P)
     return fh.getvalue().encode()
+
+
+def adjacent_transposition_matrix(lam: Partition, k: int) -> np.ndarray:
+    """Dense matrix of pi_lam(s_k): symmetric, orthogonal, an involution."""
+    return apply_generator(lam, k, np.eye(dimension(lam)))
+
+
+def branching_isometry(lam: Partition, mu: Partition) -> np.ndarray:
+    """The 0/1 isometry V_mu -> V_lam sending v_R to v_{R embedded in lam}.
+
+    Requires mu in the down set of lam.  Its image is the pi_mu-isotypic
+    component of the restriction of pi_lam to S_{n-1}: the span of basis
+    vectors v_T with n in the removed box, contiguous rows at
+    :func:`tableaux.down_offset`, so the matrix is a vertical [0; I; 0] block.
+    """
+    return np.eye(dimension(lam), dimension(mu), -down_offset(lam, mu))
+
+
+def an_pair_generators(n: int) -> list[Permutation]:
+    """The products s_1 s_k, 2 <= k <= n-1, which generate A_n."""
+    s1 = Permutation.adjacent(n, 1)
+    return [s1 * Permutation.adjacent(n, k) for k in range(2, n)]
+
+
+def _dense(basis: tuple[np.ndarray, np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+    """J itself, the adjoint of the gather of the rows x rows identity; complex when the phases are."""
+    return gather(basis, np.eye(rows)).conj().T
+
+
+def _involution(basis: tuple[np.ndarray, np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+    """The self-adjoint involution of a triple (index, partner, phase): e_index[c]
+    goes to phase[c] e_partner[c] and back with conj(phase[c]); eps U on an eps triple."""
+    index, partner, phase = basis
+    U = np.zeros((rows, rows), dtype=np.result_type(phase, float))
+    U[partner, index] = phase
+    U[index, partner] = np.conj(phase)
+    return U
+
+
+def associator_unitary(nu: Partition) -> np.ndarray:
+    """The self-adjoint involution sending v_T to i^m sgn(g_T) v_{T'} on Tab(nu)."""
+    return _involution(_injection_basis(nu, 1), dimension(nu))
+
+
+def eigenspace_injection(nu: Partition, eps) -> np.ndarray:
+    """Isometry whose columns are the eigenbasis w_T = (v_T + eps i^m sgn(g_T) v_{T'})/sqrt(2).
+
+    Columns are indexed by Tab_*(nu); the matrix maps the eps-eigenspace
+    coordinates into the ambient Tab(nu) basis.
+    """
+    return _dense(_injection_basis(nu, eps), dimension(nu))
+
+
+def an_generator_matrix(nu: Partition, eps, k: int) -> np.ndarray:
+    """Matrix of the eps-eigenspace representation at s_1 s_k, on the Tab_* basis.
+
+    For k >= 3 this is the Tab_* x Tab_* sub-block of pi_nu(s_k).  For k = 2
+    the diagonal holds 1/D_T(3,2) and the only off-diagonal entries sit at
+    (s_2 T', T) with value eps i^m sgn(g_T) sqrt(1 - 1/D_T(3,2)^2).
+    """
+    if not is_symmetric(nu):
+        raise NotSymmetricError(f"{nu!r} is not symmetric")
+    if nu.n < 5:
+        raise TooSmallError("eigenspace generator matrices require n >= 5")
+    if not 2 <= k <= nu.n - 1:
+        raise IndexOutOfRangeError(f"k = {k} outside 2..{nu.n - 1}")
+    return an_rep_matrix(nu, eps, Permutation.adjacent(nu.n, 1) * Permutation.adjacent(nu.n, k))
+
+
+def an_rep_matrix(nu: Partition, eps, g: Permutation) -> np.ndarray:
+    """Eigenspace representation at an even permutation g: J* pi_nu(g) J.
+
+    sqrt(2) J, the Tab_* columns of 1 + U_eps, holds exactly 1 and the phase;
+    pi_nu(g) acts on it by sparse generator steps and its rows are gathered as
+    in :func:`gather`, so one halving remains and g = 1 gives the identity.
+    """
+    basis = index, partner, phase = _injection_basis(nu, eps)
+    if g.degree != nu.n:
+        raise ShapeMismatchError(f"permutation degree {g.degree} != |nu| = {nu.n}")
+    if not g.is_even:
+        raise OddPermutationError("an_rep_matrix requires an even permutation")
+    d = dimension(nu)
+    image = rep_apply(nu, g, (np.eye(d) + _involution(basis, d))[:, index])
+    return (image[index] + np.conj(phase)[:, None] * image[partner]) * 0.5
+
+
+def pair_associator_unitary(mu: Partition) -> np.ndarray:
+    """Block-permuting involution on the direct sum over all shapes covering mu.
+
+    Maps v_T (T of shape lam) to i^m sgn(g_T) v_{T'} (shape lam'); commutes
+    with the even part of the direct-sum representation.
+    """
+    layers = tuple(lam for lam, _ in up_set(mu))
+    return _involution(_layer_basis(mu, layers, 1), sum(map(dimension, layers)))
+
+
+def pair_branching_isometry(lam: Partition, mu: Partition, eps) -> np.ndarray:
+    """Isometry from the mu eigenspace into the {lam, lam'} eigenspace, w-bases.
+
+    Rows are indexed by Tab(lam) (the eigenbasis of the pair space), columns by
+    Tab_*(mu).  Column R carries 1/sqrt(2) at R^lam and
+    eps i^m sgn(g_R)/sqrt(2) at (R')^lam.
+    """
+    _check_family_mu(mu)
+    if lam == transpose(lam):
+        raise SymmetricLambdaError("pair branching needs a non-symmetric shape")
+    offset = down_offset(lam, mu)  # R^lam is row offset + (index of R in Tab(mu))
+    index, partner, phase = _injection_basis(mu, eps)
+    return _dense((offset + index, offset + partner, phase), dimension(lam))
+
+
+def symmetric_branching_isometry(nu: Partition, mu: Partition, eps) -> np.ndarray:
+    """Isometry from the mu eigenspace into the nu eigenspace, Tab_* bases.
+
+    nu must be symmetric with an odd number of distinct parts and mu its
+    symmetric predecessor (nu minus the diagonal corner).  Embedding preserves
+    membership in Tab_*, so the matrix is a 0/1 column selector.
+    """
+    _eps_sign(eps)
+    if not is_symmetric(nu):
+        raise NotSymmetricError(f"{nu!r} is not symmetric")
+    _check_family_mu(mu)
+    offset = down_offset(nu, mu)
+    m = half_offdiagonal_count(mu)
+    nu_stars = _stars(nu)
+    mu_stars = _stars(mu)
+    Psi = np.zeros((len(nu_stars), len(mu_stars)), dtype=complex if m % 2 else float)
+    Psi[np.searchsorted(nu_stars, offset + mu_stars), np.arange(len(mu_stars))] = 1.0
+    return Psi
+
+
+def layer_eigenbasis(mu: Partition, layers: tuple[Partition, ...], eps) -> np.ndarray:
+    """Orthonormal basis of the eps-eigenspace of a transpose-closed layer sum.
+
+    Returns the (sum of layer dimensions) x (half that) matrix whose columns
+    express the w-basis in the concatenated Tab(lam) coordinates, lam running
+    over ``layers`` in their given order.  The symmetric layer (if present)
+    contributes Tab_* columns; each transpose pair contributes Tab(lam)
+    columns for its first-listed member.
+    """
+    return _dense(_layer_basis(mu, layers, eps), sum(map(dimension, layers)))
+
+
+def projection(e: FusionEnsemble, j: int) -> np.ndarray:
+    """Orthogonal projection Phi_j Phi_j* onto the j-th subspace (1-based)."""
+    b = e._block(j)
+    return b @ _ct(b)
+
+
+def automorphism_witness(
+    e: FusionEnsemble,
+    U: np.ndarray,
+    sigma: Permutation,
+    tol: float = DEFAULT_TOL,
+) -> bool:
+    """True iff U Phi_j Phi_j* U* equals the projection of subspace sigma(j) for all j."""
+    tol = _check_tolerance(tol)
+    U = np.asarray(U)
+    if U.shape != (e.d, e.d) or _max_abs(_ct(U) @ U - np.eye(e.d)) > max(tol, 1e-8):
+        raise NotUnitaryError("U must be a d x d unitary")
+    if sigma.degree != e.n:
+        raise IndexOutOfRangeError(f"sigma must permute [{e.n}]")
+    for j in range(1, e.n + 1):
+        A = U @ e._block(j)
+        if _max_abs(A @ _ct(A) - projection(e, sigma(j))) > tol:
+            return False
+    return True

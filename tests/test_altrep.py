@@ -7,17 +7,10 @@ from symfusion import (
     Box,
     Partition,
     Permutation,
-    an_generator_matrix,
-    an_rep_matrix,
-    associator_unitary,
     dimension,
-    eigenspace_injection,
     field_for,
-    pair_associator_unitary,
-    pair_branching_isometry,
     partitions_of,
     rep_matrix,
-    symmetric_branching_isometry,
     transpose,
     up_set,
 )
@@ -26,29 +19,36 @@ from symfusion import constructions as cons
 from symfusion.altrep import (
     half_offdiagonal_count,
     i_power,
-    layer_eigenbasis,
 )
 from symfusion.errors import (
     ConstraintViolationError,
     DegenerateShapeError,
     NotSymmetricError,
     OddDistinctPartsError,
-    OddPermutationError,
-    SymmetricLambdaError,
     TooSmallError,
 )
 from symfusion.tableaux import is_symmetric
 
 from oracles import (
+    OddPermutationError,
     StandardTableau,
+    SymmetricLambdaError,
+    an_generator_matrix,
+    an_rep_matrix,
     apply_adjacent_transposition,
+    associator_unitary,
     axial_distance,
+    eigenspace_injection,
     embed,
     enumerate_standard_tableaux,
     family_reference_tableau,
+    layer_eigenbasis,
+    pair_associator_unitary,
+    pair_branching_isometry,
     reference_permutation_sign,
     reference_tableau,
     row_superstandard,
+    symmetric_branching_isometry,
     tab_star,
     tableau_index,
     transpose_tableau,

@@ -62,16 +62,20 @@ from symfusion.errors import (
     TrivialSubspaceError,
 )
 from symfusion.permutations import Permutation, transversal_an, transversal_sn
-from symfusion.symrep import branching_isometry, rep_apply
+from symfusion.symrep import rep_apply
 from symfusion.tableaux import box_axial_distance, corner_parts, down_set, partition_corners, removable_boxes
 
 from oracles import (
     boxes,
+    branching_isometry,
     certificate_json,
+    eigenspace_injection,
     hook_length,
+    layer_eigenbasis,
     out_of_place_layer_orbit,
     parity_certificates,
     partition_parts,
+    projection,
     unscreened_isoclinic,
 )
 
@@ -118,8 +122,8 @@ class TestSingleLayer:
             ts.append(power)
         e_cycle = single_layer_ensemble(lam, mu, transversal=ts)
         for k in range(5):
-            P1 = e_default.projection(k + 1)
-            P2 = e_cycle.projection(k + 1)
+            P1 = projection(e_default, k + 1)
+            P2 = projection(e_cycle, k + 1)
             np.testing.assert_allclose(P1, P2, atol=TOL)
         r1, r2 = certify(e_default), certify(e_cycle)
         assert r1.classification == r2.classification
@@ -939,15 +943,15 @@ class TestAlternating:
 
     @pytest.mark.parametrize("mu, delta", [((3, 1, 1), 0), ((3, 1, 1), 1), ((4, 1, 1, 1), 1)])
     def test_decomposition_check_builds_one_orbit(self, monkeypatch, mu, delta):
-        # one rep_apply per generator step and layer: the orbit is built once
+        # one apply_generator per generator step and layer: the orbit is built once
         calls = []
-        real_rep_apply = symfusion.constructions.rep_apply
+        real_apply_generator = symfusion.constructions.apply_generator
 
-        def counting_rep_apply(lam, g, M, **kwargs):
+        def counting_apply_generator(lam, k, M, **kwargs):
             calls.append(lam)
-            return real_rep_apply(lam, g, M, **kwargs)
+            return real_apply_generator(lam, k, M, **kwargs)
 
-        monkeypatch.setattr(symfusion.constructions, "rep_apply", counting_rep_apply)
+        monkeypatch.setattr(symfusion.constructions, "apply_generator", counting_apply_generator)
         sel = LayerSelection.from_delta(Partition(mu), delta)
         assert decomposition_check(sel)
         assert len(calls) == sel.mu.n * len(sel.partitions)
@@ -968,7 +972,6 @@ class TestAlternating:
         plus = alternating_ensemble(sel, "+", transversal=ts)
         minus = alternating_ensemble(sel, "-", transversal=ts)
         from symfusion import cross_gram
-        from symfusion.altrep import eigenspace_injection
 
         B_mu = np.hstack(
             [eigenspace_injection(mu, "+"), eigenspace_injection(mu, "-")]
@@ -982,8 +985,7 @@ class TestAlternating:
             np.testing.assert_allclose(G[r_half:, :r_half], 0, atol=TOL)
 
     def test_automorphism_witnesses(self):
-        from symfusion import automorphism_witness
-        from symfusion.altrep import layer_eigenbasis
+        from oracles import automorphism_witness
         from symfusion.symrep import rep_matrix
 
         mu = Partition((3, 1, 1))
@@ -1084,8 +1086,8 @@ class TestLayerOrbit:
             ts = transversal_an(n) if kind == "alternating" else transversal_sn(n)
         reference = _full_word_orbit(sel, ts)
         if kind == "alternating":
-            J_layers = altrep.layer_eigenbasis(sel.mu, sel.partitions, "+")
-            J_mu = altrep.eigenspace_injection(sel.mu, "+")
+            J_layers = layer_eigenbasis(sel.mu, sel.partitions, "+")
+            J_mu = eigenspace_injection(sel.mu, "+")
             reference = [J_layers.conj().T @ thin @ J_mu for thin in reference]
         built = build()
         assert len(built) == len(reference) == n
@@ -1129,39 +1131,20 @@ class TestLayerOrbit:
 
     @pytest.mark.parametrize("tkind", TRANSVERSAL_KINDS)
     @pytest.mark.parametrize("kind, lam, mu, layers", [ORBIT_CASES[i] for i in (2, 5, 6, 11)])
-    def test_generators_act_only_inside_rep_apply(self, monkeypatch, kind, lam, mu, layers, tkind):
-        # the benchmark tracer's invariants: (n - 1) |L| rep_apply calls from the
-        # orbit builder, one per generator step, and every apply_generator
-        # nested in some rep_apply
+    def test_orbit_takes_one_generator_step_per_layer(self, monkeypatch, kind, lam, mu, layers, tkind):
+        # the conjugation recursion: (n - 1) |L| apply_generator calls from the orbit
+        # builder, one per layer at each of k = n - 1, ..., 1, and no word products
         calls = []
-        depth = [0]
-        outside = []
-        real_rep_apply = symrep.rep_apply
         real_apply_generator = symrep.apply_generator
 
-        def tracked_rep_apply(lam_, g, M, **kwargs):
-            depth[0] += 1
-            try:
-                return real_rep_apply(lam_, g, M, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        def counted_rep_apply(lam_, g, M, **kwargs):
-            calls.append(lam_)
-            return tracked_rep_apply(lam_, g, M, **kwargs)
-
-        def checked_apply_generator(lam_, k, M, **kwargs):
-            if not depth[0]:
-                outside.append((lam_, k))
+        def counted_apply_generator(lam_, k, M, **kwargs):
+            calls.append((lam_, k))
             return real_apply_generator(lam_, k, M, **kwargs)
 
-        monkeypatch.setattr(symrep, "rep_apply", tracked_rep_apply)
-        monkeypatch.setattr(symrep, "apply_generator", checked_apply_generator)
-        monkeypatch.setattr(symfusion.constructions, "rep_apply", counted_rep_apply)
+        monkeypatch.setattr(symfusion.constructions, "apply_generator", counted_apply_generator)
         sel, _ts, build = _orbit_case(kind, lam, mu, layers, tkind)
         build()
-        assert len(calls) == sel.mu.n * len(sel.partitions)
-        assert outside == []
+        assert calls == [(lam_, k) for k in range(sel.mu.n, 0, -1) for lam_ in sel.partitions]
 
     @pytest.mark.parametrize("build", [
         lambda sel: single_layer_ensemble(Partition((3, 2, 1)), Partition((3, 1, 1)), max_dim=1),
@@ -1192,13 +1175,9 @@ class TestLayerOrbit:
             build(LayerSelection.from_delta(Partition((3, 1, 1)), 1), cap)
 
     @pytest.mark.parametrize("mu, delta", [((3, 1, 1), 0), ((4, 1, 1, 1), 1)])
-    def test_alternating_builds_form_no_dense_eigenbasis(self, monkeypatch, mu, delta):
-        # the halves are compressed by signed gathers on the basis arrays alone
-        def dense(*args):
-            raise AssertionError("a dense eigenbasis was formed")
-
-        monkeypatch.setattr(altrep, "layer_eigenbasis", dense)
-        monkeypatch.setattr(altrep, "eigenspace_injection", dense)
+    def test_alternating_builds_form_no_dense_eigenbasis(self, mu, delta):
+        # the halves are compressed by signed gathers on the basis arrays alone; the
+        # package holds no dense eigenbasis to form (tests/test_surface.py)
         sel = LayerSelection.from_delta(Partition(mu), delta)
         assert certify(alternating_ensemble(sel, "-")).classification == "EITFF"
         assert decomposition_check(sel)

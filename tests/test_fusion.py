@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,6 @@ from symfusion import (
     FusionEnsemble,
     Partition,
     Permutation,
-    adjacent_transposition_matrix,
-    automorphism_witness,
     certify,
     cross_gram,
     fusion_frame_operator,
@@ -33,6 +33,7 @@ from symfusion.constructions import (
     multi_layer_ensemble,
 )
 from symfusion.errors import (
+    ConstraintViolationError,
     DegenerateParametersError,
     EnsembleFormatError,
     FullDimensionError,
@@ -44,6 +45,8 @@ from symfusion.errors import (
 )
 from symfusion import fusion
 from symfusion.fusion import is_tight, random_orthonormal_blocks
+
+from oracles import adjacent_transposition_matrix, automorphism_witness
 
 TOL = 1e-9
 
@@ -737,6 +740,25 @@ class TestToleranceCheck:
         self.rejects(lambda: is_tight(eitff_5_2_5, tol))
         self.rejects(lambda: isoclinism_check(eitff_5_2_5, tol))
         self.rejects(lambda: naimark_complement(eitff_5_2_5, tol))
+
+    @pytest.mark.parametrize("call", [
+        lambda e, tol: certify(e, tol),
+        lambda e, tol: is_tight(e, tol),
+        lambda e, tol: isoclinism_check(e, tol),
+        lambda e, tol: naimark_complement(e, tol),
+        lambda e, tol: FusionEnsemble.from_blocks(e.blocks, tol=tol),
+    ], ids=["certify", "is_tight", "isoclinism_check", "naimark_complement", "from_blocks"])
+    @pytest.mark.parametrize("tol", [True, "1e-9", None], ids=repr)
+    def test_not_a_real_number(self, eitff_5_2_5, call, tol):
+        # True was read as the tolerance 1, under which four random planes of R^6 certified as EITFF
+        with pytest.raises(ConstraintViolationError, match="tolerance"):
+            call(eitff_5_2_5, tol)
+
+    @pytest.mark.parametrize("tol", [np.float32(1e-6), Fraction(1, 10**6), 1], ids=repr)
+    def test_real_numbers_report_as_floats(self, eitff_5_2_5, tol):
+        # a float32 tolerance made the verdicts numpy bools, which the JSON report refused
+        report = json.loads(certify(eitff_5_2_5, tol).to_json())
+        assert report["tolerance"] == float(tol) and report["classification"] == "EITFF"
 
     @pytest.mark.parametrize("tol", BAD)
     def test_block_validation_and_automorphism_witness(self, eitff_5_2_5, tol):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +39,17 @@ class TestPermutation:
             with pytest.raises(ParseError) as info:
                 Permutation.parse(text)
             assert isinstance(info.value, SymfusionError)
+
+    @pytest.mark.parametrize("images", [(2.9, 1.2), (2.0, 1.0), (True,), (np.True_,), ("2", "1"), (None,)],
+                             ids=repr)
+    def test_entries_are_integers_not_truncated(self, images):
+        # int() would read (2.9, 1.2) as (2, 1), the transposition (1 2)
+        with pytest.raises(ParseError):
+            Permutation(images)
+
+    def test_numpy_integer_entries(self):
+        assert Permutation(np.array([2, 1, 3])) == Permutation((np.int64(2), 1, np.int32(3))) == Permutation((2, 1, 3))
+        assert all(type(x) is int for x in Permutation(np.array([2, 1])).images)
 
     @pytest.mark.parametrize("text, n", [("(1 1)", None), ("(1 2)(3 3)", None), ("(1 2 1)", 4),
                                          ("(2 -1)", 3), ("(0 1)", 3), ("(1 2)(0)", 3)])

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import symfusion
-from symfusion import altrep, constructions, errors, tableaux
+from symfusion import altrep, constructions, errors, fusion, permutations, symrep, tableaux
 
 import oracles
 
@@ -51,6 +51,30 @@ REMOVED_LAYER_SUMS = (
 # pi(s_k) and the word products; altrep derives rho = J* pi(g) J through symrep.rep_apply.
 REMOVED_AN_PATHS = ("_generator_action", "adjacent_transposition_matrix", "permutation_word")
 
+# The dense encoding of the representation objects, which no module of the package
+# calls: the associators, eigenspace injections, rho_eps(g), branching isometries,
+# pi(s_k), the generators s_1 s_k of A_n, the automorphism witness and the two errors
+# only they raise.  The package applies these objects through the basis triples,
+# altrep.gather and symrep.rep_apply; the matrices live on in oracles.py.
+REMOVED_DENSE = (
+    "associator_unitary",
+    "pair_associator_unitary",
+    "eigenspace_injection",
+    "layer_eigenbasis",
+    "an_generator_matrix",
+    "an_rep_matrix",
+    "pair_branching_isometry",
+    "symmetric_branching_isometry",
+    "_dense",
+    "_involution",
+    "adjacent_transposition_matrix",
+    "branching_isometry",
+    "automorphism_witness",
+    "an_pair_generators",
+    "OddPermutationError",
+    "SymmetricLambdaError",
+)
+
 TESTS = Path(__file__).resolve().parent
 
 
@@ -73,6 +97,20 @@ def test_one_encoding_of_the_layer_sums(module):
 
 def test_one_encoding_of_the_an_representation():
     assert [name for name in REMOVED_AN_PATHS if hasattr(altrep, name)] == []
+
+
+@pytest.mark.parametrize("module", [symfusion, altrep, symrep, fusion, permutations, errors],
+                         ids=lambda m: m.__name__)
+def test_one_encoding_of_the_representation_objects(module):
+    assert [name for name in REMOVED_DENSE if hasattr(module, name)] == []
+    assert not set(REMOVED_DENSE) & set(symfusion.__all__)
+
+
+def test_the_dense_encoding_lives_in_the_oracle():
+    # FusionEnsemble.projection went with the witness, its only caller in the package
+    assert not hasattr(symfusion.FusionEnsemble, "projection")
+    homes = {name: getattr(getattr(oracles, name, None), "__module__", None) for name in (*REMOVED_DENSE, "projection")}
+    assert [name for name, home in homes.items() if home != oracles.__name__] == []
 
 
 def test_every_oracle_name_is_called_by_a_test():

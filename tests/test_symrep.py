@@ -4,8 +4,6 @@ import pytest
 from symfusion import (
     Partition,
     Permutation,
-    adjacent_transposition_matrix,
-    branching_isometry,
     dimension,
     down_set,
     partitions_of,
@@ -16,8 +14,10 @@ from symfusion.permutations import permutation_word
 from symfusion.symrep import _generator_action, apply_generator, rep_apply, right_apply_generator
 
 from oracles import (
+    adjacent_transposition_matrix,
     apply_adjacent_transposition,
     axial_distance,
+    branching_isometry,
     embed,
     enumerate_standard_tableaux,
     tableau_index,

@@ -1,5 +1,6 @@
 from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -71,6 +72,16 @@ class TestPartition:
             with pytest.raises(ParseError) as info:
                 Partition.parse(text)
             assert isinstance(info.value, SymfusionError)
+
+    @pytest.mark.parametrize("parts", [(2.7, 1), (2.0, 1), (True,), (np.True_,), ("3", "2"), (None,)], ids=repr)
+    def test_entries_are_integers_not_truncated(self, parts):
+        # int() would read 2.7 as 2, True as 1 and "3" as 3
+        with pytest.raises(ParseError):
+            Partition(parts)
+
+    def test_numpy_integer_entries(self):
+        assert Partition(np.array([3, 2, 2])) == Partition((np.int32(3), 2, np.int64(2))) == Partition((3, 2, 2))
+        assert all(type(p) is int for p in Partition(np.array([3, 2])).parts)
 
     def test_transpose(self):
         assert transpose(Partition((4, 2, 2))) == Partition((3, 3, 1, 1))
