@@ -9,8 +9,10 @@ spliced in as ``repr`` spells them.  The format round-trips float64 exactly
 of a saved ensemble is bit-identical to the in-memory path.  Files written
 indented by earlier versions load to the same blocks.
 
-A file is read one grid at a time, each grid becoming an array as soon as the
-C scanner has read it, so the whole file never exists as nested lists.
+A file is read one grid at a time, so the whole file never exists as nested lists.
+orjson decodes a grid laid out as the saver writes it, in pieces of whole rows of at
+most 16 KiB of text.  json decodes any other grid (indented, holding anything but
+finite numbers, or refused by orjson), walks the top-level object and words every error.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ _WS = json.decoder.WHITESPACE.match
 # "{" or "," and a key without escapes, up to its value; any other text is left to json.loads
 _MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
 _END = re.compile(r"[ \t\n\r]*}[ \t\n\r]*\Z")
+# orjson keeps working memory about the size of the text it parses, so it gets at most this much
+_PIECE = 1 << 14
+# a grid's opening, the text between two of its rows, and its closing, as the saver writes them
+_ROWS = {"R": ("[[", "], [", "]]"), "C": ("[[[", "]], [[", "]]]")}
 
 
 def _float_text(A: np.ndarray) -> bytes:
@@ -56,12 +62,11 @@ def _json_grid(M: np.ndarray, field: str) -> bytes:
 def _decode_matrix(rows: list, field: str, where: str) -> np.ndarray:
     """Every entry must be a JSON number, or in a complex grid an [re, im] pair."""
     try:
-        cells = list(chain.from_iterable(rows))
-        kinds = set(map(type, cells))
+        kinds = set(map(type, chain.from_iterable(rows)))
         if field == "C" and list in kinds:
             if kinds != {list}:  # a plain number among [re, im] pairs is real
                 rows = [[v if type(v) is list else [v, 0.0] for v in row] for row in rows]
-                cells = list(chain.from_iterable(rows))
+            cells = list(chain.from_iterable(rows))
             if set(map(len, cells)) - {2}:
                 raise ValueError("complex entries must be [re, im] pairs")
             kinds = set(map(type, chain.from_iterable(cells)))
@@ -93,14 +98,46 @@ def read_json(path: str | Path):
         raise EnsembleFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _orjson_grid(text: str, i: int, field: object) -> tuple[np.ndarray, int] | None:
+    """The grid at text[i] as the saver lays it out, decoded by orjson one piece of whole rows
+    at a time, and the index past it; None, and json decides, for any other text."""
+    import orjson
+
+    if field not in ("R", "C") or not text.startswith(_ROWS[field][0], i):
+        return None
+    head, sep, tail = _ROWS[field]
+    a, end, room, M = i + len(head), text.find(tail, i), _PIECE - len(head) - len(tail), None
+    if end < 0 or any(text.find(c, a, end) >= 0 for c in '"ul'):  # a string, true, false or null
+        return None
+    d, k = text.count(sep, a, end) + 1, 0  # a row more than separators
+    try:
+        while a <= end:
+            b = end if end - a <= room else text.rfind(sep, a, a + room)
+            if b < 0:  # a row longer than the piece
+                return None
+            rows = np.array(orjson.loads(head + text[a:b] + tail), dtype=float)
+            if M is None:  # each piece is copied in and freed
+                M = np.empty((d, *rows.shape[1:]))
+            if rows.shape[1:] != M.shape[1:]:  # rows of another length would broadcast
+                return None
+            M[k : k + len(rows)] = rows
+            k, a = k + len(rows), b + len(sep)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if k == len(M) and M.ndim == len(head) and (field == "R" or M.shape[2] == 2):
+        return (M.view(complex)[..., 0] if field == "C" else M), end + len(tail)
+    return None
+
+
 def _scan_grids(text: str, i: int, field: object) -> tuple[list, int]:
     """The JSON array at text[i] and the index past it, each grid decoded under ``field`` as
     soon as it is scanned; one that fails stays a list, decoded again where it is reported."""
     grids, i = [], _WS(text, i + 1).end()
     while grids or not text.startswith("]", i):  # an item follows "[" or ","
-        rows, i = _DECODER.raw_decode(text, i)
-        with suppress(EnsembleFormatError):
-            rows = _decode_matrix(rows, field, "")
+        rows, i = _orjson_grid(text, i, field) or _DECODER.raw_decode(text, i)
+        if isinstance(rows, list):  # json's rows; any other value fails where it is reported
+            with suppress(EnsembleFormatError):
+                rows = _decode_matrix(rows, field, "")
         grids.append(rows)
         i = _WS(text, i).end()
         if not text.startswith(",", i):

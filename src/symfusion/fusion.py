@@ -422,7 +422,7 @@ def naimark_complement(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> FusionEns
     formed.  Each block is then re-orthonormalized (polar projection, blind to the
     scale), which absorbs the drift of an input that is tight only within ``tol``.
     """
-    rn = e.r * e.n
+    rn, tol = e.r * e.n, _check_tolerance(tol)
     if e.d >= rn:
         raise FullDimensionError(f"d >= rn leaves nothing to complement: d = {e.d}, rn = {rn}")
     if not is_tight(e, tol):
@@ -436,6 +436,7 @@ def naimark_complement(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> FusionEns
         for c in range(1, len(T)):  # LAPACK's dlarft recurrence, which never divides by tau
             T[:c, c] = -T[c, c] * (T[:c, :c] @ G[:c, c])
         X[b:] -= Vt.T @ (T @ (Vt.conj() @ X[b:]))
+    del h, tau  # before the complement's P is allocated
     svds = (np.linalg.svd(_ct(X[j * e.r : (j + 1) * e.r]), full_matrices=False) for j in range(e.n))
     polar = ((j, u, vh) for j, (u, _s, vh) in enumerate(svds))
     meta = {"construction": "naimark_complement", "of": dict(e.meta)}

@@ -201,7 +201,7 @@ def src_env() -> dict:
 
 
 def test_importing_the_cli_leaves_orjson_unloaded():
-    # only a save imports the float encoder, so no command pays for it at startup
+    # only saving or loading a file imports orjson, so no other command pays for it at startup
     code = "import sys, symfusion.cli; print('orjson' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")

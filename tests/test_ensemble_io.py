@@ -1,6 +1,7 @@
-"""Ensemble files: exact save/load round trips, the compact layout and old indented files."""
+"""Ensemble files: exact round trips, the compact layout, old indented files and both grid decoders."""
 
 import json
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from symfusion import FusionEnsemble, Partition, load_ensemble, save_ensemble, single_layer_ensemble
 from symfusion.constructions import LayerSelection, alternating_ensemble, alternating_shapes
+from symfusion import ensemble_io
 from symfusion.ensemble_io import _json_grid, save_synthesis_csv
-from symfusion.errors import EnsembleFormatError
+from symfusion.errors import EnsembleFormatError, SymfusionError
 from symfusion.fusion import naimark_complement, random_orthonormal_blocks
 
 from oracles import _encode_matrix, synthesis_csv, to_json_dict
@@ -189,6 +191,164 @@ def test_plain_numbers_in_a_complex_grid_read_as_real(tmp_path):
     again = tmp_path / "again.json"
     save_ensemble(e, again)
     assert_identical(e, load_ensemble(again))
+
+
+# the two grid decoders: orjson for grids laid out as the saver writes them, json for the rest
+
+def outcome(path) -> tuple:
+    """The loaded ensemble's bits, or the error the loader reports."""
+    try:
+        e = load_ensemble(path)
+    except SymfusionError as exc:
+        return type(exc).__name__, str(exc)
+    return e.field, e.d, e.r, e.n, [(b.dtype.str, b.tobytes()) for b in e.blocks], repr(dict(e.meta))
+
+
+def assert_decoders_agree(path, monkeypatch) -> None:
+    """The loader reads the file as it does with every grid left to json."""
+    fast = outcome(path)
+    with monkeypatch.context() as m:
+        m.setattr(ensemble_io, "_orjson_grid", lambda text, i, field: None)
+        assert fast == outcome(path)
+
+
+def mutants(text: str, seed: int, count: int):
+    """Copies of text with 1 to 3 characters of the grids replaced, inserted or deleted."""
+    rng = random.Random(seed)
+    lo, hi = text.index('"isometries"'), text.index('"metadata"')
+    for _ in range(count):
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            k, c, how = rng.randrange(lo, hi), rng.choice('0123456789-+.eE[], "tfnulNI\n'), rng.randrange(3)
+            if how == 0:
+                chars[k] = c
+            elif how == 1:
+                chars.insert(k, c)
+            else:
+                del chars[k]
+        yield "".join(chars)
+
+
+@pytest.mark.parametrize("piece", [None, 200], ids=["default_piece", "two_rows_a_piece"])
+@pytest.mark.parametrize("case", ["real_random", "complex_random"])
+def test_decoders_agree_on_mutated_files(tmp_path, monkeypatch, case, piece):
+    if piece:
+        monkeypatch.setattr(ensemble_io, "_PIECE", piece)
+    path = tmp_path / "e.json"
+    save_ensemble(CASES[case](), path)
+    for text in mutants(path.read_text(), seed=len(case) + (piece or 0), count=150):
+        path.write_text(text)
+        assert_decoders_agree(path, monkeypatch)
+
+
+# each token stands in for the first entry of the second grid; in a complex grid, for the whole
+# [re, im] pair and then for its imaginary part
+TOKENS = [
+    "NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1e-999", "-1e-999", "0e99999999999999999999",
+    "100000000000000000001", "-18446744073709551617", "1" + "0" * 399, "-0", "0", "1E0", "-0.0",
+    "true", "false", "null", '"\\ud800"', '"\\udfff\\ud800"', '"]]"', '"], ["', '"]], [["', '"1.0"',
+    "{}", "[]", "[-0.0, -0.0]", "[-0, 0]", "[0.0]", "[0.0, 0.0, 0.0]", "[[0.0, 0.0]]",
+]
+
+
+def edited_files(e: FusionEnsemble) -> dict:
+    """The compact text of e with its second grid edited, by name."""
+    data = to_json_dict(e)
+    grid = data["isometries"][1]
+    compact = json.dumps(data)
+    mark = json.dumps(grid)
+    texts = {"compact": compact}
+    for token in TOKENS:
+        grid[0][0] = "@"
+        texts[f"entry {token}"] = json.dumps(data).replace('"@"', token)
+        if e.field == "C":
+            grid[0][0] = [0.0, "@"]
+            texts[f"imag {token}"] = json.dumps(data).replace('"@"', token)
+    grid = json.loads(mark)
+    entry = (lambda v: v) if e.field == "C" else (lambda v: [v])
+    for name, rows in {
+        "short_first_row": [grid[0][:-1], *grid[1:]], "short_last_row": [*grid[:-1], grid[-1][:-1]],
+        "short_rows": [row[:-1] for row in grid],
+        "extra_row": [*grid, grid[0]], "no_rows": [], "empty_rows": [[] for _ in grid],
+        "one_number_entries": [[entry(v)[:1] for v in row] for row in grid],
+        "four_number_entries": [[entry(v) * 4 for v in row] for row in grid],
+    }.items():
+        texts[name] = compact.replace(mark, json.dumps(rows), 1)
+    texts["indented"] = compact.replace(mark, json.dumps(grid, indent=2), 1)
+    texts["tight_separators"] = compact.replace(mark, json.dumps(grid, separators=(",", ":")), 1)
+    # a level deeper, spaced so that the grid ends and its rows part as the saver writes them
+    if e.field == "R":
+        rows = ["[" + ",".join(f"[{json.dumps(v)} ]" for v in row) + " ]" for row in grid]
+    else:
+        rows = ["[" + ", ".join(f"[[{json.dumps(x)}],[{json.dumps(y)}] ]" for x, y in row) + "]" for row in grid]
+    texts["deeper"] = compact.replace(mark, "[" + ", ".join(rows) + "]", 1)
+    return texts
+
+
+@pytest.mark.parametrize("piece", [None, 40], ids=["default_piece", "small_piece"])
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_decoders_agree_on_edge_entries(tmp_path, monkeypatch, field, piece):
+    if piece:
+        monkeypatch.setattr(ensemble_io, "_PIECE", piece)
+    path = tmp_path / "e.json"
+    texts = edited_files(signed_zero_ensemble(field))
+    for text in texts.values():
+        path.write_text(text)
+        assert_decoders_agree(path, monkeypatch)
+    path.write_text(texts["compact"])
+    assert outcome(path)[0] == field
+
+
+def test_rows_parted_by_a_separator_the_saver_does_not_write(tmp_path, monkeypatch):
+    # four rows, the first two parted by "],[": pieces of two rows, one row and one row
+    monkeypatch.setattr(ensemble_io, "_PIECE", 25)
+    grid = "[[1, 0],[0, 1], [0.000000000000, 0], [0.000000000000, 0]]"
+    path = tmp_path / "e.json"
+    path.write_text(f'{{"field": "R", "d": 4, "r": 2, "n": 1, "isometries": [{grid}], "metadata": {{}}}}')
+    assert_decoders_agree(path, monkeypatch)
+    assert outcome(path)[0] == "R"
+
+
+def orjson_text_sizes(monkeypatch) -> list:
+    """The length of each text the loader hands orjson.loads from now on."""
+    import orjson
+
+    sizes, loads = [], orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda text: sizes.append(len(text)) or loads(text))
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["real_random", "complex_random"])
+def test_every_piece_bound_holds(tmp_path, monkeypatch, case):
+    """Rows are about 70 (real) and 95 (complex) characters, so some bounds split each grid
+    into pieces and some are shorter than any row."""
+    e = CASES[case]()
+    path = tmp_path / "e.json"
+    save_ensemble(e, path)
+    sizes = orjson_text_sizes(monkeypatch)
+    for piece in range(16, 400, 3):
+        monkeypatch.setattr(ensemble_io, "_PIECE", piece)
+        sizes.clear()
+        assert_identical(e, load_ensemble(path))
+        assert max(sizes, default=0) <= piece
+
+
+@pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+def test_orjson_gets_at_most_one_piece_at_a_time(tmp_path, monkeypatch, indent):
+    e = FusionEnsemble.from_blocks(random_orthonormal_blocks(448, 70, 10, 2))  # the d, r, n of III(1,1,4)
+    path = tmp_path / "e.json"
+    if indent:
+        path.write_text(json.dumps(to_json_dict(e), indent=indent))
+    else:
+        save_ensemble(e, path)
+    sizes, by_json, decode = orjson_text_sizes(monkeypatch), [], ensemble_io._decode_matrix
+    monkeypatch.setattr(ensemble_io, "_decode_matrix", lambda rows, *args: by_json.append(1) or decode(rows, *args))
+    assert_identical(e, load_ensemble(path))
+    assert max(sizes, default=0) <= ensemble_io._PIECE
+    if indent:  # json decodes every grid, and orjson none
+        assert (sizes, len(by_json)) == ([], e.n)
+    else:  # orjson decodes every grid, each in several pieces
+        assert not by_json and len(sizes) > e.n
 
 
 # the float text: orjson's digits, with the entries it spells otherwise spelled by repr

@@ -754,6 +754,13 @@ class TestToleranceCheck:
         with pytest.raises(ConstraintViolationError, match="tolerance"):
             call(eitff_5_2_5, tol)
 
+    @pytest.mark.parametrize("tol", [*BAD, True], ids=repr)
+    def test_naimark_complement_refuses_the_tolerance_before_the_dimension(self, tol):
+        # d = rn: the tolerance was not looked at, and FullDimensionError was raised instead
+        lines = FusionEnsemble.from_blocks([np.eye(2)[:, :1], np.eye(2)[:, 1:]])
+        with pytest.raises(ConstraintViolationError, match="tolerance"):
+            naimark_complement(lines, tol)
+
     @pytest.mark.parametrize("tol", [np.float32(1e-6), Fraction(1, 10**6), 1], ids=repr)
     def test_real_numbers_report_as_floats(self, eitff_5_2_5, tol):
         # a float32 tolerance made the verdicts numpy bools, which the JSON report refused
