@@ -13,7 +13,6 @@ from symfusion import (
     Partition,
     certify,
     classify_single_layer,
-    principal_angles,
     single_layer_ensemble,
     welch_bounds,
 )
@@ -26,8 +25,8 @@ for lam_parts, mu_parts in [((3, 2), (2, 2)), ((3, 2, 1), (3, 1, 1)), ((4, 2, 2)
 
     print(f"lambda = ({lam}), mu = ({mu})  ->  family {family.kind}")
     print(report.summary())
-    angles = principal_angles(ensemble, 1, 2)
-    print(f"  principal angles (pair 1,2): {np.round(np.degrees(angles), 6)} degrees")
+    i, j, angles = report.principal_angles[0]  # the report lists the pairs i < j in order
+    print(f"  principal angles (pair {i},{j}): {np.round(np.degrees(angles), 6)} degrees")
     spectral, chordal = welch_bounds(ensemble.d, ensemble.r, ensemble.n)
     print(f"  Welch bounds: spectral {spectral:.12f}, chordal {chordal:.12f}")
     if report.classification == "EITFF":

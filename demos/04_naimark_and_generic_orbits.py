@@ -13,7 +13,7 @@ import numpy as np
 from symfusion import (
     Partition,
     certify,
-    fusion_gram,
+    cross_gram,
     generic_orbit_ensemble,
     naimark_complement,
     single_layer_ensemble,
@@ -25,7 +25,8 @@ double = naimark_complement(comp)
 
 print("base:      ", certify(base).summary().splitlines()[0])
 print("complement:", certify(comp).summary().splitlines()[0])
-drift = np.max(np.abs(fusion_gram(double) - fusion_gram(base)))
+pairs = [(i, j) for i in range(1, base.n + 1) for j in range(1, base.n + 1)]
+drift = max(np.max(np.abs(cross_gram(double, i, j) - cross_gram(base, i, j))) for i, j in pairs)
 print(f"double-complement Gram drift: {drift:.2e}")
 print()
 

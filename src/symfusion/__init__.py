@@ -9,7 +9,6 @@ recipes plus their exact rational certificates.
 from .tableaux import (
     Box,
     Partition,
-    box_axial_distance,
     diagonal_count,
     dimension,
     down_set,
@@ -31,12 +30,7 @@ from .fusion import (
     FusionEnsemble,
     certify,
     cross_gram,
-    fusion_frame_operator,
-    fusion_gram,
-    isoclinism_check,
     naimark_complement,
-    pairwise_distances,
-    principal_angles,
     tightness_residual,
     welch_alpha,
     welch_bounds,
@@ -76,7 +70,6 @@ __all__ = [
     "alternating_ensemble",
     "alternating_parameters",
     "an_table",
-    "box_axial_distance",
     "certify",
     "classify_single_layer",
     "cross_gram",
@@ -87,19 +80,14 @@ __all__ = [
     "down_set",
     "field_for",
     "four_part_family",
-    "fusion_frame_operator",
-    "fusion_gram",
     "generic_orbit_ensemble",
     "is_symmetric",
     "isoclinic_certificate",
-    "isoclinism_check",
     "load_ensemble",
     "multi_layer_ensemble",
     "naimark_complement",
-    "pairwise_distances",
     "partitions_of",
     "permutation_word",
-    "principal_angles",
     "rep_apply",
     "rep_matrix",
     "save_ensemble",

@@ -142,7 +142,7 @@ def cmd_construct(args, config) -> int:
     tol = _resolve_tolerance(args, config)
     max_dim = _resolve_max_dim(args, config, cons.DEFAULT_MAX_DIM)
     kind = args.kind
-    mu = layers = None
+    mu = layers = delta = None
     try:
         for path in filter(None, (args.out, args.csv)):  # fail before any work
             _check_destination(path)
@@ -180,7 +180,7 @@ def cmd_construct(args, config) -> int:
                     sel = cons.LayerSelection.from_delta(mu, args.delta)
                 else:
                     raise SymfusionError("give --delta or --layers")
-                layers = sel.partitions
+                layers, delta = sel.partitions, sel.delta
                 n = mu.n + 1
                 if kind == "multi-layer":
                     ts = _parse_transversal(args.transversal, n, even=False)
@@ -201,6 +201,11 @@ def cmd_construct(args, config) -> int:
     predicted = "EITFF" if cons.distance_condition(mu, layers)[0] else "ECTFF"
     if report.classification != predicted:
         return _fail(SymfusionError(f"certified {report.classification}, theory predicts {predicted}"), EXIT_MISMATCH)
+    if predicted == "EITFF" and delta is not None:  # a parity selection's exact certificate also gives alpha
+        exact = cons.isoclinic_certificate(mu, delta).alpha
+        if exact is None or not abs(report.isoclinism_alpha - float(exact)) <= tol:
+            return _fail(SymfusionError(f"certified alpha {report.isoclinism_alpha!r}, the exact certificate "
+                                        f"gives {exact}"), EXIT_MISMATCH)
     return EXIT_OK
 
 

@@ -50,6 +50,7 @@ from .tableaux import (
     dimension,
     down_offset,
     partition_corners,
+    removable_boxes,
     transpose,
     up_set,
 )
@@ -365,9 +366,11 @@ def classify_single_layer(lam: Partition, mu: Partition) -> SingleLayerFamily:
 
 
 def _single_layer(lam: Partition, mu: Partition) -> LayerSelection:
-    """The selection {lam} over mu, refused when the branching component is the whole space."""
+    """The selection {lam} over mu, refused when the branching component is the whole space:
+    d_lam is the sum of d_nu over lam's down set, so d_lam = d_mu exactly when mu is all of it,
+    that is when lam has one removable box.  No dimension is taken."""
     sel = LayerSelection.from_partitions(mu, [lam])
-    if dimension(mu) >= dimension(lam):
+    if len(removable_boxes(lam)) == 1:
         raise TrivialSubspaceError("the branching component is the whole space; no packing results")
     return sel
 
@@ -439,14 +442,27 @@ def _resolve_transversal(
     return validate_transversal(transversal, n, even=even)
 
 
-def _check_cap(d: int, max_dim: int) -> None:
+def _check_cap(layers: Sequence[Partition], max_dim: int, share: int = 1) -> None:
+    """Refuse a construction of dimension (sum of d_lam over ``layers``) // ``share`` above ``max_dim``.
+
+    Every lam of n boxes but one row, one column and (2, 2) has d_lam >= n - 1, the least
+    degree of S_n past its two linear characters.  A selection that holds such a layer is
+    refused on n alone when (n - 1) // share is above the cap, before :func:`dimension`
+    takes the factorial of an n far past it.
+    """
     if type(max_dim) is not int or max_dim < 0:  # a bool or a float is no cap either
         raise ConstraintViolationError(f"max_dim must be an int >= 0, got {max_dim!r}")
-    if d > max_dim:
-        raise ResourceLimitError(
-            f"construction dimension {d} exceeds the cap {max_dim}; "
-            "raise max_dim to proceed (certificates have no cap)"
-        )
+    n = layers[0].n
+    if (n - 1) // share > max_dim and any(1 < len(lam) < n and lam.parts != (2, 2) for lam in layers):
+        d = f"at least {(n - 1) // share}"
+    else:
+        d = sum(map(dimension, layers)) // share
+        if d <= max_dim:
+            return
+    raise ResourceLimitError(
+        f"construction dimension {d} exceeds the cap {max_dim}; "
+        "raise max_dim to proceed (certificates have no cap)"
+    )
 
 
 def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
@@ -515,7 +531,7 @@ def single_layer_ensemble(
     ensemble of n = |lam| subspaces of dimension d_mu inside dimension d_lam.
     """
     sel = _single_layer(lam, mu)
-    _check_cap(dimension(lam), max_dim)
+    _check_cap(sel.partitions, max_dim)
     meta = {"construction": "single_layer", "lambda": str(lam), "mu": str(mu)}
     return _orbit_ensemble(sel, transversal, meta, "R", tol)
 
@@ -532,7 +548,7 @@ def multi_layer_ensemble(
     distances; equi-isoclinic exactly when sel's layer sums pass the
     distance condition.
     """
-    _check_cap(sel.total_dimension, max_dim)
+    _check_cap(sel.partitions, max_dim)
     meta = {"construction": "multi_layer", "mu": str(sel.mu), "layers": [str(l) for l in sel.partitions],
             "delta": sel.delta}
     return _orbit_ensemble(sel, transversal, meta, "R", tol)
@@ -573,7 +589,7 @@ def alternating_ensemble(
     """
     _check_alternating_selection(sel)
     mu = sel.mu
-    _check_cap(sel.total_dimension // 2, max_dim)
+    _check_cap(sel.partitions, max_dim, share=2)
     meta = {"construction": "alternating", "mu": str(mu), "layers": [str(l) for l in sel.partitions],
             "delta": sel.delta, "epsilon": "+" if altrep._eps_sign(eps) == 1 else "-"}
     return _orbit_ensemble(sel, transversal, meta, altrep.field_for(mu), tol, even=True,
@@ -627,7 +643,7 @@ def decomposition_check(
     _check_alternating_selection(sel)
     _check_tolerance(tol)  # at NaN the off-diagonal test below would pass every block
     mu = sel.mu
-    _check_cap(sel.total_dimension, max_dim)
+    _check_cap(sel.partitions, max_dim)
     ts = _resolve_transversal(mu.n + 1, transversal, even=True)
     compress = _compression(sel, "+-")  # the - halves of the bases negate the + halves' phases
     rows, cols = sel.total_dimension // 2, dimension(mu) // 2

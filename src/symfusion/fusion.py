@@ -2,8 +2,9 @@
 
 An ensemble is held as n isometries onto its subspaces.  All pairwise
 geometry flows through cross-Gram matrices Phi_i* Phi_j, whose singular
-values are the cosines of the principal angles.  Adjoints are conjugate
-transposes throughout, so real and complex ensembles share one code path.
+values are the cosines of the principal angles; :func:`certify` is the one
+pass that reads them.  Adjoints are conjugate transposes throughout, so real
+and complex ensembles share one code path.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import threading
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -147,20 +148,11 @@ class FusionEnsemble:
         return self.blocks[j - 1]
 
 
-def fusion_frame_operator(e: FusionEnsemble) -> np.ndarray:
-    """Sum of the subspace projections; d x d, self-adjoint PSD, trace rn.
-
-    One product P P* of the synthesis array P: a syrk for real P, and a complex P is
-    conjugated whole first.  :func:`tightness_residual` forms it only up to one panel."""
-    P = e.synthesis()
-    return P @ _ct(P)
-
-
 def tightness_residual(e: FusionEnsemble) -> float:
-    """Max-entry distance of P P* from (rn/d) I, over ceil(d / _PANEL_ROWS) row panels of
-    P of near-equal height: one product P_a P_b* per pair a <= b (P P* is self-adjoint).
-    One panel is the single product of :func:`fusion_frame_operator`, a complex P
-    conjugated whole; above that only one panel product and one conjugated panel live."""
+    """Max-entry distance of the frame operator P P* from (rn/d) I, over ceil(d / _PANEL_ROWS)
+    row panels of P of near-equal height: one product P_a P_b* per pair a <= b (P P* is
+    self-adjoint).  One panel is the single product P P*, a complex P conjugated whole;
+    above that only one panel product and one conjugated panel live."""
     P, m = e.synthesis(), -(-e.d // _PANEL_ROWS)
     panels = [P[e.d * k // m : e.d * (k + 1) // m] for k in range(m)]
     return max(_shifted_max(panels[a] @ _ct(panels[b]), e.r * e.n / e.d if a == b else None)
@@ -185,30 +177,10 @@ def cross_gram(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
 
 
 def _cosines(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
-    """Singular values of the cross-Gram of subspaces i != j: the principal-angle
+    """Singular values of the cross-Gram of subspaces i < j: the principal-angle
     cosines, nonincreasing, clamped to [0, 1] to absorb roundoff.  Every pairwise
     quantity derives from them, so a pair costs one cross-Gram and one SVD."""
-    if i == j:
-        raise IndexOutOfRangeError("angles and distances require two distinct subspaces")
     return np.clip(np.linalg.svd(cross_gram(e, i, j), compute_uv=False), 0.0, 1.0)
-
-
-def _distances(r: int, s: np.ndarray) -> tuple[float, float]:
-    return float(np.sqrt(max(0.0, 1.0 - float(s[0]) ** 2))), float(np.sqrt(max(0.0, r - float(np.sum(s**2)))))
-
-
-def principal_angles(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
-    """The r principal angles between subspaces i and j, nondecreasing, in [0, pi/2]."""
-    return np.arccos(_cosines(e, i, j))
-
-
-def pairwise_distances(e: FusionEnsemble, i: int, j: int) -> tuple[float, float]:
-    """(spectral, chordal) distance between subspaces i and j.
-
-    spectral = min_k sin(theta_k) = sqrt(1 - s_1^2);
-    chordal  = sqrt(r - sum_k s_k^2), with s the cross-Gram singular values.
-    """
-    return _distances(e.r, _cosines(e, i, j))
 
 
 def welch_bounds(d: int, r: int, n: int) -> tuple[float, float]:
@@ -233,15 +205,15 @@ def _helper_wanted(e: FusionEnsemble) -> bool:
     return e.synthesis().nbytes >= _HELPER_BYTES and blas == "1" and cpus >= 2
 
 
-def _pair_pass(e: FusionEnsemble, tol: float, first: Callable[[FusionEnsemble], object]) -> tuple[object, dict]:
-    """``first(e)`` and the report's pairwise fields, from one cross-Gram and one SVD per pair i < j.
+def _pair_pass(e: FusionEnsemble, tol: float) -> tuple[float, dict]:
+    """The tightness residual and the report's pairwise fields, from one cross-Gram and one SVD per pair i < j.
 
     A pair with cosines s has parameter alpha = sum_k s_k^2 / r and residual
     max_k |s_k^2 - alpha|, the spectral norm of G*G - alpha I.  The ensemble is
     equi-isoclinic when every residual and the spread of the pair parameters are
     within ``tol``; it has a common chordal distance when the chordal spread is.
 
-    When :func:`_helper_wanted`, a daemon helper runs ``first`` (GEMMs release the GIL), then claims
+    When :func:`_helper_wanted`, a daemon helper takes the tightness residual (GEMMs release the GIL), then claims
     pairs from the caller's iterator; cosines are reduced in pair order, so none depends on the
     thread.  A failure in either thread stops both and is raised here, after the join.
     """
@@ -251,7 +223,7 @@ def _pair_pass(e: FusionEnsemble, tol: float, first: Callable[[FusionEnsemble], 
     def work(lead: bool) -> None:
         try:
             if lead:
-                out.append(first(e))
+                out.append(tightness_residual(e))
             for k, (i, j) in claims:  # each next() is atomic under the GIL
                 if failed:
                     return
@@ -269,12 +241,13 @@ def _pair_pass(e: FusionEnsemble, tol: float, first: Callable[[FusionEnsemble], 
         raise failed[0]
     angles, spectrals, chordals, alphas, resids = [], [], [], [], []
     for (i, j), s in zip(pairs, cosines):
+        squares = s**2
+        total = float(np.sum(squares))
         angles.append((i, j, tuple(float(a) for a in np.arccos(s))))
-        sp, ch = _distances(e.r, s)
-        spectrals.append(sp)
-        chordals.append(ch)
-        alphas.append(float(np.sum(s**2)) / e.r)
-        resids.append(float(np.max(np.abs(s**2 - alphas[-1]))))
+        spectrals.append(float(np.sqrt(max(0.0, 1.0 - float(s[0]) ** 2))))  # sin of the least angle
+        chordals.append(float(np.sqrt(max(0.0, e.r - total))))
+        alphas.append(total / e.r)
+        resids.append(float(np.max(np.abs(squares - alphas[-1]))))
     if not alphas:
         return out[0], {"principal_angles": (), **dict.fromkeys(
             ("spectral_min", "chordal_min", "common_chordal", "chordal_spread",
@@ -290,12 +263,6 @@ def _pair_pass(e: FusionEnsemble, tol: float, first: Callable[[FusionEnsemble], 
         "isoclinism_residual": resid,
         "alpha_spread": a_spread,
     }
-
-
-def isoclinism_check(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> float | None:
-    """Common isoclinism parameter if every pair's G*G is alpha I within ``tol``
-    in the spectral norm and the pair parameters agree within ``tol``."""
-    return _pair_pass(e, _check_tolerance(tol), lambda _: None)[1]["isoclinism_alpha"]
 
 
 @dataclass(frozen=True)
@@ -367,7 +334,7 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
     the report's bytes do not change.
     """
     tol = _check_tolerance(tol)
-    resid, pairs = _pair_pass(e, tol, tightness_residual)
+    resid, pairs = _pair_pass(e, tol)
     tight = resid <= tol * max(1.0, e.r * e.n / e.d)
     alpha = pairs["isoclinism_alpha"]
     w_spectral, w_chordal = welch_bounds(e.d, e.r, e.n) if e.n >= 2 else (None, None)
@@ -404,12 +371,6 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
         classification=classification,
         **pairs,
     )
-
-
-def fusion_gram(e: FusionEnsemble) -> np.ndarray:
-    """The rn x rn block matrix of cross-Grams, Phi* Phi."""
-    Phi = e.synthesis()
-    return _ct(Phi) @ Phi
 
 
 def naimark_complement(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> FusionEnsemble:

@@ -40,11 +40,6 @@ class Box(NamedTuple):
         return self.col - self.row
 
 
-def box_axial_distance(a: Box | tuple[int, int], b: Box | tuple[int, int]) -> int:
-    """Axial distance from box ``a`` to box ``b``: difference of superdiagonals."""
-    return (a[1] - a[0]) - (b[1] - b[0])
-
-
 def _integer_entries(values: Iterable[int], what: str) -> tuple[int, ...]:
     """The entries as ints, read through ``operator.index``: ints and numpy integers
     pass, while a bool (which ``index`` would read as 0 or 1), a float or a string
@@ -161,12 +156,14 @@ def removable_boxes(lam: Partition) -> tuple[Box, ...]:
     return tuple(Box(i, part) for i, (part, low) in enumerate(zip(lam, below), start=1) if part > low)
 
 
+@lru_cache(maxsize=None)
 def down_set(lam: Partition) -> tuple[tuple[Partition, Box], ...]:
     """All (mu, removed box) with mu obtained by removing one box from ``lam``.
 
     Ordered by descending superdiagonal of the removed box; the count equals
     the number of distinct parts of ``lam``.  The one-box shape has no valid
     children (the empty partition is rejected), so its down set is empty.
+    Cached: :func:`tableau_words` walks the shapes below each shape it is asked for.
     """
     if lam.n == 1:
         return ()
@@ -230,16 +227,23 @@ def tableau_words(lam: Partition) -> np.ndarray:
     over it is already that order: tableaux sharing the box of n are
     contiguous, which makes every branching isometry a contiguous 0/1 column
     selector.
+
+    The stacking runs bottom-up, from the one box through each level of shapes
+    below ``lam`` to ``lam``, holding the arrays of two levels at most: no call
+    recurses, so a long shape is no deeper than a short one, and only ``lam``'s
+    array is kept.
     """
-    if lam.n == 1:
-        words = np.zeros((1, 1), dtype=np.int16)
-    else:
-        blocks = [(tableau_words(mu), box.row - 1) for mu, box in down_set(lam)]
-        words = np.vstack([
-            np.column_stack([sub, np.full(len(sub), row, dtype=np.int16)]) for sub, row in blocks
-        ])
-    words.setflags(write=False)
-    return words
+    levels = [(lam,)]  # levels[k]: the shapes of n - k boxes below lam, down to the one box
+    while levels[-1][0].n > 1:
+        levels.append(tuple(dict.fromkeys(mu for nu in levels[-1] for mu, _box in down_set(nu))))
+    words = {levels.pop()[0]: np.zeros((1, 1), dtype=np.int16)}
+    for level in reversed(levels):
+        words = {nu: np.vstack([
+            np.column_stack([words[mu], np.full(len(words[mu]), box.row - 1, dtype=np.int16)])
+            for mu, box in down_set(nu)
+        ]) for nu in level}
+    words[lam].setflags(write=False)
+    return words[lam]
 
 
 @lru_cache(maxsize=None)

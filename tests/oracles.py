@@ -1,6 +1,7 @@
 """The tests' reference implementations, which the package is checked against.
 
-First, standard tableaux as objects, the reference for the word arrays.
+First, standard tableaux as objects, the reference for the word arrays, and the
+recursive word builder that the package's bottom-up one replaced.
 The package reads Tab(lam) only as the arrays :func:`symfusion.tableaux.tableau_words`
 and :func:`symfusion.tableaux.tableau_contents`.  This module keeps the
 textbook picture beside them, a validated grid of entries with its box map,
@@ -14,6 +15,9 @@ isoclinic test without the sign test and the float screen that now guard
 generic field-by-field JSON encoding that the one-pass certificate records replaced.
 It keeps the ensemble file as nested lists for ``json.dumps`` and the synthesis
 CSV through ``csv.writer``: the bytes that the package's float text must reproduce.
+It keeps the analysis views that :func:`symfusion.fusion.certify`'s one pair pass
+replaced: the dense frame operator and fusion Gram, per-pair principal angles and
+distances, and a serial isoclinism test; and the axial distance of two boxes.
 Last, it keeps the dense encoding of the representation objects that the package
 applies only sparsely: the associators, eigenspace injections, layer eigenbases,
 rho_eps(g) and branching isometries of :mod:`symfusion.altrep` as matrices built
@@ -51,7 +55,7 @@ from symfusion.errors import (
     ShapeMismatchError,
     TooSmallError,
 )
-from symfusion.fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, _ct, _fields_json, _max_abs
+from symfusion.fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, _ct, _fields_json, _max_abs, cross_gram
 from symfusion.permutations import Permutation, permutation_word
 from symfusion.symrep import _generator_action, apply_generator, rep_apply
 from symfusion.tableaux import (
@@ -60,6 +64,7 @@ from symfusion.tableaux import (
     added_row,
     dimension,
     down_offset,
+    down_set,
     is_symmetric,
     tableau_words,
     transpose,
@@ -158,6 +163,11 @@ def axial_distance(T: StandardTableau, i: int, j: int) -> int:
     return c[i - 1] - c[j - 1]
 
 
+def box_axial_distance(a: Box | tuple[int, int], b: Box | tuple[int, int]) -> int:
+    """Axial distance from box ``a`` to box ``b``: difference of superdiagonals."""
+    return (a[1] - a[0]) - (b[1] - b[0])
+
+
 def apply_adjacent_transposition(T: StandardTableau, k: int) -> StandardTableau | None:
     """Swap entries k and k+1 of ``T`` if the result is standard, else None.
 
@@ -201,6 +211,21 @@ def row_superstandard(lam: Partition) -> StandardTableau:
 def canonical_key(T: StandardTableau) -> tuple[int, ...]:
     """Sort key for the canonical basis order: (row of n, row of n-1, ..., row of 1)."""
     return tuple(T._box_of[e].row for e in range(T.n - 1, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def recursive_tableau_words(lam: Partition) -> np.ndarray:
+    """:func:`symfusion.tableaux.tableau_words` as first written, one call per box: each
+    shape's words are its down set's, each with the row of n appended, stacked in order."""
+    if lam.n == 1:
+        words = np.zeros((1, 1), dtype=np.int16)
+    else:
+        blocks = [(recursive_tableau_words(mu), box.row - 1) for mu, box in down_set(lam)]
+        words = np.vstack([
+            np.column_stack([sub, np.full(len(sub), row, dtype=np.int16)]) for sub, row in blocks
+        ])
+    words.setflags(write=False)
+    return words
 
 
 @lru_cache(maxsize=None)
@@ -354,6 +379,60 @@ def synthesis_csv(P: np.ndarray) -> bytes:
     fh = io.StringIO(newline="")
     csv.writer(fh).writerows([repr(float(v)) for v in row] for row in P)
     return fh.getvalue().encode()
+
+
+def fusion_frame_operator(e: FusionEnsemble) -> np.ndarray:
+    """Sum of the subspace projections; d x d, self-adjoint PSD, trace rn.
+
+    One product P P* of the synthesis array P: a syrk for real P, and a complex P is
+    conjugated whole first.  :func:`symfusion.fusion.tightness_residual` forms it only up to one panel."""
+    P = e.synthesis()
+    return P @ _ct(P)
+
+
+def fusion_gram(e: FusionEnsemble) -> np.ndarray:
+    """The rn x rn block matrix of cross-Grams, Phi* Phi."""
+    Phi = e.synthesis()
+    return _ct(Phi) @ Phi
+
+
+def _cosines(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
+    """Singular values of the cross-Gram of subspaces i != j: the principal-angle
+    cosines, nonincreasing, clamped to [0, 1] to absorb roundoff."""
+    if i == j:
+        raise IndexOutOfRangeError("angles and distances require two distinct subspaces")
+    return np.clip(np.linalg.svd(cross_gram(e, i, j), compute_uv=False), 0.0, 1.0)
+
+
+def _distances(r: int, s: np.ndarray) -> tuple[float, float]:
+    return float(np.sqrt(max(0.0, 1.0 - float(s[0]) ** 2))), float(np.sqrt(max(0.0, r - float(np.sum(s**2)))))
+
+
+def principal_angles(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
+    """The r principal angles between subspaces i and j, nondecreasing, in [0, pi/2]."""
+    return np.arccos(_cosines(e, i, j))
+
+
+def pairwise_distances(e: FusionEnsemble, i: int, j: int) -> tuple[float, float]:
+    """(spectral, chordal) distance between subspaces i and j.
+
+    spectral = min_k sin(theta_k) = sqrt(1 - s_1^2);
+    chordal  = sqrt(r - sum_k s_k^2), with s the cross-Gram singular values.
+    """
+    return _distances(e.r, _cosines(e, i, j))
+
+
+def isoclinism_check(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> float | None:
+    """Common isoclinism parameter if every pair's G*G is alpha I within ``tol``
+    in the spectral norm and the pair parameters agree within ``tol``: one pair
+    at a time on one thread, with no tightness residual beside it."""
+    tol = _check_tolerance(tol)
+    cosines = [_cosines(e, i, j) for i in range(1, e.n + 1) for j in range(i + 1, e.n + 1)]
+    alphas = [float(np.sum(s**2)) / e.r for s in cosines]
+    if not alphas:
+        return None
+    resid = max(float(np.max(np.abs(s**2 - alpha))) for s, alpha in zip(cosines, alphas))
+    return float(np.mean(alphas)) if max(resid, max(alphas) - min(alphas)) <= tol else None
 
 
 def adjacent_transposition_matrix(lam: Partition, k: int) -> np.ndarray:

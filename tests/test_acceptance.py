@@ -22,7 +22,6 @@ from symfusion import (
     dimension,
     distance_condition,
     down_set,
-    fusion_gram,
     isoclinic_certificate,
     naimark_complement,
     partitions_of,
@@ -47,6 +46,7 @@ from oracles import (
     eigenspace_injection,
     enumerate_standard_tableaux,
     family_reference_tableau,
+    fusion_gram,
     layer_eigenbasis,
     reference_permutation_sign,
     transpose_tableau,

@@ -1,15 +1,18 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symfusion import Partition, certify, errors, load_ensemble, single_layer_ensemble
+from symfusion import cli
 from symfusion import constructions as cons
 from symfusion.cli import main
 from symfusion.ensemble_io import save_ensemble
@@ -81,6 +84,41 @@ class TestConstruct:
         )
         assert code == 4
         assert "predicts ECTFF" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("multi-layer", "--mu", "3,1,1", "--delta", "1"),
+        ("multi-layer", "--mu", "2,2", "--delta", "0"),
+        ("alternating", "--mu", "3,1,1", "--delta", "0"),
+        ("alternating", "--mu", "4,1,1,1", "--delta", "1"),
+    ], ids=" ".join)
+    @pytest.mark.parametrize("shift, code", [(0.5e-9, 0), (2e-9, 4), (-2e-9, 4)])
+    def test_parity_alpha_is_checked_against_the_exact_certificate(self, capsys, monkeypatch, argv, shift, code):
+        # the classification alone passed an alpha the exact certificate contradicts
+        real_certify = cli.certify
+
+        def shifted(e, tol):
+            report = real_certify(e, tol)
+            return dataclasses.replace(report, isoclinism_alpha=report.isoclinism_alpha + shift)
+
+        monkeypatch.setattr(cli, "certify", shifted)
+        got, stdout, stderr = run(capsys, "construct", *argv)
+        assert got == code and stdout.startswith("EITFF_")
+        if code == 4:
+            assert "the exact certificate gives" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (("single-layer", "--lambda", "99999999999999999999,1", "--mu", "99999999999999999999"), 3, "ResourceLimitError"),
+        (("single-layer", "--lambda", "3000000,1", "--mu", "3000000"), 3, "ResourceLimitError"),
+        (("single-layer", "--lambda", "3000000", "--mu", "2999999"), 2, "TrivialSubspaceError"),
+        (("multi-layer", "--mu", "3000000", "--delta", "0"), 3, "ResourceLimitError"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_a_far_too_large_n_is_refused_at_once(self, capsys, argv, code, error):
+        # the cap was checked after n!: an OverflowError traceback, or minutes of work
+        start = time.perf_counter()
+        got, stdout, stderr = run(capsys, "construct", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (got, stdout) == (code, "")
+        assert json.loads(stderr)["error"] == error
 
     def test_equichordal_only_matches_prediction(self, capsys):
         code, stdout, _ = run(

@@ -21,7 +21,6 @@ from symfusion import (
     dimension,
     distance_condition,
     four_part_family,
-    fusion_gram,
     generic_orbit_ensemble,
     isoclinic_certificate,
     multi_layer_ensemble,
@@ -63,13 +62,15 @@ from symfusion.errors import (
 )
 from symfusion.permutations import Permutation, transversal_an, transversal_sn
 from symfusion.symrep import rep_apply
-from symfusion.tableaux import box_axial_distance, corner_parts, down_set, partition_corners, removable_boxes
+from symfusion.tableaux import corner_parts, down_set, partition_corners, removable_boxes
 
 from oracles import (
+    box_axial_distance,
     boxes,
     branching_isometry,
     certificate_json,
     eigenspace_injection,
+    fusion_gram,
     hook_length,
     layer_eigenbasis,
     out_of_place_layer_orbit,
@@ -1161,6 +1162,35 @@ class TestLayerOrbit:
         monkeypatch.setattr(altrep, "_injection_basis", unbuilt)
         with pytest.raises(ResourceLimitError):
             build(LayerSelection.from_delta(Partition((3, 1, 1)), 1))
+
+    @pytest.mark.parametrize("build", [
+        lambda: single_layer_ensemble(Partition((10**20, 1)), Partition((10**20,))),
+        lambda: multi_layer_ensemble(LayerSelection.from_delta(Partition((10**20,)), 0)),
+        lambda: alternating_ensemble(LayerSelection.from_delta(Partition((30,) + (1,) * 29), 0), "+", max_dim=20),
+        lambda: decomposition_check(LayerSelection.from_delta(Partition((30,) + (1,) * 29), 0), max_dim=20),
+    ], ids=["single_layer", "multi_layer", "alternating", "decomposition_check"])
+    def test_cap_refuses_a_far_too_large_n_before_any_dimension(self, monkeypatch, build):
+        # n! of n = 10**20 + 1 raised OverflowError, and of n = 3 * 10**6 ran for minutes
+        def untaken(lam):
+            raise AssertionError(f"dimension({lam!r}) was taken before the cap refused")
+
+        monkeypatch.setattr(symfusion.constructions, "dimension", untaken)
+        with pytest.raises(ResourceLimitError, match="at least"):
+            build()
+
+    def test_the_cap_floor_holds_through_20(self):
+        # the bound the cap refuses on: every lam but one row, one column and (2, 2) has d_lam >= n - 1
+        for n in range(1, 21):
+            for lam in partitions_of(n):
+                if 1 < len(lam) < n and lam.parts != (2, 2):
+                    assert dimension(lam) >= n - 1, lam
+
+    def test_trivial_exactly_when_one_box_is_removable_through_10(self):
+        # the single-layer guard reads d_lam = d_mu off the shape, with no dimension
+        for n in range(2, 11):
+            for lam in partitions_of(n):
+                for mu, _box in down_set(lam):
+                    assert (dimension(mu) == dimension(lam)) == (len(removable_boxes(lam)) == 1), (lam, mu)
 
     @pytest.mark.parametrize("cap", [None, 99.5, 100.0, True, "100", -1])
     @pytest.mark.parametrize("build", [

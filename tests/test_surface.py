@@ -75,6 +75,19 @@ REMOVED_DENSE = (
     "SymmetricLambdaError",
 )
 
+# The analysis views that no CLI command calls: the dense frame operator and fusion
+# Gram, the per-pair angles and distances that certify's report already holds, the
+# second entry into the pair pass, and the axial distance of two boxes.  certify is
+# the one way into pair geometry; the six live on in oracles.py.
+REMOVED_ANALYSIS = (
+    "principal_angles",
+    "pairwise_distances",
+    "fusion_gram",
+    "fusion_frame_operator",
+    "isoclinism_check",
+    "box_axial_distance",
+)
+
 TESTS = Path(__file__).resolve().parent
 
 
@@ -110,6 +123,17 @@ def test_the_dense_encoding_lives_in_the_oracle():
     # FusionEnsemble.projection went with the witness, its only caller in the package
     assert not hasattr(symfusion.FusionEnsemble, "projection")
     homes = {name: getattr(getattr(oracles, name, None), "__module__", None) for name in (*REMOVED_DENSE, "projection")}
+    assert [name for name, home in homes.items() if home != oracles.__name__] == []
+
+
+@pytest.mark.parametrize("module", [symfusion, fusion, tableaux], ids=lambda m: m.__name__)
+def test_certify_is_the_one_way_into_pair_geometry(module):
+    assert [name for name in REMOVED_ANALYSIS if hasattr(module, name)] == []
+    assert not set(REMOVED_ANALYSIS) & set(symfusion.__all__)
+
+
+def test_the_analysis_views_live_in_the_oracle():
+    homes = {name: getattr(getattr(oracles, name, None), "__module__", None) for name in REMOVED_ANALYSIS}
     assert [name for name, home in homes.items() if home != oracles.__name__] == []
 
 

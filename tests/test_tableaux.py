@@ -42,6 +42,7 @@ from oracles import (
     embed,
     enumerate_standard_tableaux,
     hook_length,
+    recursive_tableau_words,
     row_superstandard,
     transpose_tableau,
 )
@@ -360,6 +361,21 @@ class TestWordArrays:
         for n in range(1, 10):
             for lam in partitions_of(n):
                 assert list(enumerate_standard_tableaux(lam)) == reference(lam), lam
+
+    def test_equals_the_recursive_builder_through_9(self):
+        for n in range(1, 10):
+            for lam in partitions_of(n):
+                words, old = tableau_words(lam), recursive_tableau_words(lam)
+                assert words.dtype == old.dtype == np.int16 and not words.flags.writeable, lam
+                assert np.array_equal(words, old), lam
+
+    def test_a_long_shape_needs_no_recursion_depth(self):
+        # one call per box overflowed the interpreter's stack from about 400 boxes
+        n = 1200
+        words = tableau_words(Partition((n - 1, 1)))
+        # the tableau of (n - 1, 1) with k in the second row, for k = 2, ..., n in canonical order
+        assert words.dtype == np.int16 and not words.flags.writeable
+        assert np.array_equal(words, np.eye(n - 1, n, 1, dtype=np.int16))
 
     def test_arrays_are_read_only(self):
         lam = Partition((3, 2, 1))
