@@ -21,7 +21,7 @@ from . import constructions as cons
 from . import ensemble_io as eio
 from .errors import EnsembleFormatError, ResourceLimitError, SymfusionError
 from .fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, certify
-from .permutations import Permutation, validate_transversal
+from .permutations import Permutation
 from .tableaux import Partition
 
 EXIT_OK = 0
@@ -99,23 +99,23 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
-def _parse_transversal(spec: str | None, n: int, even: bool):
+def _cycle_transversal(n: int) -> list[Permutation]:
+    """The powers c, c^2, ..., c^n = 1 of the n-cycle c = (1 2 ... n); c^k(n) = k."""
+    return [Permutation((x + k) % n + 1 for x in range(n)) for k in range(1, n + 1)]
+
+
+def _parse_transversal(spec: str | None, n: int):
+    """None for the default, the cycle's powers as a function of n, or the permutations
+    of an @file; the builder validates what it is given, after its cap."""
     if spec is None or spec == "default":
         return None
     if spec == "cycle":
-        cycle = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
-        ts = []
-        power = Permutation.identity(n)
-        for _ in range(n):
-            power = power * cycle
-            ts.append(power)
-        return validate_transversal(ts, n, even=even)
+        return _cycle_transversal
     if spec.startswith("@"):
         entries = eio.read_json(spec[1:])
         if not isinstance(entries, list) or not all(isinstance(t, str) for t in entries):
             raise SymfusionError(f"{spec[1:]} must hold a JSON list of permutation strings")
-        ts = [Permutation.parse(text, n=n) for text in entries]
-        return validate_transversal(ts, n, even=even)
+        return [Permutation.parse(text, n=n) for text in entries]
     raise SymfusionError(f"unknown transversal spec {spec!r}; use default|cycle|@file")
 
 
@@ -143,55 +143,45 @@ def cmd_construct(args, config) -> int:
     max_dim = _resolve_max_dim(args, config, cons.DEFAULT_MAX_DIM)
     kind = args.kind
     mu = layers = delta = None
-    try:
-        for path in filter(None, (args.out, args.csv)):  # fail before any work
-            _check_destination(path)
-        if kind == "generic":
-            spec = eio.read_json(args.spec)
-            if not isinstance(spec, dict) or not isinstance(spec.get("generators"), dict):
-                raise SymfusionError(f"{args.spec} must hold a JSON object with a generators object")
-            missing = [key for key in ("isometry", "transversal_words") if key not in spec]
-            if missing:
-                raise EnsembleFormatError(f"{args.spec} lacks {', '.join(missing)}")
-            field = spec.get("field")
-            gens = {name: eio._decode_matrix(m, field, f"generator {name!r}") for name, m in spec["generators"].items()}
-            iso = eio._decode_matrix(spec["isometry"], field, "isometry")
-            e = cons.generic_orbit_ensemble(
-                gens, spec["transversal_words"], iso, field=field, tol=tol
-            )
+    for path in filter(None, (args.out, args.csv)):  # fail before any work
+        _check_destination(path)
+    if kind == "generic":
+        spec = eio.read_json(args.spec)
+        if not isinstance(spec, dict) or not isinstance(spec.get("generators"), dict):
+            raise SymfusionError(f"{args.spec} must hold a JSON object with a generators object")
+        missing = [key for key in ("isometry", "transversal_words") if key not in spec]
+        if missing:
+            raise EnsembleFormatError(f"{args.spec} lacks {', '.join(missing)}")
+        field = spec.get("field")
+        gens = {name: eio._decode_matrix(m, field, f"generator {name!r}") for name, m in spec["generators"].items()}
+        iso = eio._decode_matrix(spec["isometry"], field, "isometry")
+        e = cons.generic_orbit_ensemble(gens, spec["transversal_words"], iso, field=field, tol=tol)
+    else:
+        mu = Partition.parse(args.mu)
+        if kind == "single-layer":
+            lam = Partition.parse(args.lam)
+            ts = _parse_transversal(args.transversal, lam.n)
+            e = cons.single_layer_ensemble(lam, mu, transversal=ts, tol=tol, max_dim=max_dim)
+            layers = (lam,)
         else:
-            mu = Partition.parse(args.mu)
-            if kind == "single-layer":
-                lam = Partition.parse(args.lam)
-                n = lam.n
-                ts = _parse_transversal(args.transversal, n, even=False)
-                e = cons.single_layer_ensemble(lam, mu, transversal=ts, tol=tol, max_dim=max_dim)
-                layers = (lam,)
+            if args.layers is not None and args.delta is not None:
+                raise SymfusionError("give --delta or --layers, not both")
+            if args.layers is not None:
+                try:
+                    idx = tuple(int(t) for t in args.layers.split(","))
+                except ValueError as exc:
+                    raise SymfusionError(f"cannot parse --layers {args.layers!r}") from exc
+                sel = cons.LayerSelection(mu, idx)
+            elif args.delta is not None:
+                sel = cons.LayerSelection.from_delta(mu, args.delta)
             else:
-                if args.layers is not None and args.delta is not None:
-                    raise SymfusionError("give --delta or --layers, not both")
-                if args.layers is not None:
-                    try:
-                        idx = tuple(int(t) for t in args.layers.split(","))
-                    except ValueError as exc:
-                        raise SymfusionError(f"cannot parse --layers {args.layers!r}") from exc
-                    sel = cons.LayerSelection(mu, idx)
-                elif args.delta is not None:
-                    sel = cons.LayerSelection.from_delta(mu, args.delta)
-                else:
-                    raise SymfusionError("give --delta or --layers")
-                layers, delta = sel.partitions, sel.delta
-                n = mu.n + 1
-                if kind == "multi-layer":
-                    ts = _parse_transversal(args.transversal, n, even=False)
-                    e = cons.multi_layer_ensemble(sel, transversal=ts, tol=tol, max_dim=max_dim)
-                else:
-                    ts = _parse_transversal(args.transversal, n, even=True)
-                    e = cons.alternating_ensemble(sel, args.epsilon, transversal=ts, tol=tol, max_dim=max_dim)
-    except ResourceLimitError as exc:
-        return _fail(exc, EXIT_RESOURCE)
-    except (SymfusionError, OSError, KeyError) as exc:
-        return _fail(exc, EXIT_USER)
+                raise SymfusionError("give --delta or --layers")
+            layers, delta = sel.partitions, sel.delta
+            ts = _parse_transversal(args.transversal, mu.n + 1)
+            if kind == "multi-layer":
+                e = cons.multi_layer_ensemble(sel, transversal=ts, tol=tol, max_dim=max_dim)
+            else:
+                e = cons.alternating_ensemble(sel, args.epsilon, transversal=ts, tol=tol, max_dim=max_dim)
 
     report = certify(e, tol)
     _emit_ensemble(e, report, args)
@@ -334,20 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every error it raises is mapped to its exit code here."""
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-    except SymfusionError as exc:
-        return _fail(exc, EXIT_USER)
-    try:
-        code = args.func(args, config)
+        code = args.func(args, _load_config(args.config))
         sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
         return code
     except BrokenPipeError:  # e.g. `| head`: stop quietly, and let shutdown flush into devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (SymfusionError, OSError) as exc:  # anything a subcommand did not map itself
+    except ResourceLimitError as exc:
+        return _fail(exc, EXIT_RESOURCE)
+    except (SymfusionError, OSError) as exc:
         return _fail(exc, EXIT_USER)
 
 

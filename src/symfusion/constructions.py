@@ -36,7 +36,7 @@ from .errors import (
     StepConstraintViolatedError,
     TrivialSubspaceError,
 )
-from .fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, _fields_json
+from .fusion import DEFAULT_TOL, FusionEnsemble, _fields_json
 from .permutations import (
     Permutation,
     transversal_an,
@@ -56,6 +56,9 @@ from .tableaux import (
 )
 
 DEFAULT_MAX_DIM = 5000
+
+# t_1, ..., t_n with t_k(n) = k, or a function of n that gives them
+_Transversal = Sequence[Permutation] | Callable[[int], Sequence[Permutation]]
 
 
 # --------------------------------------------------------------------------
@@ -434,35 +437,26 @@ def single_layer_shapes(kind: str, a: int, b: int, c: int | None = None) -> tupl
 # matrix constructions
 # --------------------------------------------------------------------------
 
-def _resolve_transversal(
-    n: int, transversal: Sequence[Permutation] | None, even: bool
-) -> list[Permutation]:
-    if transversal is None:
-        return transversal_an(n) if even else transversal_sn(n)
-    return validate_transversal(transversal, n, even=even)
-
-
 def _check_cap(layers: Sequence[Partition], max_dim: int, share: int = 1) -> None:
-    """Refuse a construction of dimension (sum of d_lam over ``layers``) // ``share`` above ``max_dim``.
+    """Refuse an orbit of n subspaces when (n - 1) // ``share`` is above ``max_dim``, and
+    otherwise a construction of dimension (sum of d_lam over ``layers``) // ``share`` above it.
 
-    Every lam of n boxes but one row, one column and (2, 2) has d_lam >= n - 1, the least
-    degree of S_n past its two linear characters.  A selection that holds such a layer is
-    refused on n alone when (n - 1) // share is above the cap, before :func:`dimension`
-    takes the factorial of an n far past it.
+    n is checked first, so no factorial of an n far past the cap is taken.  Every lam of
+    n boxes but one row, one column and (2, 2) has d_lam >= n - 1, the least degree of S_n
+    past its two linear characters, so the n rule refuses nothing the dimension rule would
+    accept, except selections made only of those covers: the orbit of one of them still
+    builds n permutations of degree n, whatever d is.
     """
     if type(max_dim) is not int or max_dim < 0:  # a bool or a float is no cap either
         raise ConstraintViolationError(f"max_dim must be an int >= 0, got {max_dim!r}")
     n = layers[0].n
-    if (n - 1) // share > max_dim and any(1 < len(lam) < n and lam.parts != (2, 2) for lam in layers):
-        d = f"at least {(n - 1) // share}"
+    if (n - 1) // share > max_dim:
+        size = f"(n - 1) // {share} = {(n - 1) // share} for n = {n}"
+    elif (d := sum(map(dimension, layers)) // share) > max_dim:
+        size = f"construction dimension {d}"
     else:
-        d = sum(map(dimension, layers)) // share
-        if d <= max_dim:
-            return
-    raise ResourceLimitError(
-        f"construction dimension {d} exceeds the cap {max_dim}; "
-        "raise max_dim to proceed (certificates have no cap)"
-    )
+        return
+    raise ResourceLimitError(f"{size} exceeds the cap {max_dim}; raise max_dim to proceed (certificates have no cap)")
 
 
 def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
@@ -500,17 +494,23 @@ def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tup
 
 def _orbit_ensemble(
     sel: LayerSelection,
-    transversal: Sequence[Permutation] | None,
+    transversal: _Transversal | None,
     meta: dict,
     field: str,
     tol: float,
     even: bool = False,
     compress: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FusionEnsemble:
-    """The tail every orbit builder shares: resolve the transversal, record it
-    last in ``meta``, and write each orbit block C R (through ``compress``, if
-    given) into the synthesis array, validated, as soon as it is built."""
-    ts = _resolve_transversal(sel.mu.n + 1, transversal, even)
+    """The tail every orbit builder shares, run after its cap: resolve the transversal
+    (the default one of S_n, or of A_n when ``even``; or ``transversal``, called on n
+    if it is a function) and validate it, record it last in ``meta``, and write each
+    orbit block C R (through ``compress``, if given) into the synthesis array,
+    validated, as soon as it is built."""
+    n = sel.mu.n + 1
+    if transversal is None:
+        ts = transversal_an(n) if even else transversal_sn(n)
+    else:
+        ts = validate_transversal(transversal(n) if callable(transversal) else transversal, n, even=even)
     meta["transversal"] = [t.cycle_string() for t in ts]
     orbit = _layer_orbit(sel, ts)
     if compress is not None:
@@ -521,7 +521,7 @@ def _orbit_ensemble(
 def single_layer_ensemble(
     lam: Partition,
     mu: Partition,
-    transversal: Sequence[Permutation] | None = None,
+    transversal: _Transversal | None = None,
     tol: float = DEFAULT_TOL,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> FusionEnsemble:
@@ -529,6 +529,8 @@ def single_layer_ensemble(
 
     Blocks are pi_lam(t_k) Psi_{lam,mu}, giving a real, totally symmetric
     ensemble of n = |lam| subspaces of dimension d_mu inside dimension d_lam.
+    ``transversal`` is t_1, ..., t_n with t_k(n) = k, or a function of n that
+    gives them (None: :func:`transversal_sn`); it is validated after the cap.
     """
     sel = _single_layer(lam, mu)
     _check_cap(sel.partitions, max_dim)
@@ -538,7 +540,7 @@ def single_layer_ensemble(
 
 def multi_layer_ensemble(
     sel: LayerSelection,
-    transversal: Sequence[Permutation] | None = None,
+    transversal: _Transversal | None = None,
     tol: float = DEFAULT_TOL,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> FusionEnsemble:
@@ -546,7 +548,7 @@ def multi_layer_ensemble(
 
     Always a real, totally symmetric tight fusion frame with equal chordal
     distances; equi-isoclinic exactly when sel's layer sums pass the
-    distance condition.
+    distance condition.  ``transversal`` is as for :func:`single_layer_ensemble`.
     """
     _check_cap(sel.partitions, max_dim)
     meta = {"construction": "multi_layer", "mu": str(sel.mu), "layers": [str(l) for l in sel.partitions],
@@ -576,7 +578,7 @@ def _check_alternating_selection(sel: LayerSelection) -> None:
 def alternating_ensemble(
     sel: LayerSelection,
     eps,
-    transversal: Sequence[Permutation] | None = None,
+    transversal: _Transversal | None = None,
     tol: float = DEFAULT_TOL,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> FusionEnsemble:
@@ -585,7 +587,8 @@ def alternating_ensemble(
     Produces an ensemble of n subspaces of dimension d_mu/2 in dimension
     d_L/2 over the field selected by the off-diagonal box count, with
     automorphism group containing A_n.  Equi-isoclinic exactly when mu's
-    canonical certificate holds.
+    canonical certificate holds.  ``transversal`` is as for
+    :func:`single_layer_ensemble` but must be even (None: :func:`transversal_an`).
     """
     _check_alternating_selection(sel)
     mu = sel.mu
@@ -627,32 +630,30 @@ def alternating_shapes(a: int, c: int) -> Partition:
 
 def decomposition_check(
     sel: LayerSelection,
-    transversal: Sequence[Permutation] | None = None,
+    transversal: _Transversal | None = None,
     tol: float = DEFAULT_TOL,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> bool:
     """Verify the eigenbasis change block-diagonalizes every stacked isometry.
 
-    Builds the S_n multi-layer orbit once with an even transversal and rotates
-    each block to B_L* block B_mu by two signed gathers, where B = [J_+ J_-]
-    pairs the two eigenspace w-bases on each side.  The check passes when
-    every rotated block is block-diagonal within ``tol``; its diagonal blocks
-    are the two alternating halves' blocks, which must each form a valid
-    ensemble.
+    Builds the S_n multi-layer orbit once, through the builders' shared tail
+    with an even transversal (``transversal`` as for :func:`alternating_ensemble`),
+    rotating each block to B_L* block B_mu by two signed gathers, where
+    B = [J_+ J_-] pairs the two eigenspace w-bases on each side.  The check
+    passes when every rotated block is block-diagonal within ``tol``; its
+    diagonal blocks are the two alternating halves' blocks, which must each
+    form a valid ensemble.
     """
     _check_alternating_selection(sel)
-    _check_tolerance(tol)  # at NaN the off-diagonal test below would pass every block
-    mu = sel.mu
     _check_cap(sel.partitions, max_dim)
-    ts = _resolve_transversal(mu.n + 1, transversal, even=True)
-    compress = _compression(sel, "+-")  # the - halves of the bases negate the + halves' phases
-    rows, cols = sel.total_dimension // 2, dimension(mu) // 2
-    rotated = {j: compress(C if R is None else C @ R) for j, C, R in _layer_orbit(sel, ts)}
-    if any(max(np.max(np.abs(R[:rows, cols:])), np.max(np.abs(R[rows:, :cols]))) > tol for R in rotated.values()):
+    field = altrep.field_for(sel.mu)
+    # the - halves of the bases negate the + halves' phases
+    e = _orbit_ensemble(sel, transversal, {}, field, tol, even=True, compress=_compression(sel, "+-"))
+    rows, cols = e.d // 2, e.r // 2
+    if any(max(np.max(np.abs(B[:rows, cols:])), np.max(np.abs(B[rows:, :cols]))) > tol for B in e.blocks):
         return False
-    field = altrep.field_for(mu)
     for half in (np.s_[:rows, :cols], np.s_[rows:, cols:]):
-        FusionEnsemble.from_blocks([rotated[j][half] for j in range(len(ts))], field=field, tol=tol)
+        FusionEnsemble.from_blocks([B[half] for B in e.blocks], field=field, tol=tol)
     return True
 
 

@@ -58,13 +58,8 @@ class Permutation:
 
     @property
     def sign(self) -> int:
-        inv = 0
-        imgs = self.images
-        for i in range(len(imgs)):
-            for j in range(i + 1, len(imgs)):
-                if imgs[i] > imgs[j]:
-                    inv += 1
-        return -1 if inv % 2 else 1
+        """(-1)^(number of transpositions): a cycle of length k is k - 1 of them."""
+        return -1 if sum(len(c) - 1 for c in self.to_cycles()) % 2 else 1
 
     @property
     def is_even(self) -> bool:

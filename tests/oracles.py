@@ -525,6 +525,7 @@ def pair_associator_unitary(mu: Partition) -> np.ndarray:
     Maps v_T (T of shape lam) to i^m sgn(g_T) v_{T'} (shape lam'); commutes
     with the even part of the direct-sum representation.
     """
+    _check_family_mu(mu)
     layers = tuple(lam for lam, _ in up_set(mu))
     return _involution(_layer_basis(mu, layers, 1), sum(map(dimension, layers)))
 
@@ -573,6 +574,7 @@ def layer_eigenbasis(mu: Partition, layers: tuple[Partition, ...], eps) -> np.nd
     contributes Tab_* columns; each transpose pair contributes Tab(lam)
     columns for its first-listed member.
     """
+    _check_family_mu(mu)
     return _dense(_layer_basis(mu, layers, eps), sum(map(dimension, layers)))
 
 

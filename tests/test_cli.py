@@ -90,6 +90,7 @@ class TestConstruct:
         ("multi-layer", "--mu", "2,2", "--delta", "0"),
         ("alternating", "--mu", "3,1,1", "--delta", "0"),
         ("alternating", "--mu", "4,1,1,1", "--delta", "1"),
+        ("alternating", "--mu", "3,1,1", "--layers", "1"),  # the covers of --delta 0
     ], ids=" ".join)
     @pytest.mark.parametrize("shift, code", [(0.5e-9, 0), (2e-9, 4), (-2e-9, 4)])
     def test_parity_alpha_is_checked_against_the_exact_certificate(self, capsys, monkeypatch, argv, shift, code):
@@ -111,9 +112,13 @@ class TestConstruct:
         (("single-layer", "--lambda", "3000000,1", "--mu", "3000000"), 3, "ResourceLimitError"),
         (("single-layer", "--lambda", "3000000", "--mu", "2999999"), 2, "TrivialSubspaceError"),
         (("multi-layer", "--mu", "3000000", "--delta", "0"), 3, "ResourceLimitError"),
+        (("multi-layer", "--mu", "3000000", "--delta", "1"), 3, "ResourceLimitError"),
+        (("single-layer", "--lambda", "3000000,1", "--mu", "3000000", "--transversal", "cycle"), 3,
+         "ResourceLimitError"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
     def test_a_far_too_large_n_is_refused_at_once(self, capsys, argv, code, error):
-        # the cap was checked after n!: an OverflowError traceback, or minutes of work
+        # the cap was checked after n!: an OverflowError traceback, or minutes of work; a
+        # one-row selection had no cap at all, and the cycle was built before the cap
         start = time.perf_counter()
         got, stdout, stderr = run(capsys, "construct", *argv)
         assert time.perf_counter() - start < 1.0
@@ -134,6 +139,19 @@ class TestConstruct:
         )
         assert code == 0
         assert "EITFF_R(5, 2, 5)" in stdout
+
+    def test_file_transversal_builds_what_its_permutations_say(self, tmp_path, capsys):
+        # a file holding the cycle's powers gives the cycle's ensemble file, byte for byte
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps(["(1 2 3 4 5)", "(1 3 5 2 4)", "(1 4 2 5 3)", "(1 5 4 3 2)", "()"]))
+        outputs = []
+        for transversal in ("cycle", f"@{spec}"):
+            out = tmp_path / "e.json"
+            code, stdout, _ = run(capsys, *SINGLE_LAYER, "--transversal", transversal, "--out", str(out))
+            assert code == 0 and "EITFF_R(5, 2, 5)" in stdout
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["metadata"]["transversal"] == json.loads(spec.read_text())
 
     def test_csv_export(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
@@ -360,13 +378,25 @@ class TestSearchAndTable:
                 row["r"] * row["n"] - row["d"], row["d"] * (row["n"] - 1)
             )
 
-    def test_table_certified_flag(self, capsys):
-        code, stdout, _ = run(
-            capsys, "table", "sn", "--max-dim", "20", "--certify-max-dim", "16", "--json"
-        )
+    @pytest.mark.parametrize("group, max_dim, cap", [("sn", 20, 16), ("sn", 126, 16), ("an", 126, 126), ("an", 126, 35)])
+    def test_table_certified_flag(self, capsys, group, max_dim, cap):
+        # the an rows build the alternating halves, real and complex; a row above the bound is "-"
+        code, stdout, _ = run(capsys, "table", group, "--max-dim", str(max_dim), "--certify-max-dim", str(cap), "--json")
         assert code == 0
         rows = json.loads(stdout)
-        assert all(r["certified"] is True for r in rows)
+        assert [r["certified"] for r in rows] == [True if r["d"] <= cap else None for r in rows]
+
+    @pytest.mark.parametrize("group", ["sn", "an"])
+    def test_row_whose_build_fails_is_certified_no(self, capsys, monkeypatch, group):
+        def failing(*args, **kwargs):
+            raise errors.NotIsometryError("block 1 fails isometry")
+
+        monkeypatch.setattr(cons, "single_layer_ensemble", failing)
+        monkeypatch.setattr(cons, "alternating_ensemble", failing)
+        code, stdout, _ = run(capsys, "table", group, "--max-dim", "35", "--certify-max-dim", "35")
+        assert code == 0
+        rows = stdout.splitlines()[1:]
+        assert rows and all(row.split()[-1] == "no" for row in rows)
 
     def test_row_above_the_construction_cap_is_not_attempted(self, capsys, monkeypatch):
         # III(2,2,2) has d = 8580 > DEFAULT_MAX_DIM: the cap refuses it unbuilt
@@ -491,16 +521,23 @@ class TestBadInput:
         assert error["error"] == "EnsembleFormatError"
         assert "non-finite" in error["message"]
 
+    @pytest.mark.parametrize("flags", [("--layers", "0", "--delta", "1"), ()], ids=["both", "neither"])
     @pytest.mark.parametrize("kind", ["multi-layer", "alternating"])
-    def test_layers_and_delta_together_are_user_error(self, capsys, kind):
-        # the layers come from one flag; with both, one of them would go unread
-        code, stdout, stderr = run(
-            capsys, "construct", kind, "--mu", "2,1", "--layers", "0", "--delta", "1",
-        )
+    def test_layers_and_delta_together_are_user_error(self, capsys, kind, flags):
+        # the layers come from one flag; with both, one of them would go unread, and with neither
+        # there are no layers
+        code, stdout, stderr = run(capsys, "construct", kind, "--mu", "2,1", *flags)
         assert (code, stdout) == (2, "")
         error = json.loads(stderr)
         assert error["error"] == "SymfusionError"
         assert "--delta" in error["message"] and "--layers" in error["message"]
+
+    def test_unknown_transversal_spec_is_user_error(self, capsys):
+        code, stdout, stderr = run(capsys, *SINGLE_LAYER, "--transversal", "cycles")
+        assert (code, stdout) == (2, "")
+        error = json.loads(stderr)
+        assert error["error"] == "SymfusionError"
+        assert "unknown transversal spec 'cycles'" in error["message"]
 
 
 def cap_id(argv):
@@ -572,6 +609,10 @@ class TestMalformedEnsembleFile:
     def test_isometries_not_a_list(self, tmp_path, capsys):
         message = self.certify_data(tmp_path, capsys, dict(self.real_data(), isometries=5))
         assert "isometries" in message
+
+    def test_unknown_field(self, tmp_path, capsys):
+        message = self.certify_data(tmp_path, capsys, dict(self.real_data(), field="X"))
+        assert "field must be 'R' or 'C'" in message
 
     def test_metadata_not_an_object(self, tmp_path, capsys):
         message = self.certify_data(tmp_path, capsys, dict(self.real_data(), metadata=5))

@@ -934,10 +934,21 @@ class TestAlternating:
             alternating_ensemble(
                 LayerSelection.from_delta(Partition((3, 2, 1)), 0), "+"
             )
+        with pytest.raises(ConstraintViolationError, match="proper subset"):
+            alternating_ensemble(LayerSelection(mu, (0, 1, 2)), "+")
 
     def test_decomposition_check(self):
         assert decomposition_check(LayerSelection.from_delta(Partition((3, 1, 1)), 0))
         assert decomposition_check(LayerSelection.from_delta(Partition((3, 1, 1)), 1))
+
+    @pytest.mark.parametrize("mu, delta", [((3, 1, 1), 0), ((4, 1, 1, 1), 1)])
+    def test_decomposition_check_fails_when_the_halves_mix(self, monkeypatch, mu, delta):
+        # mu's basis taken as [J_- J_+] against the layers' [J_+ J_-]: every rotated block
+        # is still an isometry, but its off-diagonal quadrants are the halves' blocks
+        real_injection_basis = altrep._injection_basis
+        flipped = {"+": "-", "-": "+"}
+        monkeypatch.setattr(altrep, "_injection_basis", lambda nu, eps: real_injection_basis(nu, flipped[eps]))
+        assert decomposition_check(LayerSelection.from_delta(Partition(mu), delta)) is False
 
     def test_decomposition_check_complex_field(self):
         assert decomposition_check(LayerSelection.from_delta(Partition((4, 1, 1, 1)), 1))
@@ -1166,20 +1177,23 @@ class TestLayerOrbit:
     @pytest.mark.parametrize("build", [
         lambda: single_layer_ensemble(Partition((10**20, 1)), Partition((10**20,))),
         lambda: multi_layer_ensemble(LayerSelection.from_delta(Partition((10**20,)), 0)),
+        lambda: multi_layer_ensemble(LayerSelection.from_delta(Partition((10**20,)), 1)),
         lambda: alternating_ensemble(LayerSelection.from_delta(Partition((30,) + (1,) * 29), 0), "+", max_dim=20),
         lambda: decomposition_check(LayerSelection.from_delta(Partition((30,) + (1,) * 29), 0), max_dim=20),
-    ], ids=["single_layer", "multi_layer", "alternating", "decomposition_check"])
+    ], ids=["single_layer", "multi_layer", "multi_layer_row", "alternating", "decomposition_check"])
     def test_cap_refuses_a_far_too_large_n_before_any_dimension(self, monkeypatch, build):
-        # n! of n = 10**20 + 1 raised OverflowError, and of n = 3 * 10**6 ran for minutes
+        # n! of n = 10**20 + 1 raised OverflowError, and of n = 3 * 10**6 ran for minutes;
+        # the row selection (the one cover (10**20 + 1)) was not bounded by n at all
         def untaken(lam):
             raise AssertionError(f"dimension({lam!r}) was taken before the cap refused")
 
         monkeypatch.setattr(symfusion.constructions, "dimension", untaken)
-        with pytest.raises(ResourceLimitError, match="at least"):
+        with pytest.raises(ResourceLimitError, match="for n = "):
             build()
 
     def test_the_cap_floor_holds_through_20(self):
-        # the bound the cap refuses on: every lam but one row, one column and (2, 2) has d_lam >= n - 1
+        # why the cap's n rule refuses more than its dimension rule only for selections made of one
+        # row, one column and (2, 2): every other lam has d_lam >= n - 1
         for n in range(1, 21):
             for lam in partitions_of(n):
                 if 1 < len(lam) < n and lam.parts != (2, 2):
@@ -1335,6 +1349,10 @@ class TestGenericOrbit:
 
         with pytest.raises(NotUnitaryError):
             generic_orbit_ensemble({"g": np.ones((2, 2))}, [[]], np.eye(2))
+        with pytest.raises(NotUnitaryError, match="not square"):
+            generic_orbit_ensemble({"g": np.eye(3)[:, :2]}, [[]], np.eye(3))
+        with pytest.raises(NotUnitaryError, match="mismatched size"):
+            generic_orbit_ensemble({"g": np.eye(2), "h": np.eye(3)}, [[]], np.eye(2))
         with pytest.raises(NotIsometryError):
             generic_orbit_ensemble({"g": np.eye(2)}, [[]], np.ones((2, 2)))
         for isometry in (5, [1.0, 0.0], np.zeros((1, 1, 1))):  # not a matrix, with or without generators
