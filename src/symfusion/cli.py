@@ -22,7 +22,7 @@ from . import ensemble_io as eio
 from .errors import EnsembleFormatError, ResourceLimitError, SymfusionError
 from .fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, certify
 from .permutations import Permutation
-from .tableaux import Partition
+from .tableaux import Partition, dimension
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -142,7 +142,7 @@ def cmd_construct(args, config) -> int:
     tol = _resolve_tolerance(args, config)
     max_dim = _resolve_max_dim(args, config, cons.DEFAULT_MAX_DIM)
     kind = args.kind
-    mu = layers = delta = None
+    mu = layers = None
     for path in filter(None, (args.out, args.csv)):  # fail before any work
         _check_destination(path)
     if kind == "generic":
@@ -176,7 +176,7 @@ def cmd_construct(args, config) -> int:
                 sel = cons.LayerSelection.from_delta(mu, args.delta)
             else:
                 raise SymfusionError("give --delta or --layers")
-            layers, delta = sel.partitions, sel.delta
+            layers = sel.partitions
             ts = _parse_transversal(args.transversal, mu.n + 1)
             if kind == "multi-layer":
                 e = cons.multi_layer_ensemble(sel, transversal=ts, tol=tol, max_dim=max_dim)
@@ -187,13 +187,15 @@ def cmd_construct(args, config) -> int:
     _emit_ensemble(e, report, args)
     if layers is None:  # a generic orbit has no prediction
         return EXIT_OK
-    # the distance condition on mu's layer sums predicts every named kind
-    predicted = "EITFF" if cons.distance_condition(mu, layers)[0] else "ECTFF"
+    # the distance condition on mu's layer sums predicts every named kind, and for an
+    # EITFF alpha = (n d_mu |s_1| / d_L)^2, the exact certificate's formula over any layers
+    holds, sums = cons.distance_condition(mu, layers)
+    predicted = "EITFF" if holds else "ECTFF"
     if report.classification != predicted:
         return _fail(SymfusionError(f"certified {report.classification}, theory predicts {predicted}"), EXIT_MISMATCH)
-    if predicted == "EITFF" and delta is not None:  # a parity selection's exact certificate also gives alpha
-        exact = cons.isoclinic_certificate(mu, delta).alpha
-        if exact is None or not abs(report.isoclinism_alpha - float(exact)) <= tol:
+    if holds:
+        exact = ((mu.n + 1) * dimension(mu) * abs(sums[0]) / sum(map(dimension, layers))) ** 2
+        if not abs(report.isoclinism_alpha - float(exact)) <= tol:
             return _fail(SymfusionError(f"certified alpha {report.isoclinism_alpha!r}, the exact certificate "
                                         f"gives {exact}"), EXIT_MISMATCH)
     return EXIT_OK

@@ -9,10 +9,12 @@ spliced in as ``repr`` spells them.  The format round-trips float64 exactly
 of a saved ensemble is bit-identical to the in-memory path.  Files written
 indented by earlier versions load to the same blocks.
 
-A file is read one grid at a time, so the whole file never exists as nested lists.
-orjson decodes a grid laid out as the saver writes it, in pieces of whole rows of at
-most 16 KiB of text.  json decodes any other grid (indented, holding anything but
-finite numbers, or refused by orjson), walks the top-level object and words every error.
+A file in the frame the saver writes (the same keys in the same order and spacing;
+trailing whitespace allowed) is read by position, one grid at a time, so the whole file
+never exists as nested lists.  orjson decodes each grid in pieces of whole rows of at
+most 16 KiB of text, and json decodes a grid that orjson does not take (a longer row,
+anything but finite numbers).  Any other text goes whole to ``json.loads``, which owns
+key order, duplicate keys and every error message.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from .errors import EnsembleFormatError
 from .fusion import DEFAULT_TOL, FusionEnsemble
 
 _DECODER = json.JSONDecoder()
-_WS = json.decoder.WHITESPACE.match
-# "{" or "," and a key without escapes, up to its value; any other text is left to json.loads
-_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
-_END = re.compile(r"[ \t\n\r]*}[ \t\n\r]*\Z")
 # orjson keeps working memory about the size of the text it parses, so it gets at most this much
 _PIECE = 1 << 14
 # a grid's opening, the text between two of its rows, and its closing, as the saver writes them
 _ROWS = {"R": ("[[", "], [", "]]"), "C": ("[[[", "]], [[", "]]]")}
+# the saver's frame: this head, the grids parted by ", ", the tail, the metadata and "}"
+_HEAD = '{"field": "%s", "d": %d, "r": %d, "n": %d, "isometries": ['
+_TAIL = '], "metadata": '
+_FRAME = re.compile(re.escape(_HEAD).replace("%s", "([RC])").replace("%d", "(-?(?:0|[1-9][0-9]*))"))
 
 
 def _float_text(A: np.ndarray) -> bytes:
@@ -81,13 +83,11 @@ def _decode_matrix(rows: list, field: str, where: str) -> np.ndarray:
 
 def save_ensemble(e: FusionEnsemble, path: str | Path) -> None:
     """Write the bytes of ``json.dumps`` of the file's object, encoding one block at a time."""
-    head = json.dumps({"field": e.field, "d": e.d, "r": e.r, "n": e.n})[:-1]
-    tail = json.dumps(dict(e.meta))
     with open(path, "wb") as fh:
-        fh.write(f'{head}, "isometries": ['.encode())
+        fh.write((_HEAD % (e.field, e.d, e.r, e.n)).encode())
         for j, b in enumerate(e.blocks):
             fh.write((b", " if j else b"") + _json_grid(b, e.field))
-        fh.write(f'], "metadata": {tail}}}'.encode())
+        fh.write(f"{_TAIL}{json.dumps(dict(e.meta))}}}".encode())
 
 
 def read_json(path: str | Path):
@@ -129,40 +129,38 @@ def _orjson_grid(text: str, i: int, field: object) -> tuple[np.ndarray, int] | N
     return None
 
 
-def _scan_grids(text: str, i: int, field: object) -> tuple[list, int]:
-    """The JSON array at text[i] and the index past it, each grid decoded under ``field`` as
-    soon as it is scanned; one that fails stays a list, decoded again where it is reported."""
-    grids, i = [], _WS(text, i + 1).end()
-    while grids or not text.startswith("]", i):  # an item follows "[" or ","
-        rows, i = _orjson_grid(text, i, field) or _DECODER.raw_decode(text, i)
-        if isinstance(rows, list):  # json's rows; any other value fails where it is reported
-            with suppress(EnsembleFormatError):
-                rows = _decode_matrix(rows, field, "")
-        grids.append(rows)
-        i = _WS(text, i).end()
-        if not text.startswith(",", i):
-            break
-        i = _WS(text, i + 1).end()
-    if not text.startswith("]", i):
-        raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-    return grids, i + 1
+def _read_frame(text: str) -> dict | None:
+    """The file's object read by position if text is in the saver's frame, each grid decoded
+    as it is reached (one json refuses stays a list, decoded again where it is reported);
+    None for any other text, which json.loads then reads whole."""
+    if not (m := _FRAME.match(text)):
+        return None
+    field, i, grids = m[1], m.end(), []
+    try:
+        while not text.startswith(_TAIL, i):
+            sep = ", " if grids else ""
+            if not text.startswith(sep, i):
+                return None
+            rows, i = _orjson_grid(text, i + len(sep), field) or _DECODER.raw_decode(text, i + len(sep))
+            if isinstance(rows, list):
+                with suppress(EnsembleFormatError):
+                    rows = _decode_matrix(rows, field, "")
+            grids.append(rows)
+        meta, i = _DECODER.raw_decode(text, i + len(_TAIL))
+        d, r, n = map(int, m.group(2, 3, 4))
+    except ValueError:
+        return None
+    if text[i:].rstrip(" \t\n\r") != "}":
+        return None
+    return {"field": field, "d": d, "r": r, "n": n, "isometries": grids, "metadata": meta}
 
 
 def load_ensemble(path: str | Path, tol: float = DEFAULT_TOL) -> FusionEnsemble:
-    """Walk the file's top-level object member by member (the last duplicate key wins, as in
-    ``json.loads``), decoding each grid under the "field" read so far as it is scanned."""
-    data, at, used, i = {}, None, None, 0
+    """Read a file in the saver's frame by position, one grid at a time; json.loads reads
+    any other text whole, and owns key order, duplicate keys and every error message."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-        while (m := _MEMBER.match(text, i)) and m[1] == ("," if data else "{"):
-            key, i = m[2], m.end()
-            if key == "isometries" and text.startswith("[", i):
-                at, used = i, data.get("field")
-                data[key], i = _scan_grids(text, i, used)
-            else:
-                data[key], i = _DECODER.raw_decode(text, i)
-        if not (data and _END.match(text, i)):  # raises json's own error, or parses what the
-            data, at = json.loads(text), None  # walk does not take: no object, an escaped key
+        data = _read_frame(text) or json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, runaway nesting
         raise EnsembleFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
@@ -179,8 +177,6 @@ def load_ensemble(path: str | Path, tol: float = DEFAULT_TOL) -> FusionEnsemble:
         raise EnsembleFormatError(f"expected a list of {n} isometries, found {found}")
     if not isinstance(meta, dict):
         raise EnsembleFormatError(f"metadata must be a JSON object, got {meta!r}")
-    if at is not None and field != used:  # "isometries" came before "field", or "field" twice
-        grids = _scan_grids(text, at, field)[0]
     del text  # before the ensemble's array is allocated
     for j, M in enumerate(grids, start=1):
         M = grids[j - 1] = M if isinstance(M, np.ndarray) else _decode_matrix(M, field, f"isometry {j}")

@@ -49,10 +49,6 @@ class NotSymmetricError(SymfusionError, ValueError):
     """Partition is not equal to its transpose."""
 
 
-class ShapeMismatchError(SymfusionError, ValueError):
-    """Tableaux do not share a shape."""
-
-
 class DegenerateShapeError(SymfusionError, ValueError):
     """Shape is too degenerate for the operation (e.g. a single box)."""
 

@@ -66,12 +66,13 @@ def _fields_json(record, **rename: str) -> dict:
     return {rename.get(f.name, f.name): _jsonable(getattr(record, f.name)) for f in fields(record)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionEnsemble:
     """n isometry blocks of shape d x r over a common field tag 'R' or 'C'.
 
     The blocks are stored once, side by side, in one read-only C-ordered
     d x rn synthesis array; ``blocks`` holds read-only column views of it.
+    Ensembles compare and hash by identity, as arrays have no truth value.
     """
 
     field: str
@@ -79,7 +80,7 @@ class FusionEnsemble:
     r: int
     n: int
     blocks: tuple[np.ndarray, ...]
-    _P: np.ndarray = dc_field(repr=False, compare=False)
+    _P: np.ndarray = dc_field(repr=False)
     meta: Mapping[str, object] = dc_field(default_factory=dict)
 
     @classmethod

@@ -52,7 +52,7 @@ from symfusion.errors import (
     IndexOutOfRangeError,
     NotSymmetricError,
     NotUnitaryError,
-    ShapeMismatchError,
+    SizeMismatchError,
     TooSmallError,
 )
 from symfusion.fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, _ct, _fields_json, _max_abs, cross_gram
@@ -511,7 +511,7 @@ def an_rep_matrix(nu: Partition, eps, g: Permutation) -> np.ndarray:
     """
     basis = index, partner, phase = _injection_basis(nu, eps)
     if g.degree != nu.n:
-        raise ShapeMismatchError(f"permutation degree {g.degree} != |nu| = {nu.n}")
+        raise SizeMismatchError(f"permutation degree {g.degree} != |nu| = {nu.n}")
     if not g.is_even:
         raise OddPermutationError("an_rep_matrix requires an even permutation")
     d = dimension(nu)

@@ -25,6 +25,7 @@ from symfusion.errors import (
     DegenerateShapeError,
     NotSymmetricError,
     OddDistinctPartsError,
+    SizeMismatchError,
     TooSmallError,
 )
 from symfusion.tableaux import is_symmetric
@@ -269,6 +270,11 @@ class TestAnRep:
     def test_rejects_odd(self):
         with pytest.raises(OddPermutationError):
             an_rep_matrix(Partition((3, 2, 1)), "+", Permutation.adjacent(6, 1))
+
+    def test_rejects_a_degree_other_than_the_shape_size(self):
+        # the rule and the error class of symrep.rep_apply
+        with pytest.raises(SizeMismatchError):
+            an_rep_matrix(Partition((3, 2, 1)), "+", Permutation.identity(7))
 
     def test_homomorphism_50_pairs(self):
         nu = Partition((3, 2, 1))

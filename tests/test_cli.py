@@ -91,10 +91,13 @@ class TestConstruct:
         ("alternating", "--mu", "3,1,1", "--delta", "0"),
         ("alternating", "--mu", "4,1,1,1", "--delta", "1"),
         ("alternating", "--mu", "3,1,1", "--layers", "1"),  # the covers of --delta 0
+        ("single-layer", "--lambda", "3,2", "--mu", "2,2"),
+        ("single-layer", "--lambda", "4,3,2", "--mu", "4,2,2"),  # III(1,2,2)
     ], ids=" ".join)
     @pytest.mark.parametrize("shift, code", [(0.5e-9, 0), (2e-9, 4), (-2e-9, 4)])
     def test_parity_alpha_is_checked_against_the_exact_certificate(self, capsys, monkeypatch, argv, shift, code):
-        # the classification alone passed an alpha the exact certificate contradicts
+        # the classification alone passed an alpha the exact certificate contradicts; a
+        # single layer's alpha was not checked at all
         real_certify = cli.certify
 
         def shifted(e, tol):

@@ -105,13 +105,16 @@ def test_load_decodes_one_grid_at_a_time(tmp_path):
     assert streamed <= 0.8 * tree
 
 
-TRICKY_META = {"note": 'not a member: "isometries": [[[1, 0]]], "field": "R"'}
+TRICKY_META = {"note": 'not a member: "isometries": [[[1, 0]]], "field": "R"', "tail": '], "metadata": {}}'}
 
 
 def written(e: FusionEnsemble, way: str, path) -> None:
     data = to_json_dict(e)
     if way == "save_ensemble":
         save_ensemble(e, path)
+    elif way == "trailing_newline":  # an editor's final newline keeps the saver's frame
+        save_ensemble(e, path)
+        path.write_text(path.read_text() + "\n")
     elif way == "indented":
         path.write_text(json.dumps(data, indent=2))
     elif way == "keys_reversed":  # "isometries" before "field"
@@ -123,12 +126,26 @@ def written(e: FusionEnsemble, way: str, path) -> None:
         path.write_text(json.dumps({"metadata": meta, **data}))
 
 
-@pytest.mark.parametrize("way", ["save_ensemble", "indented", "keys_reversed", "duplicate_d", "metadata_first"])
+@pytest.mark.parametrize("way", ["save_ensemble", "trailing_newline", "indented", "keys_reversed", "duplicate_d",
+                                 "metadata_first"])
 def test_every_layout_of_one_ensemble_loads_identically(tmp_path, way):
     e = FusionEnsemble.from_blocks(random_orthonormal_blocks(6, 2, 3, 5, True), meta=TRICKY_META)
     path = tmp_path / "e.json"
     written(e, way, path)
     assert_identical(e, load_ensemble(path))
+
+
+@pytest.mark.parametrize("way", ["save_ensemble", "trailing_newline"])
+def test_rows_longer_than_a_piece_never_send_the_file_to_json_loads(tmp_path, monkeypatch, way):
+    # rows of about 70 and 95 characters: each grid falls back to json alone, in the frame
+    for case in ("real_random", "complex_random"):
+        e = CASES[case]()
+        path = tmp_path / "e.json"
+        written(e, way, path)
+        with monkeypatch.context() as m:
+            m.setattr(ensemble_io, "_PIECE", 40)
+            m.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("json.loads read the whole file"))
+            assert_identical(e, load_ensemble(path))
 
 
 def test_last_duplicate_field_decides_how_the_grids_read(tmp_path):

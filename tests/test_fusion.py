@@ -140,6 +140,13 @@ class TestEnsembleValidation:
         blocks = [b.astype(complex) for b in random_orthonormal_blocks(4, 2, 2, 0, True)]
         assert FusionEnsemble.from_blocks(blocks).field == "C"
 
+    def test_ensembles_compare_and_hash_by_identity(self):
+        # the generated == compared tuples of arrays (no truth value), and hash hashed them
+        blocks = single_layer_ensemble(Partition((3, 2)), Partition((2, 2))).blocks
+        a, b = FusionEnsemble.from_blocks(blocks), FusionEnsemble.from_blocks(blocks)
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+
 
 class TestFrameOperator:
     def test_orthonormal_partition_gives_identity(self):
