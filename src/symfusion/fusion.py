@@ -177,13 +177,6 @@ def cross_gram(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
     return _ct(e._block(i)) @ e._block(j)
 
 
-def _cosines(e: FusionEnsemble, i: int, j: int) -> np.ndarray:
-    """Singular values of the cross-Gram of subspaces i < j: the principal-angle
-    cosines, nonincreasing, clamped to [0, 1] to absorb roundoff.  Every pairwise
-    quantity derives from them, so a pair costs one cross-Gram and one SVD."""
-    return np.clip(np.linalg.svd(cross_gram(e, i, j), compute_uv=False), 0.0, 1.0)
-
-
 def welch_bounds(d: int, r: int, n: int) -> tuple[float, float]:
     """(spectral, chordal) Welch bounds for n r-dimensional subspaces of F^d."""
     if n < 2 or not 1 <= r <= d:
@@ -207,28 +200,34 @@ def _helper_wanted(e: FusionEnsemble) -> bool:
 
 
 def _pair_pass(e: FusionEnsemble, tol: float) -> tuple[float, dict]:
-    """The tightness residual and the report's pairwise fields, from one cross-Gram and one SVD per pair i < j.
+    """The tightness residual and the report's pairwise fields, from one cross-Gram per pair i < j.
 
-    A pair with cosines s has parameter alpha = sum_k s_k^2 / r and residual
-    max_k |s_k^2 - alpha|, the spectral norm of G*G - alpha I.  The ensemble is
-    equi-isoclinic when every residual and the spread of the pair parameters are
-    within ``tol``; it has a common chordal distance when the chordal spread is.
+    Stacks of up to k = _PANEL_ROWS // r pairs (i, j .. j + k - 1) take one batched SVD each, whose singular
+    values are the per-pair ones bit for bit; clamped to [0, 1], they are the pair's cosines s.  A pair has
+    parameter alpha = sum_k s_k^2 / r and residual max_k |s_k^2 - alpha|, the spectral norm of G*G - alpha I.
+    The ensemble is equi-isoclinic when every residual and the spread of the pair parameters are within
+    ``tol``; it has a common chordal distance when the chordal spread is.
 
     When :func:`_helper_wanted`, a daemon helper takes the tightness residual (GEMMs release the GIL), then claims
-    pairs from the caller's iterator; cosines are reduced in pair order, so none depends on the
+    stacks from the caller's iterator; each stack's cosines land in its pairs' rows, so none depends on the
     thread.  A failure in either thread stops both and is raised here, after the join.
     """
-    pairs = [(i, j) for i in range(1, e.n + 1) for j in range(i + 1, e.n + 1)]
-    cosines, claims, out, failed = [None] * len(pairs), iter(enumerate(pairs)), [], []
+    n, r, k = e.n, e.r, max(1, _PANEL_ROWS // e.r)
+    stacks = iter([(i, j) for i in range(1, n) for j in range(i + 1, n + 1, k)])
+    cosines, out, failed = np.empty((n * (n - 1) // 2, r)), [], []
 
     def work(lead: bool) -> None:
         try:
             if lead:
                 out.append(tightness_residual(e))
-            for k, (i, j) in claims:  # each next() is atomic under the GIL
+            buf = np.empty((k, r, r), e.synthesis().dtype)
+            for i, j in stacks:  # each next() is atomic under the GIL
                 if failed:
                     return
-                cosines[k] = _cosines(e, i, j)
+                m, row = min(k, n + 1 - j), (i - 1) * (2 * n - i) // 2 + j - i - 1  # pair (i, j)'s row
+                for t in range(m):
+                    buf[t] = cross_gram(e, i, j + t)
+                cosines[row : row + m] = np.linalg.svd(buf[:m], compute_uv=False)
         except BaseException as exc:
             failed.append(exc)
 
@@ -240,29 +239,26 @@ def _pair_pass(e: FusionEnsemble, tol: float) -> tuple[float, dict]:
         helper.join()
     if failed:
         raise failed[0]
-    angles, spectrals, chordals, alphas, resids = [], [], [], [], []
-    for (i, j), s in zip(pairs, cosines):
-        squares = s**2
-        total = float(np.sum(squares))
-        angles.append((i, j, tuple(float(a) for a in np.arccos(s))))
-        spectrals.append(float(np.sqrt(max(0.0, 1.0 - float(s[0]) ** 2))))  # sin of the least angle
-        chordals.append(float(np.sqrt(max(0.0, e.r - total))))
-        alphas.append(total / e.r)
-        resids.append(float(np.max(np.abs(squares - alphas[-1]))))
-    if not alphas:
+    if n == 1:
         return out[0], {"principal_angles": (), **dict.fromkeys(
             ("spectral_min", "chordal_min", "common_chordal", "chordal_spread",
              "isoclinism_alpha", "isoclinism_residual", "alpha_spread"), None)}
-    resid, a_spread, c_spread = max(resids), max(alphas) - min(alphas), max(chordals) - min(chordals)
+    squares = np.clip(cosines, 0.0, 1.0, out=cosines) ** 2
+    totals = squares.sum(axis=1)
+    alphas, chordals = totals / r, np.sqrt(np.maximum(0.0, r - totals))
+    resid = float(np.abs(np.subtract(squares, alphas[:, None], out=squares), out=squares).max())
+    a_spread, c_spread = float(alphas.max() - alphas.min()), float(chordals.max() - chordals.min())
     return out[0], {
-        "principal_angles": tuple(angles),
-        "spectral_min": min(spectrals),
-        "chordal_min": min(chordals),
+        # sin of the least angle, monotone in s_1: the largest s_1 gives the least distance
+        "spectral_min": float(np.sqrt(max(0.0, 1.0 - float(cosines[:, 0].max()) ** 2))),
+        "chordal_min": float(chordals.min()),
         "common_chordal": float(np.mean(chordals)) if c_spread <= tol else None,
         "chordal_spread": c_spread,
         "isoclinism_alpha": float(np.mean(alphas)) if max(resid, a_spread) <= tol else None,
         "isoclinism_residual": resid,
         "alpha_spread": a_spread,
+        "principal_angles": tuple(zip(*np.add(np.triu_indices(n, 1), 1).tolist(),  # i < j in row order
+                                      map(tuple, np.arccos(cosines, out=cosines).tolist()))),
     }
 
 
@@ -331,8 +327,8 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
     finite and positive.
 
     With BLAS at one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1), two usable CPUs
-    and P of at least 8 MiB, a helper thread takes the tightness residual and shares the pairs;
-    the report's bytes do not change.
+    and P of at least 8 MiB, a helper thread takes the tightness residual and shares the stacks
+    of pairs, each one batched SVD (see :func:`_pair_pass`); the report's bytes do not change.
     """
     tol = _check_tolerance(tol)
     resid, pairs = _pair_pass(e, tol)

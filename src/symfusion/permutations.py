@@ -135,9 +135,11 @@ class Permutation:
         """
         text = text.strip()
         if text.startswith("("):
+            if not re.fullmatch(r"(\([^()]*\)\s*)+", text):
+                raise ParseError(f"cannot parse permutation {text!r}: text outside its cycles")
             cycles = []
             for group in re.findall(r"\(([^()]*)\)", text):
-                pts = _parse_ints(re.split(r"[,\s]+", group.strip()), text)
+                pts = _parse_ints(group, text)
                 if min(pts, default=1) < 1 or len(set(pts)) < len(pts):
                     raise ParseError(f"cycle ({group.strip()}) in {text!r} needs distinct positive points")
                 if pts:
@@ -148,16 +150,17 @@ class Permutation:
             if n < top or n < 1:
                 raise SizeMismatchError(f"cycles mention points beyond n={n}")
             return cls.from_cycles(n, cycles)
-        imgs = _parse_ints(re.split(r"[,\s]+", text), text)
+        imgs = _parse_ints(text, text)
         perm = cls(imgs)
         if n is not None and n != perm.degree:
             raise SizeMismatchError(f"one-line form has degree {perm.degree}, expected {n}")
         return perm
 
 
-def _parse_ints(tokens: Iterable[str], text: str) -> list[int]:
+def _parse_ints(part: str, text: str) -> list[int]:
+    """The integers of ``part`` between commas or runs of spaces (none if blank); an empty field is an error."""
     try:
-        return [int(tok) for tok in tokens if tok]
+        return [int(tok) for tok in re.split(r"\s*,\s*|\s+", part.strip())] if part.strip() else []
     except ValueError as exc:
         raise ParseError(f"cannot parse permutation {text!r}: {exc}") from exc
 

@@ -100,9 +100,9 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse a comma-separated part list such as ``"4,2,2"``."""
+        """Parse a comma-separated part list such as ``"4,2,2"`` (spaces around a part allowed, no empty part)."""
         try:
-            parts = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+            parts = [int(tok) for tok in text.split(",")]
         except ValueError as exc:
             raise ParseError(f"cannot parse partition {text!r}: {exc}") from exc
         return cls(parts)

@@ -447,6 +447,13 @@ class TestBadInput:
         assert code == 2
         assert json.loads(stderr)["error"] == "ParseError"
 
+    # each was read as (3,2), the empty part dropped
+    @pytest.mark.parametrize("lam", ["3,,2", ",3,2", "3,2,"])
+    def test_empty_partition_part_is_user_error(self, capsys, lam):
+        code, stdout, stderr = run(capsys, "construct", "single-layer", "--lambda", lam, "--mu", "2,2")
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr)["error"] == "ParseError"
+
     def test_non_integer_transversal_is_user_error(self, tmp_path, capsys):
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps(["()", "(1 x)", "(1 3)", "(1 4)", "(1 5)"]))

@@ -443,9 +443,9 @@ class TestOnePassCertifier:
             counts["cross_gram"] += 1
             return real_cross_gram(*args, **kwargs)
 
-        def counted_svd(*args, **kwargs):
-            counts["svd"] += 1
-            return real_svd(*args, **kwargs)
+        def counted_svd(a, *args, **kwargs):  # a stack of matrices counts each one
+            counts["svd"] += len(a) if a.ndim == 3 else 1
+            return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(fusion, "cross_gram", counted_cross_gram)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
@@ -520,14 +520,14 @@ class TestHelperThread:
             m.setattr(fusion, "_helper_wanted", lambda e: False)
             off = certify(e)
         open_helper_gate(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, {0, 1})
-        claimed, lock, real_cosines = [], threading.Lock(), fusion._cosines
+        claimed, lock, real_cross_gram = [], threading.Lock(), fusion.cross_gram
 
         def recorded(e, i, j):
             with lock:
                 claimed.append((i, j))
-            return real_cosines(e, i, j)
+            return real_cross_gram(e, i, j)
 
-        monkeypatch.setattr(fusion, "_cosines", recorded)
+        monkeypatch.setattr(fusion, "cross_gram", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -538,7 +538,7 @@ class TestHelperThread:
         assert sorted(claimed) == [(i, j) for i in range(1, 25) for j in range(i + 1, 25)]
         assert on.to_json() == off.to_json()
 
-    @pytest.mark.parametrize("broken", ["tightness_residual", "_cosines"])
+    @pytest.mark.parametrize("broken", ["tightness_residual", "cross_gram"])
     def test_an_exception_in_either_thread_reaches_the_caller(self, monkeypatch, threads_made, broken):
         e = HELPER_CASES["real_eitff"][1]()
         baseline = threading.active_count()
@@ -585,6 +585,52 @@ class TestHelperThread:
         open_helper_gate(monkeypatch, env, cpus)
         certify(HELPER_CASES["real_eitff"][1]())
         assert len(threads_made) == 1
+
+
+# name -> builder: the helper cases, r = 1, and rows that end in a part stack
+STACK_CASES = {
+    **{name: build_case for name, (_, build_case) in HELPER_CASES.items()},
+    "r_1": lambda: FusionEnsemble.from_blocks(random_orthonormal_blocks(5, 1, 9, 3)),
+    # k = 1024 // 100 = 10 pairs a stack, so row i's 24 - i pairs end in a stack of fewer
+    "part_stacks": lambda: FusionEnsemble.from_blocks(random_orthonormal_blocks(120, 100, 24, 11)),
+}
+
+
+class TestStackedPairPass:
+    @pytest.mark.parametrize("helper", [False, True], ids=["helper_off", "helper_on"])
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_report_equals_the_per_pair_oracle(self, monkeypatch, threads_made, case, helper):
+        e = STACK_CASES[case]()
+        if helper:
+            open_helper_gate(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, {0, 1})
+        else:
+            monkeypatch.setattr(fusion, "_helper_wanted", lambda e: False)
+        rep = certify(e)
+        assert len(threads_made) == helper
+        pairs = [(i, j) for i in range(1, e.n + 1) for j in range(i + 1, e.n + 1)]
+        assert [(i, j) for i, j, _ in rep.principal_angles] == pairs
+        for i, j, angles in rep.principal_angles:
+            assert angles == tuple(principal_angles(e, i, j).tolist())
+        dists = [pairwise_distances(e, i, j) for i, j in pairs]
+        assert rep.spectral_min == min((sp for sp, _ in dists), default=None)
+        assert rep.chordal_min == min((ch for _, ch in dists), default=None)
+        assert rep.isoclinism_alpha == isoclinism_check(e)
+
+    @pytest.mark.parametrize("case", ["r_1", "part_stacks", "real_eitff"])
+    def test_one_svd_per_stack_of_at_most_panel_rows(self, monkeypatch, case):
+        e = STACK_CASES[case]()
+        k, stacks, real_svd = max(1, fusion._PANEL_ROWS // e.r), [], np.linalg.svd
+
+        def recorded_svd(a, *args, **kwargs):
+            stacks.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        certify(e)
+        # row i has n - i pairs, cut into stacks of k from its start
+        want = [(min(k, e.n - j), e.r, e.r) for i in range(1, e.n) for j in range(i, e.n, k)]
+        assert stacks == want
+        assert max(m for m, _, _ in stacks) * e.r <= fusion._PANEL_ROWS
 
 
 def eye_difference_residual(e: FusionEnsemble) -> float:

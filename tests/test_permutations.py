@@ -40,6 +40,16 @@ class TestPermutation:
                 Permutation.parse(text)
             assert isinstance(info.value, SymfusionError)
 
+    @pytest.mark.parametrize("text", ["2,,1,3", ",2,1,3", "2,1,3,", "2, ,1,3", "(1,,2)", "(,1 2)", "(1 2,)",
+                                      "(1 2)(3", "(1 2)x", "(1 2)3"])
+    def test_parse_rejects_an_empty_field_or_text_outside_the_cycles(self, text):
+        with pytest.raises(ParseError):
+            Permutation.parse(text)
+
+    def test_parse_takes_spaces_as_separators(self):
+        assert Permutation.parse("2 1 3") == Permutation.parse("2, 1 ,3") == Permutation((2, 1, 3))
+        assert Permutation.parse(" (1 2) (3,4) ") == Permutation.parse("(1 2)(3 4)")
+
     @pytest.mark.parametrize("images", [(2.9, 1.2), (2.0, 1.0), (True,), (np.True_,), ("2", "1"), (None,)],
                              ids=repr)
     def test_entries_are_integers_not_truncated(self, images):

@@ -74,6 +74,15 @@ class TestPartition:
                 Partition.parse(text)
             assert isinstance(info.value, SymfusionError)
 
+    # "3 2" was read as 32, the space dropped
+    @pytest.mark.parametrize("text", ["3,,2", ",3,2", "3,2,", ",", "", "3, ,2", "3 2", "3 2,1"])
+    def test_parse_rejects_an_empty_part_or_parts_parted_by_spaces(self, text):
+        with pytest.raises(ParseError):
+            Partition.parse(text)
+
+    def test_parse_allows_spaces_around_parts(self):
+        assert Partition.parse(" 4, 2 ,2 ") == Partition((4, 2, 2))
+
     @pytest.mark.parametrize("parts", [(2.7, 1), (2.0, 1), (True,), (np.True_,), ("3", "2"), (None,)], ids=repr)
     def test_entries_are_integers_not_truncated(self, parts):
         # int() would read 2.7 as 2, True as 1 and "3" as 3
