@@ -22,7 +22,7 @@ from . import ensemble_io as eio
 from .errors import EnsembleFormatError, ResourceLimitError, SymfusionError
 from .fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, certify
 from .permutations import Permutation
-from .tableaux import Partition, dimension
+from .tableaux import Partition, _int_tokens, dimension
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -164,18 +164,10 @@ def cmd_construct(args, config) -> int:
             e = cons.single_layer_ensemble(lam, mu, transversal=ts, tol=tol, max_dim=max_dim)
             layers = (lam,)
         else:
-            if args.layers is not None and args.delta is not None:
-                raise SymfusionError("give --delta or --layers, not both")
-            if args.layers is not None:
-                try:
-                    idx = tuple(int(t) for t in args.layers.split(","))
-                except ValueError as exc:
-                    raise SymfusionError(f"cannot parse --layers {args.layers!r}") from exc
-                sel = cons.LayerSelection(mu, idx)
-            elif args.delta is not None:
-                sel = cons.LayerSelection.from_delta(mu, args.delta)
+            if args.layers is not None:  # else --delta, the parser takes exactly one
+                sel = cons.LayerSelection(mu, tuple(_int_tokens(args.layers.split(","), f"--layers {args.layers!r}")))
             else:
-                raise SymfusionError("give --delta or --layers")
+                sel = cons.LayerSelection.from_delta(mu, args.delta)
             layers = sel.partitions
             ts = _parse_transversal(args.transversal, mu.n + 1)
             if kind == "multi-layer":
@@ -260,8 +252,13 @@ def _certify_row(row: cons.TableRow, cap: int) -> cons.TableRow:
         return replace(row, certified=False)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error, in its subparsers too, leaves main as exit 2 and a JSON error
+        raise SymfusionError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symfusion",
         description="Construct and certify tight fusion frames with S_n / A_n symmetry.",
         epilog=EPILOG,
@@ -288,15 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p2 = con_sub.add_parser("multi-layer")
     p2.add_argument("--mu", required=True)
-    p2.add_argument("--delta", type=int, choices=(0, 1), default=None)
-    p2.add_argument("--layers", default=None, help="comma-separated 0-based cover indices")
+    layers2 = p2.add_mutually_exclusive_group(required=True)
+    layers2.add_argument("--delta", type=int, choices=(0, 1), default=None)
+    layers2.add_argument("--layers", default=None, help="comma-separated 0-based cover indices")
     p2.add_argument("--transversal", default=None, help="default|cycle|@file")
     add_common(p2)
 
     p3 = con_sub.add_parser("alternating")
     p3.add_argument("--mu", required=True)
-    p3.add_argument("--delta", type=int, choices=(0, 1), default=None)
-    p3.add_argument("--layers", default=None)
+    layers3 = p3.add_mutually_exclusive_group(required=True)
+    layers3.add_argument("--delta", type=int, choices=(0, 1), default=None)
+    layers3.add_argument("--layers", default=None)
     p3.add_argument("--epsilon", choices=("+", "-"), default="+")
     p3.add_argument("--transversal", default=None, help="default|@file (must be even)")
     add_common(p3)
@@ -327,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every error it raises is mapped to its exit code here."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args, _load_config(args.config))
         sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
         return code

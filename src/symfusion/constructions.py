@@ -36,7 +36,7 @@ from .errors import (
     StepConstraintViolatedError,
     TrivialSubspaceError,
 )
-from .fusion import DEFAULT_TOL, FusionEnsemble, _fields_json
+from .fusion import DEFAULT_TOL, FusionEnsemble, _check_tolerance, _fields_json
 from .permutations import (
     Permutation,
     transversal_an,
@@ -475,7 +475,7 @@ def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tup
     mu = sel.mu
     n = mu.n + 1
     layers = sel.partitions
-    d_layers, r = sel.total_dimension, dimension(mu)
+    d_layers, r, identity = sel.total_dimension, dimension(mu), list(range(1, n))
     C, spare = np.zeros((d_layers, r)), np.empty((d_layers, r))
     starts = np.cumsum([0] + [dimension(lam) for lam in layers])
     rows = [slice(start, stop) for start, stop in zip(starts, starts[1:])]
@@ -488,8 +488,8 @@ def _layer_orbit(sel: LayerSelection, ts: Sequence[Permutation]) -> Iterator[tup
             C, spare = spare, C
         if k < n - 1:
             right_apply_generator(mu, k, C, out=C)
-        h = Permutation.transposition(n, k, n) * ts[k - 1]
-        yield k - 1, C, None if h.is_identity else rep_matrix(mu, Permutation(h.images[:-1]))
+        h = [k if y == n else y for y in ts[k - 1].images[:-1]]  # (k n) t_k on 1 .. n - 1, as t_k(n) = k
+        yield k - 1, C, None if h == identity else rep_matrix(mu, Permutation(h))
 
 
 def _orbit_ensemble(
@@ -672,8 +672,8 @@ def generic_orbit_ensemble(
     symmetry guarantee is void, and certification alone decides what was
     built.
     """
-    mats = {}
-    d = None
+    tol = _check_tolerance(tol)
+    mats, d = {}, None
     for name, g in generators.items():
         G = np.asarray(g, dtype=complex if field == "C" else None)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:

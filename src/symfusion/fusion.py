@@ -33,7 +33,6 @@ from .tableaux import Partition
 
 DEFAULT_TOL = 1e-9
 _PANEL_ROWS = 1024  # the most rows of P that one tightness_residual product takes
-_HELPER_BYTES = 8 << 20  # the least synthesis array, in bytes, whose pair pass takes a helper thread
 
 
 def _ct(A: np.ndarray) -> np.ndarray:
@@ -193,26 +192,27 @@ def welch_alpha(d: int, r: int, n: int) -> float:
 
 
 def _helper_wanted(e: FusionEnsemble) -> bool:
-    """BLAS runs one thread (as OpenBLAS reads it at load), two CPUs are usable, P has _HELPER_BYTES."""
+    """BLAS runs one thread (as OpenBLAS reads it at load) and two CPUs are usable, whatever e's size."""
     blas = next(filter(None, map(os.environ.get, ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))), None)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return e.synthesis().nbytes >= _HELPER_BYTES and blas == "1" and cpus >= 2
+    return blas == "1" and cpus >= 2
 
 
 def _pair_pass(e: FusionEnsemble, tol: float) -> tuple[float, dict]:
     """The tightness residual and the report's pairwise fields, from one cross-Gram per pair i < j.
 
-    Stacks of up to k = _PANEL_ROWS // r pairs (i, j .. j + k - 1) take one batched SVD each, whose singular
-    values are the per-pair ones bit for bit; clamped to [0, 1], they are the pair's cosines s.  A pair has
-    parameter alpha = sum_k s_k^2 / r and residual max_k |s_k^2 - alpha|, the spectral norm of G*G - alpha I.
-    The ensemble is equi-isoclinic when every residual and the spread of the pair parameters are within
-    ``tol``; it has a common chordal distance when the chordal spread is.
+    A stack of m <= k = _PANEL_ROWS // r pairs (i, j .. j + m - 1) is one product of Phi_i* and an (m, d, r) view
+    of P into the thread's (k, r, r) buffer, then one batched SVD.  numpy makes one GEMM a matrix, so the values are
+    :func:`cross_gram`'s bit for bit; clamped to [0, 1], they are the pair's cosines s.  A pair has parameter
+    alpha = sum_k s_k^2 / r and residual max_k |s_k^2 - alpha|, the spectral norm of G*G - alpha I.  The ensemble is
+    equi-isoclinic when every residual and the spread of the pair parameters are within ``tol``; it has a common
+    chordal distance when the chordal spread is.
 
     When :func:`_helper_wanted`, a daemon helper takes the tightness residual (GEMMs release the GIL), then claims
     stacks from the caller's iterator; each stack's cosines land in its pairs' rows, so none depends on the
     thread.  A failure in either thread stops both and is raised here, after the join.
     """
-    n, r, k = e.n, e.r, max(1, _PANEL_ROWS // e.r)
+    P, n, r, k = e.synthesis(), e.n, e.r, max(1, _PANEL_ROWS // e.r)
     stacks = iter([(i, j) for i in range(1, n) for j in range(i + 1, n + 1, k)])
     cosines, out, failed = np.empty((n * (n - 1) // 2, r)), [], []
 
@@ -220,13 +220,13 @@ def _pair_pass(e: FusionEnsemble, tol: float) -> tuple[float, dict]:
         try:
             if lead:
                 out.append(tightness_residual(e))
-            buf = np.empty((k, r, r), e.synthesis().dtype)
+            buf = np.empty((k, r, r), P.dtype)
             for i, j in stacks:  # each next() is atomic under the GIL
                 if failed:
                     return
                 m, row = min(k, n + 1 - j), (i - 1) * (2 * n - i) // 2 + j - i - 1  # pair (i, j)'s row
-                for t in range(m):
-                    buf[t] = cross_gram(e, i, j + t)
+                right = P[:, (j - 1) * r : (j - 1 + m) * r].reshape(-1, m, r).transpose(1, 0, 2)
+                np.matmul(_ct(P[:, (i - 1) * r : i * r]), right, out=buf[:m])
                 cosines[row : row + m] = np.linalg.svd(buf[:m], compute_uv=False)
         except BaseException as exc:
             failed.append(exc)
@@ -326,9 +326,9 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
     only; it is never used to infer the classification.  ``tol`` must be
     finite and positive.
 
-    With BLAS at one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1), two usable CPUs
-    and P of at least 8 MiB, a helper thread takes the tightness residual and shares the stacks
-    of pairs, each one batched SVD (see :func:`_pair_pass`); the report's bytes do not change.
+    The pairs go in stacks, each one batched product and one batched SVD (see :func:`_pair_pass`).
+    With BLAS at one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1) and two usable CPUs,
+    a helper thread takes the tightness residual and shares the stacks; the report's bytes do not change.
     """
     tol = _check_tolerance(tol)
     resid, pairs = _pair_pass(e, tol)
@@ -337,17 +337,10 @@ def certify(e: FusionEnsemble, tol: float = DEFAULT_TOL) -> CertificationReport:
     w_spectral, w_chordal = welch_bounds(e.d, e.r, e.n) if e.n >= 2 else (None, None)
     w_alpha = welch_alpha(e.d, e.r, e.n) if e.n >= 2 else None
 
-    if not tight:
-        classification = "NONE"
-    elif alpha is not None:
-        classification = "EITFF"
-    elif pairs["common_chordal"] is not None:
-        classification = "ECTFF"
-    else:
-        classification = "TFF"
+    classification = ("NONE" if not tight else "EITFF" if alpha is not None
+                      else "ECTFF" if pairs["common_chordal"] is not None else "TFF")
 
-    ls_bound = None
-    ls_equality = None
+    ls_bound = ls_equality = None
     if alpha is not None and e.r - e.d * alpha > 1e-15:
         ls_bound = e.d * (1.0 - alpha) / (e.r - e.d * alpha)
         ls_equality = abs(ls_bound - e.n) <= 1e-6 * max(1.0, e.n)

@@ -11,7 +11,7 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import BadTransversalError, IndexOutOfRangeError, ParseError, SizeMismatchError, TooSmallError
-from .tableaux import _integer_entries
+from .tableaux import _int_tokens, _integer_entries
 
 
 class Permutation:
@@ -159,10 +159,7 @@ class Permutation:
 
 def _parse_ints(part: str, text: str) -> list[int]:
     """The integers of ``part`` between commas or runs of spaces (none if blank); an empty field is an error."""
-    try:
-        return [int(tok) for tok in re.split(r"\s*,\s*|\s+", part.strip())] if part.strip() else []
-    except ValueError as exc:
-        raise ParseError(f"cannot parse permutation {text!r}: {exc}") from exc
+    return _int_tokens(re.split(r"\s*,\s*|\s+", part.strip()), f"permutation {text!r}") if part.strip() else []
 
 
 def permutation_word(g: Permutation) -> list[int]:

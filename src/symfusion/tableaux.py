@@ -11,6 +11,7 @@ quickly: ``dimension(Partition((7, 7, 4, 3, 3)))`` is 11,660,320,672).
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import factorial, prod
@@ -51,6 +52,18 @@ def _integer_entries(values: Iterable[int], what: str) -> tuple[int, ...]:
         except TypeError:
             pass
     raise ParseError(f"{what} entries must be integers, got {entries!r}")
+
+
+def _int_tokens(tokens: list[str], what: str) -> list[int]:
+    """The ints the text tokens spell, each ASCII digits with an optional leading '-' and spaces
+    around; int() alone would also read '_', a '+' sign, tabs and non-ASCII digits."""
+    bad = next((tok for tok in tokens if not re.fullmatch(r" *-?[0-9]+ *", tok)), None)
+    if bad is not None:
+        raise ParseError(f"cannot parse {what}: {bad!r} is not an integer")
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"cannot parse {what}: {exc}") from exc
 
 
 class Partition:
@@ -101,11 +114,7 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse a comma-separated part list such as ``"4,2,2"`` (spaces around a part allowed, no empty part)."""
-        try:
-            parts = [int(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"cannot parse partition {text!r}: {exc}") from exc
-        return cls(parts)
+        return cls(_int_tokens(text.split(","), f"partition {text!r}"))
 
 
 def transpose(lam: Partition) -> Partition:

@@ -542,6 +542,51 @@ class TestBadInput:
         assert error["error"] == "SymfusionError"
         assert "--delta" in error["message"] and "--layers" in error["message"]
 
+    # int() read each: "2_1" as 21 (EITFF_R(21, 1, 22)), Arabic-Indic digits as 3,2 and 2,2, "0_1" as cover 1
+    @pytest.mark.parametrize("argv", [
+        ("single-layer", "--lambda", "2_1,1", "--mu", "21"),
+        ("single-layer", "--lambda", "\u0663,\u0662", "--mu", "\u0662,\u0662"),
+        ("multi-layer", "--mu", "3,2", "--layers", "0_1"),
+    ], ids=["underscore", "non_ascii_digits", "layers_underscore"])
+    def test_integer_token_beyond_ascii_digits_is_user_error(self, capsys, argv):
+        code, stdout, stderr = run(capsys, "construct", *argv)
+        assert (code, stdout) == (2, "")
+        error = json.loads(stderr)
+        assert error["error"] == "ParseError" and "is not an integer" in error["message"]
+
+    # int() read "(1 1_0)" as t_1 = (1 10) and "2,+1,3" as t_3 = (1 2): valid transversals
+    @pytest.mark.parametrize("lam, mu, entries", [
+        ("9,1", "9", ["(1 1_0)", *(f"({k} 10)" for k in range(2, 10)), "()"]),
+        ("2,1", "2", ["(1 3)", "(2 3)", "2,+1,3"]),
+    ], ids=["cycle", "one_line"])
+    def test_transversal_integer_token_beyond_ascii_digits_is_user_error(self, tmp_path, capsys, lam, mu, entries):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps(entries))
+        code, stdout, stderr = run(capsys, "construct", "single-layer", "--lambda", lam, "--mu", mu,
+                                   "--transversal", f"@{spec}")
+        assert (code, stdout) == (2, "")
+        error = json.loads(stderr)
+        assert error["error"] == "ParseError" and "is not an integer" in error["message"]
+
+    # argparse printed its usage text and exited 2 with no JSON error
+    @pytest.mark.parametrize("argv, words", [
+        (("construct", "multi-layer", "--mu", "3,2", "--delta", "2"), "invalid choice"),
+        (("construct", "multi-layer", "--delta", "1"), "required: --mu"),
+        ((*SINGLE_LAYER, "--bogus"), "unrecognized arguments: --bogus"),
+    ], ids=["invalid_choice", "missing_mu", "unknown_flag"])
+    def test_usage_error_is_a_json_error(self, capsys, argv, words):
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        error = json.loads(stderr)
+        assert error["error"] == "SymfusionError" and words in error["message"]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("construct", "multi-layer", "--help")], ids=["top", "sub"])
+    def test_help_still_prints_to_stdout_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert info.value.code == 0 and captured.out.startswith("usage: symfusion") and captured.err == ""
+
     def test_unknown_transversal_spec_is_user_error(self, capsys):
         code, stdout, stderr = run(capsys, *SINGLE_LAYER, "--transversal", "cycles")
         assert (code, stdout) == (2, "")

@@ -1288,6 +1288,12 @@ class TestAlternatingParameters:
 
 
 class TestGenericOrbit:
+    @pytest.mark.parametrize("tol", ["x", float("nan"), 0, -1, True, None], ids=repr)
+    def test_tolerance_is_checked_first(self, tol):
+        # max(tol, 1e-8) raised TypeError for "x" and None
+        with pytest.raises(ConstraintViolationError, match="tolerance"):
+            generic_orbit_ensemble({"g": np.eye(2)}, [["g"]], np.eye(2)[:, :1], tol=tol)
+
     def test_mercedes_benz_matrices(self):
         s3 = np.sqrt(3.0)
         rot = np.array([[-1.0, -s3], [s3, -1.0]]) / 2

@@ -432,35 +432,34 @@ class TestOnePassCertifier:
         assert rep.isoclinism_residual > tol
 
     @pytest.mark.parametrize("case", ["random_none", "real_eitff", "complex_eitff", "single_subspace"])
-    def test_one_cross_gram_and_one_svd_per_pair(self, monkeypatch, case):
-        import symfusion.fusion as fusion
-
+    def test_one_product_and_one_svd_per_pair(self, monkeypatch, case):
         e = build(case)
-        counts = {"cross_gram": 0, "svd": 0}
-        real_cross_gram, real_svd = fusion.cross_gram, np.linalg.svd
+        monkeypatch.setattr(fusion, "_helper_wanted", lambda e: False)  # the counts are not locked
+        counts = {"product": 0, "svd": 0}
+        real_matmul, real_svd = np.matmul, np.linalg.svd
 
-        def counted_cross_gram(*args, **kwargs):
-            counts["cross_gram"] += 1
-            return real_cross_gram(*args, **kwargs)
+        def counted_matmul(a, b, *args, **kwargs):  # a stack of right factors counts each matrix
+            counts["product"] += len(b) if b.ndim == 3 else 1
+            return real_matmul(a, b, *args, **kwargs)
 
         def counted_svd(a, *args, **kwargs):  # a stack of matrices counts each one
             counts["svd"] += len(a) if a.ndim == 3 else 1
             return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(fusion, "cross_gram", counted_cross_gram)
+        monkeypatch.setattr(np, "matmul", counted_matmul)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         certify(e)
         pairs = e.n * (e.n - 1) // 2
-        assert counts == {"cross_gram": pairs, "svd": pairs}
+        assert counts == {"product": pairs, "svd": pairs}
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def open_helper_gate(monkeypatch, env: dict[str, str], cpus: set[int] | int | None, min_bytes: int | None = 0) -> None:
-    """Set the helper gate's inputs: the BLAS variables (all others unset), the CPUs the
+def open_helper_gate(monkeypatch, env: dict[str, str], cpus: set[int] | int | None) -> None:
+    """Set the helper gate's inputs: the BLAS variables (all others unset) and the CPUs the
     process may use (a set is its affinity; an int or None is what os.cpu_count returns on
-    a platform with no sched_getaffinity) and the size constant (None keeps it)."""
+    a platform with no sched_getaffinity)."""
     for var in BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
@@ -470,8 +469,6 @@ def open_helper_gate(monkeypatch, env: dict[str, str], cpus: set[int] | int | No
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    if min_bytes is not None:
-        monkeypatch.setattr(fusion, "_HELPER_BYTES", min_bytes)
 
 
 @pytest.fixture
@@ -520,14 +517,18 @@ class TestHelperThread:
             m.setattr(fusion, "_helper_wanted", lambda e: False)
             off = certify(e)
         open_helper_gate(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, {0, 1})
-        claimed, lock, real_cross_gram = [], threading.Lock(), fusion.cross_gram
+        claimed, lock, real_matmul, P = [], threading.Lock(), np.matmul, e.synthesis()
 
-        def recorded(e, i, j):
+        def block(view):  # the 1-based index of the first block of P that a view of P reads
+            assert np.shares_memory(view, P)
+            return (view.ctypes.data - P.ctypes.data) // P.itemsize // e.r + 1
+
+        def recorded(a, b, *args, **kwargs):  # Phi_i* (a view, as P is real) times blocks j .. j + len(b) - 1
             with lock:
-                claimed.append((i, j))
-            return real_cross_gram(e, i, j)
+                claimed.extend((block(a), block(b) + t) for t in range(len(b)))
+            return real_matmul(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(fusion, "cross_gram", recorded)
+        monkeypatch.setattr(np, "matmul", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -538,38 +539,36 @@ class TestHelperThread:
         assert sorted(claimed) == [(i, j) for i in range(1, 25) for j in range(i + 1, 25)]
         assert on.to_json() == off.to_json()
 
-    @pytest.mark.parametrize("broken", ["tightness_residual", "cross_gram"])
+    @pytest.mark.parametrize("broken", ["tightness_residual", "matmul"])  # the helper's first step, any stack's
     def test_an_exception_in_either_thread_reaches_the_caller(self, monkeypatch, threads_made, broken):
         e = HELPER_CASES["real_eitff"][1]()
         baseline = threading.active_count()
         open_helper_gate(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, {0, 1})
 
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise RuntimeError(f"{broken} failed")
 
-        monkeypatch.setattr(fusion, broken, fail)
+        monkeypatch.setattr(np if broken == "matmul" else fusion, broken, fail)
         with pytest.raises(RuntimeError, match=f"{broken} failed"):
             certify(e)
         assert len(threads_made) == 1 and not threads_made[0].is_alive()
         assert threading.active_count() == baseline
 
     @pytest.mark.parametrize(
-        "env, cpus, min_bytes",
+        "env, cpus",
         [
-            ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, None),  # P is below the size constant
-            ({}, {0, 1}, 0),  # BLAS picks its own thread count
-            ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1}, 0),
-            ({"OMP_NUM_THREADS": "2"}, {0, 1}, 0),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 0),  # OpenBLAS reads its own first
-            ({"OPENBLAS_NUM_THREADS": "1"}, {0}, 0),  # one CPU
-            ({"OPENBLAS_NUM_THREADS": "1"}, 1, 0),  # no sched_getaffinity: os.cpu_count
-            ({"OPENBLAS_NUM_THREADS": "1"}, None, 0),  # os.cpu_count cannot tell
+            ({}, {0, 1}),  # BLAS picks its own thread count
+            ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1}),
+            ({"OMP_NUM_THREADS": "2"}, {0, 1}),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}),  # OpenBLAS reads its own first
+            ({"OPENBLAS_NUM_THREADS": "1"}, {0}),  # one CPU
+            ({"OPENBLAS_NUM_THREADS": "1"}, 1),  # no sched_getaffinity: os.cpu_count
+            ({"OPENBLAS_NUM_THREADS": "1"}, None),  # os.cpu_count cannot tell
         ],
     )
-    def test_gate_closed_starts_no_thread(self, monkeypatch, threads_made, env, cpus, min_bytes):
+    def test_gate_closed_starts_no_thread(self, monkeypatch, threads_made, env, cpus):
         e = HELPER_CASES["real_eitff"][1]()
-        assert e.synthesis().nbytes < fusion._HELPER_BYTES
-        open_helper_gate(monkeypatch, env, cpus, min_bytes)
+        open_helper_gate(monkeypatch, env, cpus)
         certify(e)
         assert threads_made == []
 
@@ -616,9 +615,30 @@ class TestStackedPairPass:
         assert rep.chordal_min == min((ch for _, ch in dists), default=None)
         assert rep.isoclinism_alpha == isoclinism_check(e)
 
+    @pytest.mark.parametrize("case", [*STACK_CASES, "complex_part_stacks"])
+    def test_stack_products_are_the_per_pair_cross_grams(self, monkeypatch, case):
+        # k = 1024 // 50 = 20 pairs a stack, so a complex Phi_i* meets part stacks too
+        e = STACK_CASES[case]() if case in STACK_CASES else FusionEnsemble.from_blocks(
+            random_orthonormal_blocks(60, 50, 24, 7, complex_field=True))
+        monkeypatch.setattr(fusion, "_helper_wanted", lambda e: False)  # the stacks come in row order
+        products, real_matmul = [], np.matmul
+
+        def recorded(*args, **kwargs):
+            result = real_matmul(*args, **kwargs)
+            products.extend(result.copy())
+            return result
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        certify(e)
+        pairs = [(i, j) for i in range(1, e.n + 1) for j in range(i + 1, e.n + 1)]
+        assert len(products) == len(pairs)
+        for G, (i, j) in zip(products, pairs):
+            assert np.array_equal(G, cross_gram(e, i, j))
+
     @pytest.mark.parametrize("case", ["r_1", "part_stacks", "real_eitff"])
     def test_one_svd_per_stack_of_at_most_panel_rows(self, monkeypatch, case):
         e = STACK_CASES[case]()
+        monkeypatch.setattr(fusion, "_helper_wanted", lambda e: False)  # the stacks come in row order
         k, stacks, real_svd = max(1, fusion._PANEL_ROWS // e.r), [], np.linalg.svd
 
         def recorded_svd(a, *args, **kwargs):

@@ -46,6 +46,12 @@ class TestPermutation:
         with pytest.raises(ParseError):
             Permutation.parse(text)
 
+    # int() reads "1_0" as 10 and "+1" as 1
+    @pytest.mark.parametrize("text", ["(1 1_0)", "2,+1,3", "(1 \u0662)", "\u0662,1"])
+    def test_parse_takes_ascii_digits_only(self, text):
+        with pytest.raises(ParseError, match="is not an integer"):
+            Permutation.parse(text)
+
     def test_parse_takes_spaces_as_separators(self):
         assert Permutation.parse("2 1 3") == Permutation.parse("2, 1 ,3") == Permutation((2, 1, 3))
         assert Permutation.parse(" (1 2) (3,4) ") == Permutation.parse("(1 2)(3 4)")

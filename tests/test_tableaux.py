@@ -83,6 +83,20 @@ class TestPartition:
     def test_parse_allows_spaces_around_parts(self):
         assert Partition.parse(" 4, 2 ,2 ") == Partition((4, 2, 2))
 
+    # int() reads each of these: "2_1" as 21, "+3" as 3, Arabic-Indic digits as 3 and 2, a tab or newline as a space
+    @pytest.mark.parametrize("text", ["2_1,1", "+3,2", "\u0663,\u0662", "3,\t2", "3,2\n"])
+    def test_parse_takes_ascii_digits_only(self, text):
+        with pytest.raises(ParseError, match="is not an integer"):
+            Partition.parse(text)
+
+    def test_parse_refuses_more_digits_than_int_converts(self):
+        with pytest.raises(ParseError, match="cannot parse partition"):
+            Partition.parse("1" * 5000 + ",1")
+
+    def test_parse_reads_a_minus_sign_for_the_partition_to_refuse(self):
+        with pytest.raises(NonPositivePartError):
+            Partition.parse("3,-1")
+
     @pytest.mark.parametrize("parts", [(2.7, 1), (2.0, 1), (True,), (np.True_,), ("3", "2"), (None,)], ids=repr)
     def test_entries_are_integers_not_truncated(self, parts):
         # int() would read 2.7 as 2, True as 1 and "3" as 3
